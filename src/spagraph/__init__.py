@@ -3,7 +3,7 @@
 geometry       torus metric, ball volume/radius conversions
 spatial_index  leveled grid answering sphere-of-influence coverage queries
 rng            counter-based uniform streams (reproducibility contract)
-generator      the growth process, indexed and naive reference variants
+generator      the growth process: vertex-centric walk and naive reference
 clustering     local clustering coefficients, old/new split, curves
 stats          degree censuses, power-law fit, trajectory concentration
 graph_io       graph files, manifests, run configs, CSV reports

@@ -4,7 +4,8 @@ Subcommands: generate, stats, sweep, verify, trajectory, scatter.
 Exit codes: 0 success, 1 domain error (bad parameters), 2 I/O or parse
 error, 3 verification failure. Parallelism is controlled only by the
 SPA_JOBS environment variable (number of worker processes for replicas
-and per-file analyses; default 1).
+and per-file analyses; default 1, capped at the CPU count; a value that
+is not a positive integer is an error).
 """
 
 from __future__ import annotations
@@ -28,10 +29,22 @@ from .verify import verify_equivalence
 
 
 def _jobs() -> int:
+    """Worker processes from SPA_JOBS (default 1), capped at the CPU count."""
+    text = os.environ.get("SPA_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("SPA_JOBS", "1")))
+        jobs = int(text)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ParameterError(f"SPA_JOBS must be a positive integer, got {text!r}")
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _top_vertices(graph, top: int) -> np.ndarray:
+    """The `top` vertices of highest in-degree, highest first; never slot 0."""
+    order = np.argsort(graph.in_degree)
+    order = order[order != 0]
+    return order[max(order.size - top, 0):][::-1]
 
 
 def _model_from_args(args) -> ModelParams:
@@ -153,8 +166,7 @@ def _analyze_graph(task):
         exponent = stats.powerlaw_exponent(census, d_min)
     except UsageError:
         pass
-    top_ids = np.argsort(graph.in_degree)[-top:][::-1]
-    checks = [stats.trajectory_check(graph, int(v), omega) for v in top_ids]
+    checks = [stats.trajectory_check(graph, int(v), omega) for v in _top_vertices(graph, top)]
     return graph.params, report, census, consts, exponent, checks
 
 
@@ -271,8 +283,8 @@ def cmd_trajectory(args) -> int:
     for path in args.graphs:
         graph = graph_io.read_graph(path)
         omega = _parse_omega(args.omega_mode, graph.n)
-        top_ids = np.argsort(graph.in_degree)[-args.top:][::-1]
-        checks = [stats.trajectory_check(graph, int(v), omega) for v in top_ids]
+        checks = [stats.trajectory_check(graph, int(v), omega)
+                  for v in _top_vertices(graph, args.top)]
         stem = os.path.splitext(os.path.basename(path.removesuffix(".gz")))[0]
         graph_io.write_csv(
             os.path.join(args.out, f"trajectories_{stem}.csv"),

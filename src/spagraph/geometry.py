@@ -74,13 +74,14 @@ def radius_to_volume(r: float, m: int, norm: Norm) -> float:
     return float(min(unit_ball_volume(m, norm) * r ** m, 1.0))
 
 
-def ball_contains(centers, volumes, x, norm: Norm) -> np.ndarray:
-    """Closed-ball membership test: is x inside the ball at each center?
+def needed_volume(centers, x, norm: Norm) -> np.ndarray:
+    """Smallest nominal ball volume at each center whose closed ball holds x.
 
-    `centers` is (k, m) (or (m,)), `volumes` the nominal ball volume per
-    center (scalar broadcasts). The comparison is done in volume space,
-    using only correctly-rounded float operations, so every caller
-    (grid index, linear scan, test oracles) sees bit-identical decisions.
+    `centers` is (k, m) (or (m,)); `x` is (m,) or, for pairwise use, the
+    same shape as `centers`. Only correctly-rounded float operations are
+    used, and every membership decision in the package (grid index, linear
+    scan, vertex-centric generator, test oracles) compares this one
+    expression against a volume, so they all see bit-identical decisions.
     """
     centers = np.asarray(centers, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -89,11 +90,19 @@ def ball_contains(centers, volumes, x, norm: Norm) -> np.ndarray:
     m = x.shape[-1]
     d = torus_diffs(centers, x)
     if norm is Norm.LINF:
-        q = 2.0 * d.max(axis=-1)
-        return q ** m <= volumes
+        return (2.0 * d.max(axis=-1)) ** m
     s = (d * d).sum(axis=-1)
     if m % 2 == 0:
         powered = s ** (m // 2)
     else:
         powered = s ** (m // 2) * np.sqrt(s)
-    return unit_ball_volume(m, Norm.L2) * powered <= volumes
+    return unit_ball_volume(m, Norm.L2) * powered
+
+
+def ball_contains(centers, volumes, x, norm: Norm) -> np.ndarray:
+    """Closed-ball membership test: is x inside the ball at each center?
+
+    `volumes` is the nominal ball volume per center (scalar broadcasts);
+    the test is `needed_volume(centers, x, norm) <= volumes`.
+    """
+    return needed_volume(centers, x, norm) <= volumes

@@ -128,7 +128,8 @@ def parse_graph(data: bytes) -> GrownGraph:
     fields: dict[str, str] = {}
     section = "header"
     edges: list[tuple[int, int]] = []
-    positions: list[tuple[int, list[float]]] = []
+    positions: list[tuple[int, list[float], int]] = []   # (vertex, coords, offset)
+    positions_offset = 0
     trajectories: list[tuple[int, int, int]] = []
     for raw in lines[1:]:
         line_offset = offset
@@ -140,19 +141,23 @@ def parse_graph(data: bytes) -> GrownGraph:
             if line not in ("%edges", "%positions", "%trajectories"):
                 raise ParseError(f"unknown section marker {line!r}", line_offset)
             section = line[1:]
+            if section == "positions":
+                positions_offset = line_offset
             continue
         try:
             if section == "header":
                 key, _, value = line.partition("=")
                 if not _:
                     raise ValueError("expected key=value")
+                if key in fields:
+                    raise ValueError(f"duplicate key {key!r}")
                 fields[key] = value
             elif section == "edges":
                 s, u = line.split("\t")
                 edges.append((int(s), int(u)))
             elif section == "positions":
                 parts = line.split("\t")
-                positions.append((int(parts[0]), [float(c) for c in parts[1:]]))
+                positions.append((int(parts[0]), [float(c) for c in parts[1:]], line_offset))
             else:
                 v, t, d = line.split("\t")
                 trajectories.append((int(v), int(t), int(d)))
@@ -163,10 +168,17 @@ def parse_graph(data: bytes) -> GrownGraph:
     pos_array = None
     if positions:
         pos_array = np.full((params.n + 1, params.dimension), np.nan)
-        for v, coords in positions:
+        seen = np.zeros(params.n + 1, dtype=bool)
+        for v, coords, row_offset in positions:
             if not 1 <= v <= params.n or len(coords) != params.dimension:
-                raise ParseError(f"bad position row for vertex {v}", params_offset)
+                raise ParseError(f"bad position row for vertex {v}", row_offset)
+            if seen[v]:
+                raise ParseError(f"duplicate position row for vertex {v}", row_offset)
+            seen[v] = True
             pos_array[v] = coords
+        if not seen[1:].all():
+            missing = int(np.flatnonzero(~seen[1:])[0]) + 1
+            raise ParseError(f"no position row for vertex {missing}", positions_offset)
     try:
         return GrownGraph.from_edges(params, edges, pos_array)
     except Exception as exc:

@@ -24,6 +24,7 @@ LANE_POSITION = 0
 LANE_COIN = 1
 
 _TO_UNIT = 2.0 ** -53
+_PACK = struct.Struct("<QQQ").pack
 
 
 class CounterStream:
@@ -33,13 +34,14 @@ class CounterStream:
         if not 0 <= seed < 2 ** 64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
-        self._key = struct.pack("<Q", seed)
+        # Keyed BLAKE2b state before any message byte; copying it skips
+        # re-keying on every word and yields the same digests.
+        self._keyed = hashlib.blake2b(key=struct.pack("<Q", seed), digest_size=8)
 
     def _word(self, lane: int, t: int, counter: int) -> int:
-        digest = hashlib.blake2b(
-            struct.pack("<QQQ", lane, t, counter), key=self._key, digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "little")
+        state = self._keyed.copy()
+        state.update(_PACK(lane, t, counter))
+        return int.from_bytes(state.digest(), "little")
 
     def uniform(self, lane: int, t: int, counter: int) -> float:
         """One uniform in [0, 1) from the given lane/step/counter."""
@@ -50,6 +52,10 @@ class CounterStream:
         return np.array(
             [(self._word(LANE_POSITION, t, j) >> 11) * _TO_UNIT for j in range(m)]
         )
+
+    def coin(self, t: int, vertex_id: int) -> float:
+        """The link coin of one candidate at step t (scalar `coin_uniforms`)."""
+        return (self._word(LANE_COIN, t, vertex_id) >> 11) * _TO_UNIT
 
     def coin_uniforms(self, t: int, vertex_ids) -> np.ndarray:
         """Link coins for step t, one per candidate, indexed by birth index."""

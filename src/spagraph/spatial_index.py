@@ -2,6 +2,9 @@
 
 Answers "which existing vertices' spheres contain the point x" in far less
 than O(t) time while radii grow with in-degree and shrink as time passes.
+`generate` walks steps over this index only when it is passed as
+`index_factory`, the seam through which harnesses inject a broken or
+instrumented index; its default vertex-centric walk needs no dynamic index.
 
 Layout: one uniform grid per radius class, level l having cell side 2^-l.
 A vertex sits in exactly one cell (the cell containing its center) at the

@@ -1,11 +1,14 @@
 import csv
 import os
 
+import numpy as np
 import pytest
 
+from spagraph import cli
 from spagraph.cli import main
+from spagraph.errors import ParameterError
 from spagraph.generator import GrownGraph, ModelParams
-from spagraph.graph_io import write_graph
+from spagraph.graph_io import read_graph, write_graph
 
 ARGS = ["--n", "400", "--p", "0.7", "--a1", "1.0", "--a2", "4.285714285714286"]
 
@@ -208,3 +211,74 @@ def test_parallel_replicas_match_sequential(tmp_path, monkeypatch):
             with open(os.path.join(seq, name), "rb") as a, \
                  open(os.path.join(par, name), "rb") as b:
                 assert a.read() == b.read()
+
+
+# -- input checks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["abc", "", "0", "-3", "1.5"])
+def test_jobs_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("SPA_JOBS", value)
+    with pytest.raises(ParameterError, match="SPA_JOBS"):
+        cli._jobs()
+
+
+def test_jobs_default_and_cap(monkeypatch):
+    monkeypatch.delenv("SPA_JOBS", raising=False)
+    assert cli._jobs() == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("SPA_JOBS", "3")
+    assert cli._jobs() == 3
+    monkeypatch.setenv("SPA_JOBS", "99999")
+    assert cli._jobs() == 4
+
+
+def test_bad_jobs_value_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPA_JOBS", "abc")
+    assert run(["generate", *ARGS, "--replicas", "2", "--out", str(tmp_path)]) == 1
+    assert "SPA_JOBS" in capsys.readouterr().err
+
+
+def _trajectory_vertices(out, stem):
+    with open(os.path.join(out, f"trajectories_{stem}.csv")) as handle:
+        return [int(row["vertex"]) for row in csv.DictReader(handle)]
+
+
+@pytest.mark.parametrize("command", ["stats", "trajectory"])
+def test_top_at_least_n_never_selects_slot_zero(tmp_path, command):
+    params = ModelParams(n=7, p=0.7, a1=1.0, a2=30 / 7, seed=0)
+    edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
+    path = str(tmp_path / "hand.tsv")
+    write_graph(GrownGraph.from_edges(params, edges), path, include_positions=False)
+    for top in (7, 8, 50):
+        out = str(tmp_path / f"{command}{top}")
+        assert run([command, path, "--out", out, "--top", str(top)]) == 0
+        chosen = _trajectory_vertices(out, "hand")
+        assert sorted(chosen) == list(range(1, 8))
+        assert chosen[:2] == [1, 2]
+
+
+def test_top_below_n_keeps_argsort_choice_and_order(tmp_path):
+    out = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", out])
+    graph = read_graph(os.path.join(out, "spa_n400_p0.7_seed3.tsv"))
+    for top in (1, 5, 20, 399):
+        want = np.argsort(graph.in_degree)[-top:][::-1]
+        assert cli._top_vertices(graph, top).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("damage", ["missing position row", "duplicate header key"])
+def test_damaged_graph_file_exits_2(tmp_path, capsys, damage):
+    out = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", out])
+    path = os.path.join(out, "spa_n400_p0.7_seed3.tsv")
+    data = open(path, "rb").read()
+    if damage == "missing position row":
+        start = data.index(b"\n17\t", data.index(b"%positions")) + 1
+        data = data[:start] + data[data.index(b"\n", start) + 1:]
+    else:
+        data = data.replace(b"p=0.7\n", b"p=0.7\np=0.5\n", 1)
+    with open(path, "wb") as handle:
+        handle.write(data)
+    assert run(["stats", path, "--out", out]) == 2
+    assert "byte offset" in capsys.readouterr().err

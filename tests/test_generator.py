@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import (
@@ -11,6 +13,7 @@ from spagraph.generator import (
 )
 from spagraph.geometry import Norm
 from spagraph.graph_io import serialize_graph
+from spagraph.spatial_index import SphereIndex
 
 DEFAULTS = dict(p=0.7, a1=1.0, a2=30 / 7, dimension=2, norm=Norm.LINF)
 
@@ -147,3 +150,64 @@ def test_mean_out_degree_desk_scale():
     # asymptotic mean out-degree is p*a2/(1-p*a1) = 10; generous band at n=2e4
     g = generate(make(20_000, seed=11))
     assert g.num_edges / g.n == pytest.approx(10.0, rel=0.15)
+
+
+# -- the vertex-centric path against the step-centric oracle -----------------
+
+ORACLE_GRID = [
+    make(1),
+    make(2, p=1.0, a1=0.5, a2=2.0),
+    make(300, p=0.0),
+    make(400, seed=1, p=1.0, a1=0.9, a2=1.0),
+    make(900, seed=2),
+    make(700, seed=3, norm=Norm.L2),
+    make(600, seed=4, p=0.1, a1=1.0, a2=90.0, dimension=1),
+    make(600, seed=5, p=0.1, a1=2.0, a2=9.0, dimension=1, norm=Norm.L2),
+    make(500, seed=6, dimension=3),
+    make(500, seed=7, p=1.0, a1=0.5, a2=2.0, dimension=3, norm=Norm.L2),
+    make(400, seed=8, p=0.3, a1=1.5, a2=40.0, norm=Norm.L2),
+    make(200, seed=9, p=0.5, a1=1.0, a2=0.5, dimension=7),
+]
+
+
+def assert_same_graph(fast, slow):
+    assert np.array_equal(fast.positions[1:], slow.positions[1:])
+    assert np.array_equal(fast.out_ptr, slow.out_ptr)
+    assert np.array_equal(fast.out_targets, slow.out_targets)
+
+
+@pytest.mark.parametrize("params", ORACLE_GRID, ids=lambda p: f"n{p.n}-p{p.p}-m{p.dimension}-{p.norm.value}")
+def test_vertex_centric_equals_naive(params):
+    assert_same_graph(generate(params), generate_naive(params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p=st.floats(0.0, 1.0),
+    a1_fraction=st.floats(0.01, 0.99),
+    a2=st.floats(0.01, 60.0),
+    dimension=st.integers(1, 3),
+    norm=st.sampled_from(list(Norm)),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_vertex_centric_equals_naive_property(n, p, a1_fraction, a2, dimension, norm, seed):
+    # p * a1 < 1, as ModelParams requires
+    a1 = a1_fraction * min(10.0, 1.0 / p) if p > 0 else 10.0 * a1_fraction
+    params = ModelParams(n=n, p=p, a1=a1, a2=a2, dimension=dimension, norm=norm, seed=seed)
+    assert_same_graph(generate(params), generate_naive(params))
+
+
+def test_index_factory_runs_the_step_centric_walk():
+    params = make(800, seed=12)
+    assert_same_graph(generate(params, index_factory=SphereIndex), generate(params))
+
+
+@pytest.mark.parametrize("short", [1, 2, 3, 63, 64, 65, 511, 512, 513, 1000])
+def test_shorter_run_is_exact_prefix(short):
+    # windows end at 2s clipped to n; the clip must not change earlier steps
+    long = generate(make(1537, seed=13))
+    part = generate(make(short, seed=13))
+    assert np.array_equal(part.positions[1:], long.positions[1 : short + 1])
+    assert np.array_equal(part.out_ptr, long.out_ptr[: short + 2])
+    assert np.array_equal(part.out_targets, long.out_targets[: long.out_ptr[short + 1]])

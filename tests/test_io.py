@@ -169,3 +169,34 @@ def test_positionless_graph_rejects_ball_census(grown, tmp_path):
     parsed = graph_io.read_graph(path)
     with pytest.raises(UsageError, match="positions"):
         stats.ball_census(parsed, [0.5, 0.5], 0.1)
+
+
+def _drop_position_row(data: bytes, v: int) -> bytes:
+    start = data.index(f"\n{v}\t".encode(), data.index(b"%positions")) + 1
+    return data[:start] + data[data.index(b"\n", start) + 1:]
+
+
+@pytest.mark.parametrize("v", [1, 150, 300])
+def test_parse_rejects_missing_position_row(grown, v):
+    data = graph_io.serialize_graph(grown)
+    with pytest.raises(ParseError, match=f"no position row for vertex {v}") as info:
+        graph_io.parse_graph(_drop_position_row(data, v))
+    assert info.value.byte_offset == data.index(b"%positions")
+
+
+def test_parse_rejects_duplicate_position_row(grown):
+    data = graph_io.serialize_graph(grown)
+    row = data[data.index(b"\n7\t", data.index(b"%positions")) + 1:]
+    row = row[: row.index(b"\n") + 1]
+    damaged = data + row
+    with pytest.raises(ParseError, match="duplicate position row for vertex 7") as info:
+        graph_io.parse_graph(damaged)
+    assert info.value.byte_offset == len(data)
+
+
+def test_parse_rejects_duplicate_header_key(grown):
+    data = graph_io.serialize_graph(grown)
+    damaged = data.replace(b"p=0.7\n", b"p=0.7\np=0.5\n", 1)
+    with pytest.raises(ParseError, match="duplicate key 'p'") as info:
+        graph_io.parse_graph(damaged)
+    assert info.value.byte_offset == damaged.index(b"p=0.5")

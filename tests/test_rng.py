@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,29 @@ def test_seed_domain():
         CounterStream(-1)
     with pytest.raises(ParameterError):
         CounterStream(2 ** 64)
+
+
+def _keyed_blake2b_word(seed, lane, t, counter):
+    """The stream function written out from its definition, as an oracle."""
+    digest = hashlib.blake2b(
+        struct.pack("<QQQ", lane, t, counter), key=struct.pack("<Q", seed), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
+def test_words_match_keyed_blake2b_on_random_counters():
+    rng = np.random.default_rng(2024)
+    for seed in (0, 7, 2 ** 64 - 1):
+        s = CounterStream(seed)
+        for lane, t, counter in rng.integers(0, 2 ** 63, size=(200, 3)).tolist():
+            lane %= 2
+            assert s._word(lane, t, counter) == _keyed_blake2b_word(seed, lane, t, counter)
+
+
+def test_scalar_coin_equals_word_and_coin_uniforms():
+    rng = np.random.default_rng(99)
+    s = CounterStream(31337)
+    for t, u in rng.integers(1, 2 ** 40, size=(500, 2)).tolist():
+        want = (_keyed_blake2b_word(31337, LANE_COIN, t, u) >> 11) * 2.0 ** -53
+        assert s.coin(t, u) == want == (s._word(LANE_COIN, t, u) >> 11) * 2.0 ** -53
+        assert s.coin(t, u) == s.coin_uniforms(t, [u])[0]
