@@ -353,7 +353,7 @@ def _grow_by_vertex(params: ModelParams) -> GrownGraph:
     chunks = [np.empty(0, dtype=np.int64)]
     for first in range(1, n, BLOCK):
         chunks.append(_advance_block(first, min(first + BLOCK, n), grid, stream, params))
-    del grid
+    del grid   # the per-level keys are not needed for the CSR arrays
     keys = np.concatenate(chunks)   # t * (n + 1) + u per edge
     del chunks
     keys.sort()
@@ -391,11 +391,6 @@ def _threshold_degrees(q, tm1, bound, params: ModelParams) -> np.ndarray:
         k[high] += 1
 
 
-def _degree_bound(k: np.ndarray) -> np.ndarray:
-    """Degree bound K of a window: headroom grows with the degree."""
-    return k + np.maximum(4, k // 2)
-
-
 def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStream,
                    params: ModelParams) -> np.ndarray:
     """In-edges of vertices first..stop-1, as keys t * (n + 1) + u."""
@@ -406,7 +401,8 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStre
     coin = stream.coin
     edges: list[int] = []
     while u.size:
-        bound = _degree_bound(k)
+        # headroom that grows with the degree keeps restarts per vertex logarithmic
+        bound = k + np.maximum(4, k // 2)
         e = np.minimum(2 * s, n)
         take, owners, steps = _gather(grid, u, s, e, bound, params)
         q = needed_volume(grid.positions[u[owners]], grid.positions[steps], params.norm)

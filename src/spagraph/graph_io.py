@@ -129,7 +129,7 @@ def parse_graph(data: bytes) -> GrownGraph:
     section = "header"
     edges: list[tuple[int, int]] = []
     positions: list[tuple[int, list[float], int]] = []   # (vertex, coords, offset)
-    positions_offset = 0
+    positions_offset = None   # of the %positions marker, if the file has one
     trajectories: list[tuple[int, int, int]] = []
     for raw in lines[1:]:
         line_offset = offset
@@ -166,7 +166,7 @@ def parse_graph(data: bytes) -> GrownGraph:
     params_offset = len(lines[0]) + 1
     params = _parse_params(fields, params_offset)
     pos_array = None
-    if positions:
+    if positions_offset is not None:
         pos_array = np.full((params.n + 1, params.dimension), np.nan)
         seen = np.zeros(params.n + 1, dtype=bool)
         for v, coords, row_offset in positions:

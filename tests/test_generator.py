@@ -176,7 +176,9 @@ def assert_same_graph(fast, slow):
     assert np.array_equal(fast.out_targets, slow.out_targets)
 
 
-@pytest.mark.parametrize("params", ORACLE_GRID, ids=lambda p: f"n{p.n}-p{p.p}-m{p.dimension}-{p.norm.value}")
+@pytest.mark.parametrize(
+    "params", ORACLE_GRID, ids=lambda p: f"n{p.n}-p{p.p}-m{p.dimension}-{p.norm.value}"
+)
 def test_vertex_centric_equals_naive(params):
     assert_same_graph(generate(params), generate_naive(params))
 
@@ -199,8 +201,16 @@ def test_vertex_centric_equals_naive_property(n, p, a1_fraction, a2, dimension, 
 
 
 def test_index_factory_runs_the_step_centric_walk():
+    inserted = []
+
+    class RecordingIndex(SphereIndex):
+        def insert(self, vertex_id, position, weight):
+            inserted.append(vertex_id)
+            super().insert(vertex_id, position, weight)
+
     params = make(800, seed=12)
-    assert_same_graph(generate(params, index_factory=SphereIndex), generate(params))
+    assert_same_graph(generate(params, index_factory=RecordingIndex), generate(params))
+    assert inserted == list(range(1, 801))
 
 
 @pytest.mark.parametrize("short", [1, 2, 3, 63, 64, 65, 511, 512, 513, 1000])

@@ -184,6 +184,12 @@ def test_parse_rejects_missing_position_row(grown, v):
     assert info.value.byte_offset == data.index(b"%positions")
 
 
+def test_parse_rejects_empty_positions_section(grown):
+    data = graph_io.serialize_graph(grown, include_positions=False) + b"%positions\n"
+    with pytest.raises(ParseError, match="no position row for vertex 1"):
+        graph_io.parse_graph(data)
+
+
 def test_parse_rejects_duplicate_position_row(grown):
     data = graph_io.serialize_graph(grown)
     row = data[data.index(b"\n7\t", data.index(b"%positions")) + 1:]
