@@ -267,7 +267,6 @@ def _grow(params: ModelParams, candidate_fn, index) -> GrownGraph:
 
 BLOCK = 512            # vertices advanced in lockstep
 MAX_PAIRS = 32_768     # (vertex, step) pairs gathered per round, unless one vertex needs more
-CELLS_PER_RADIUS = 2   # grid cell side is at least radius / CELLS_PER_RADIUS
 _MAX_CELLS = 3 ** 6    # cells per query; beyond this every query scans its whole window
 
 
@@ -288,11 +287,11 @@ class _StaticGrid:
         self._unit = unit_ball_volume(m, params.norm)
         self._m = m
         levels = 1
-        if (2 * CELLS_PER_RADIUS + 1) ** m <= _MAX_CELLS:
+        if 3 ** m <= _MAX_CELLS:
             # No query is finer than a fresh vertex's sphere at step n, and
             # cell * (n + 1) + t must fit in an int64.
             smallest = self.radii(np.array([min(params.a2 / max(n - 1, 1), 1.0)]))
-            finest = int(np.floor(np.log2(CELLS_PER_RADIUS / smallest[0])))
+            finest = int(np.floor(-np.log2(smallest[0])))
             levels = 1 + min(max(finest, 0), (62 - self.n1.bit_length()) // m)
         self._keys = [self._bucket(level) for level in range(levels)]
 
@@ -304,7 +303,8 @@ class _StaticGrid:
         return (volumes / self._unit) ** (1.0 / self._m) * (1.0 + 1e-9) + 1e-12
 
     def levels(self, radii: np.ndarray) -> np.ndarray:
-        levels = np.floor(np.log2(CELLS_PER_RADIUS / radii))
+        """Finest level whose cell side is at least each radius: 3^m cells or fewer."""
+        levels = np.floor(-np.log2(radii))
         return np.clip(levels, 0, len(self._keys) - 1).astype(np.int64)
 
     def runs(self, level: int, centers, radii, s, e):
