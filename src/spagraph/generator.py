@@ -11,13 +11,14 @@ form an independent process. `generate` exploits this: it draws every
 position first, buckets them once into a static cell-sorted grid per cell
 size, and walks each vertex forward in time through doubling windows,
 reading the coin of (step, vertex) only when the vertex covers the step
-(n = 10^5 in about 7 s on one core). `generate_naive` is the step-centric
-O(n^2) oracle: each step scans all prior vertices. Passing `index_factory`
-to `generate` runs the same step-centric walk over a dynamic sphere index
-(`SphereIndex` or a subclass), which keeps a seam for injecting a broken
-or instrumented index. All paths read the same counter-based streams and
-compare the same membership expression, so for equal parameters and seed
-they produce bit-identical graphs; any disagreement is a bug.
+(n = 10^5 in about 7 s on one core of a 2.1 GHz Xeon virtual machine).
+`generate_naive` is the step-centric O(n^2) oracle: each step scans all
+prior vertices. Passing `index_factory` to `generate` runs the same
+step-centric walk over a dynamic sphere index (`SphereIndex` or a
+subclass), which keeps a seam for injecting a broken or instrumented
+index. All paths read the same counter-based streams and compare the same
+membership expression, so for equal parameters and seed they produce
+bit-identical graphs; any disagreement is a bug.
 """
 
 from __future__ import annotations
