@@ -4,10 +4,11 @@ geometry       torus metric, ball volume/radius conversions
 spatial_index  leveled grid answering sphere-of-influence coverage queries
 rng            counter-based uniform streams (reproducibility contract)
 generator      the growth process: vertex-centric walk and naive reference
-clustering     local clustering coefficients, old/new split, curves
+clustering     vectorized clustering coefficients, old/new split, curves
 stats          degree censuses, power-law fit, trajectory concentration
 graph_io       graph files, manifests, run configs, CSV reports
-verify         exact equivalence harness between the two generators
+verify         exact equivalence harness between the two generators, and
+               the brute-force clustering oracle
 cli            the spa-model command line tool
 """
 
@@ -22,18 +23,7 @@ from .errors import (
 from .geometry import Norm, radius_to_volume, torus_distance, volume_to_radius
 from .generator import GrownGraph, ModelParams, generate, generate_naive, sphere_volume
 from .spatial_index import SphereIndex
-from .clustering import (
-    ClusteringReport,
-    SplitPolicy,
-    banded_curve,
-    clustering_curve,
-    compute_report,
-    global_clustering,
-    local_clustering_directed,
-    local_clustering_undirected,
-    old_new_split,
-    scatter_export,
-)
+from .clustering import ClusteringReport, SplitPolicy, compute_report
 from .stats import (
     DegreeCensus,
     ExponentFit,
@@ -56,9 +46,7 @@ __all__ = [
     "Norm", "torus_distance", "volume_to_radius", "radius_to_volume",
     "ModelParams", "GrownGraph", "generate", "generate_naive", "sphere_volume",
     "SphereIndex",
-    "SplitPolicy", "ClusteringReport", "compute_report", "clustering_curve",
-    "banded_curve", "scatter_export", "global_clustering",
-    "local_clustering_directed", "local_clustering_undirected", "old_new_split",
+    "SplitPolicy", "ClusteringReport", "compute_report",
     "TheoryConstants", "DegreeCensus", "ExponentFit", "TrajectoryCheck",
     "theory_constants", "degree_census", "ball_census", "ball_centers_grid",
     "powerlaw_exponent", "trajectory_check", "curve_slope", "fixed_slope_fit",

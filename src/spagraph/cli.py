@@ -1,6 +1,7 @@
 """Command line interface.
 
-Subcommands: generate, stats, sweep, verify, trajectory, scatter.
+Subcommands: generate, stats, sweep, verify. `stats` is the one writer of
+every per-graph report (curves, census, exponent, trajectories, scatter).
 Exit codes: 0 success, 1 domain error (bad parameters), 2 I/O or parse
 error, 3 verification failure. Parallelism is controlled only by the
 SPA_JOBS environment variable (number of worker processes for replicas
@@ -154,7 +155,7 @@ def _pool_curves(curves: list[dict]) -> dict:
 
 
 def _analyze_graph(task):
-    path, split, omega_mode, delta, d_min, top = task
+    path, split, omega_mode, d_min, top = task
     graph = graph_io.read_graph(path)
     omega = _parse_omega(omega_mode, graph.n)
     policy = clustering.SplitPolicy(mode=split, omega=omega)
@@ -173,7 +174,7 @@ def _analyze_graph(task):
 def cmd_stats(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     tasks = [
-        (path, args.split, args.omega_mode, args.delta, args.d_min, args.top)
+        (path, args.split, args.omega_mode, args.d_min, args.top)
         for path in args.graphs
     ]
     jobs = _jobs()
@@ -278,41 +279,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_trajectory(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    for path in args.graphs:
-        graph = graph_io.read_graph(path)
-        omega = _parse_omega(args.omega_mode, graph.n)
-        checks = [stats.trajectory_check(graph, int(v), omega)
-                  for v in _top_vertices(graph, args.top)]
-        stem = os.path.splitext(os.path.basename(path.removesuffix(".gz")))[0]
-        graph_io.write_csv(
-            os.path.join(args.out, f"trajectories_{stem}.csv"),
-            graph_io.TRAJECTORY_COLUMNS,
-            [(c.vertex, c.final_degree, repr(c.onset_time), repr(c.ratio_min),
-              repr(c.ratio_max), int(c.vacuous)) for c in checks],
-        )
-    return 0
-
-
-def cmd_scatter(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    for path in args.graphs:
-        graph = graph_io.read_graph(path)
-        policy = clustering.SplitPolicy(mode=args.split)
-        report = clustering.compute_report(graph, policy)
-        rows = [
-            (args.variant, int(degree), repr(float(value)))
-            for degree, value in clustering.scatter_from_report(report, args.variant)
-        ]
-        stem = os.path.splitext(os.path.basename(path.removesuffix(".gz")))[0]
-        graph_io.write_csv(
-            os.path.join(args.out, f"scatter_{stem}.csv"),
-            graph_io.SCATTER_COLUMNS, rows,
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spa-model",
@@ -358,19 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seeds", help="comma-separated explicit seeds")
     ver.set_defaults(func=cmd_verify)
 
-    tr = sub.add_parser("trajectory", help="degree-trajectory concentration checks")
-    tr.add_argument("graphs", nargs="+")
-    tr.add_argument("--top", type=int, default=20)
-    tr.add_argument("--omega-mode", default="loglog")
-    tr.add_argument("--out", default=".")
-    tr.set_defaults(func=cmd_trajectory)
-
-    sc = sub.add_parser("scatter", help="per-vertex (degree, c) export")
-    sc.add_argument("graphs", nargs="+")
-    sc.add_argument("--variant", choices=clustering.VARIANTS, default="directed")
-    sc.add_argument("--split", choices=("log", "half"), default="log")
-    sc.add_argument("--out", default=".")
-    sc.set_defaults(func=cmd_scatter)
     return parser
 
 

@@ -7,9 +7,9 @@ neighborhood before v's degree crossed a threshold) and "new" (the rest),
 giving c = c_old + c_new per vertex.
 
 Vertices below degree 2 have an undefined coefficient and are excluded
-from every average. All heavy computations are vectorized over the whole
-graph; the per-vertex functions are straightforward loops meant for spot
-checks and small graphs.
+from every average. `compute_report` computes every coefficient in one
+vectorized pass over the whole graph; its exact oracle is the exhaustive
+pair enumeration `verify.brute_force_clustering`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ def default_omega(n: int) -> float:
     return math.log(math.log(n)) if n > 15 else 1.0
 
 
+def check_omega(omega: float | None) -> None:
+    """Reject an explicit omega that is not a finite positive number."""
+    if omega is not None and not (math.isfinite(omega) and omega > 0):
+        raise ParameterError(f"omega must be finite and > 0, got {omega}")
+
+
 @dataclass(frozen=True)
 class SplitPolicy:
     """How to pick the time that separates old from new neighbors.
@@ -48,6 +54,7 @@ class SplitPolicy:
     def __post_init__(self):
         if self.mode not in ("log", "half"):
             raise ParameterError(f"split mode must be 'log' or 'half', got {self.mode!r}")
+        check_omega(self.omega)
 
     def thresholds(self, graph: GrownGraph) -> np.ndarray:
         """Per-vertex degree threshold (id-indexed, slot 0 unused)."""
@@ -74,76 +81,6 @@ def split_times(graph: GrownGraph, policy: SplitPolicy) -> np.ndarray:
     idx = graph.in_ptr[:-1][reached] + needed[reached] - 1
     out[reached] = graph.in_sources[idx]
     return out
-
-
-def split_time(graph: GrownGraph, v: int, policy: SplitPolicy) -> int:
-    arrivals = graph.in_neighbors(v)
-    threshold = policy.thresholds(graph)[v]
-    needed = int(np.floor(threshold)) + 1
-    if arrivals.size < needed:
-        return graph.n
-    return int(arrivals[needed - 1])
-
-
-# -- per-vertex coefficients (loop implementations) -------------------------
-
-
-def local_clustering_directed(graph: GrownGraph, v: int) -> float | None:
-    """c^-(v): directed edges among in-neighbors / C(deg^-, 2); None if deg^- < 2.
-
-    Iterates each in-neighbor's out-edges (out-degrees stay logarithmic)
-    against a hash of the in-neighborhood.
-    """
-    neighbors = graph.in_neighbors(v)
-    d = neighbors.size
-    if d < 2:
-        return None
-    members = set(neighbors.tolist())
-    count = sum(
-        1 for u in members for w in graph.out_neighbors(u).tolist() if w in members
-    )
-    return count / math.comb(d, 2)
-
-
-def local_clustering_undirected(graph: GrownGraph, v: int) -> float | None:
-    """c(v) on the undirected view; None if total degree < 2."""
-    neighbors = set(graph.in_neighbors(v).tolist()) | set(graph.out_neighbors(v).tolist())
-    d = len(neighbors)
-    if d < 2:
-        return None
-    count = sum(
-        1 for u in neighbors for w in graph.out_neighbors(u).tolist() if w in neighbors
-    )
-    return count / math.comb(d, 2)
-
-
-def old_new_split(
-    graph: GrownGraph, v: int, policy: SplitPolicy
-) -> tuple[float, float] | None:
-    """(c_old, c_new) for v; their sum is c^-(v) exactly. None if deg^- < 2.
-
-    An edge (u, w) among in-neighbors is old iff its target w joined the
-    neighborhood by the split time, i.e. w's birth step <= T_hat.
-    """
-    neighbors = graph.in_neighbors(v)
-    d = neighbors.size
-    if d < 2:
-        return None
-    t_hat = split_time(graph, v, policy)
-    members = set(neighbors.tolist())
-    old = new = 0
-    for u in members:
-        for w in graph.out_neighbors(u).tolist():
-            if w in members:
-                if w <= t_hat:
-                    old += 1
-                else:
-                    new += 1
-    pairs = math.comb(d, 2)
-    return old / pairs, new / pairs
-
-
-# -- vectorized whole-graph computation --------------------------------------
 
 
 def _edge_keys(graph: GrownGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,10 +171,8 @@ def _pair_denominator(degree: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClusteringReport:
-    """Per-vertex coefficients for every eligible vertex, plus metadata."""
+    """Per-vertex coefficients for every eligible vertex, plus triangle and wedge totals."""
 
-    split_mode: str
-    omega: float | None
     ids_directed: np.ndarray       # vertices with deg^- >= 2
     in_degrees: np.ndarray
     c_directed: np.ndarray
@@ -284,8 +219,6 @@ def compute_report(
 
     wedges = int(_pair_denominator(tot_deg[1:]).sum())
     return ClusteringReport(
-        split_mode=policy.mode,
-        omega=policy.omega,
         ids_directed=ids_d,
         in_degrees=in_deg[ids_d],
         c_directed=c_directed,
@@ -366,37 +299,3 @@ def scatter_from_report(report: ClusteringReport, variant: str) -> np.ndarray:
     """(degree, coefficient) per eligible vertex, as a (k, 2) float array."""
     _, degrees, values = _variant_values(report, variant)
     return np.column_stack((degrees.astype(float), values))
-
-
-# Convenience wrappers taking a graph directly.
-
-
-def clustering_curve(
-    graph: GrownGraph, variant: str, policy: SplitPolicy = SplitPolicy()
-) -> dict[int, tuple[int, float]]:
-    return curve_from_report(compute_report(graph, policy), variant)
-
-
-def banded_curve(
-    graph: GrownGraph,
-    variant: str,
-    delta: float = 0.1,
-    policy: SplitPolicy = SplitPolicy(),
-) -> dict[float, tuple[int, float]]:
-    return banded_curve_from_report(compute_report(graph, policy), variant, delta)
-
-
-def scatter_export(
-    graph: GrownGraph, variant: str, policy: SplitPolicy = SplitPolicy()
-) -> np.ndarray:
-    return scatter_from_report(compute_report(graph, policy), variant)
-
-
-def global_clustering(graph: GrownGraph) -> float:
-    """3 * triangles / wedges on the undirected view (0 when no wedges)."""
-    numerators = undirected_pair_counts(graph)
-    tot_deg = graph.in_degree + graph.out_degree
-    wedges = int(_pair_denominator(tot_deg[1:]).sum())
-    if wedges == 0:
-        return 0.0
-    return float(numerators.sum() / wedges)

@@ -9,10 +9,9 @@ identical graphs produce identical bytes):
     %edges
     <source>TAB<target>         # one line per edge, generation order
     %positions                  # optional
-    <vertex>TAB<coord>...       # repr() floats, shortest round-trip form
-    %trajectories               # optional, for explicitly exported vertices
-    <vertex>TAB<step>TAB<in-degree>
+    <vertex>TAB<coord>...       # repr() floats in [0, 1), shortest round-trip form
 
+Any other `%` line is a parse error, and so is a coordinate outside [0, 1).
 Serialize -> parse -> serialize is byte-identical. All writes go through a
 temp file plus rename, so readers never observe partial files.
 """
@@ -63,9 +62,7 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def serialize_graph(
-    graph: GrownGraph, include_positions: bool = True, trajectory_ids=()
-) -> bytes:
+def serialize_graph(graph: GrownGraph, include_positions: bool = True) -> bytes:
     out = io.StringIO()
     out.write(HEADER + "\n")
     p = graph.params
@@ -79,19 +76,11 @@ def serialize_graph(
         for v in range(1, graph.n + 1):
             coords = "\t".join(repr(float(c)) for c in graph.positions[v])
             out.write(f"{v}\t{coords}\n")
-    if trajectory_ids:
-        out.write("%trajectories\n")
-        for v in trajectory_ids:
-            steps, degrees = graph.trajectory(int(v))
-            for t, d in zip(steps.tolist(), degrees.tolist()):
-                out.write(f"{v}\t{t}\t{d}\n")
     return out.getvalue().encode()
 
 
-def write_graph(
-    graph: GrownGraph, path: str, include_positions: bool = True, trajectory_ids=()
-) -> None:
-    data = serialize_graph(graph, include_positions, trajectory_ids)
+def write_graph(graph: GrownGraph, path: str, include_positions: bool = True) -> None:
+    data = serialize_graph(graph, include_positions)
     if path.endswith(".gz"):
         buffer = io.BytesIO()
         with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as zipped:
@@ -130,7 +119,6 @@ def parse_graph(data: bytes) -> GrownGraph:
     edges: list[tuple[int, int]] = []
     positions: list[tuple[int, list[float], int]] = []   # (vertex, coords, offset)
     positions_offset = None   # of the %positions marker, if the file has one
-    trajectories: list[tuple[int, int, int]] = []
     for raw in lines[1:]:
         line_offset = offset
         offset += len(raw) + 1
@@ -138,7 +126,7 @@ def parse_graph(data: bytes) -> GrownGraph:
         if not line:
             continue
         if line.startswith("%"):
-            if line not in ("%edges", "%positions", "%trajectories"):
+            if line not in ("%edges", "%positions"):
                 raise ParseError(f"unknown section marker {line!r}", line_offset)
             section = line[1:]
             if section == "positions":
@@ -155,12 +143,9 @@ def parse_graph(data: bytes) -> GrownGraph:
             elif section == "edges":
                 s, u = line.split("\t")
                 edges.append((int(s), int(u)))
-            elif section == "positions":
+            else:
                 parts = line.split("\t")
                 positions.append((int(parts[0]), [float(c) for c in parts[1:]], line_offset))
-            else:
-                v, t, d = line.split("\t")
-                trajectories.append((int(v), int(t), int(d)))
         except ValueError as exc:
             raise ParseError(f"bad {section} line {line!r}: {exc}", line_offset) from None
     params_offset = len(lines[0]) + 1
@@ -179,6 +164,10 @@ def parse_graph(data: bytes) -> GrownGraph:
         if not seen[1:].all():
             missing = int(np.flatnonzero(~seen[1:])[0]) + 1
             raise ParseError(f"no position row for vertex {missing}", positions_offset)
+        if not ((pos_array[1:] >= 0.0) & (pos_array[1:] < 1.0)).all():
+            for v, coords, row_offset in positions:
+                if not all(0.0 <= c < 1.0 for c in coords):
+                    raise ParseError(f"position of vertex {v} outside [0, 1)", row_offset)
     try:
         return GrownGraph.from_edges(params, edges, pos_array)
     except Exception as exc:
@@ -228,17 +217,12 @@ class RunConfig:
     model: ModelParams
     replicas: int = 1
     seeds: tuple[int, ...] | None = None   # explicit; default base seed + i
-    split: str = "log"
-    omega: float | None = None
-    delta: float = 0.1
     output_dir: str = "."
     include_positions: bool = True
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
-        if not 0.0 < self.delta < 0.5:
-            raise ParameterError(f"delta must be in (0, 1/2), got {self.delta}")
         seeds = self.seed_list()
         if len(set(seeds)) != len(seeds):
             raise ParameterError(f"replica seeds must be pairwise distinct: {seeds}")
@@ -251,7 +235,7 @@ class RunConfig:
 
 _CONFIG_KEYS = frozenset(
     _PARAM_KEYS
-    + ("replicas", "seeds", "split", "omega", "delta", "output_dir", "include_positions")
+    + ("replicas", "seeds", "output_dir", "include_positions")
 )
 
 
@@ -286,9 +270,6 @@ def parse_config(text: str) -> RunConfig:
             model=model,
             replicas=int(fields.get("replicas", "1")),
             seeds=seeds,
-            split=fields.get("split", "log"),
-            omega=float(fields["omega"]) if "omega" in fields else None,
-            delta=float(fields.get("delta", "0.1")),
             output_dir=fields.get("output_dir", "."),
             include_positions=fields.get("include_positions", "true").lower() != "false",
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import default_omega
+from .clustering import check_omega, default_omega
 from .errors import ParameterError, UsageError
 from .generator import GrownGraph, ModelParams
 from .geometry import ball_contains
@@ -197,6 +197,7 @@ def trajectory_check(graph: GrownGraph, vertex: int, omega: float | None = None)
     """
     params = graph.params
     n = params.n
+    check_omega(omega)
     omega = default_omega(n) if omega is None else omega
     k = int(graph.in_degree[vertex])
     threshold = omega * math.log(n)

@@ -1,9 +1,11 @@
 """Equivalence harness: fast generator against the linear-scan reference.
 
 Runs both generators from the same seed and demands bit-identical
-positions, edges, and degrees; then recomputes clustering coefficients by
-exhaustive pair enumeration and compares them with the vectorized report.
-Any mismatch is reported with the first divergent growth step.
+positions, edges, and degrees; then recomputes every clustering
+coefficient with the one exhaustive pair-enumeration oracle,
+`brute_force_clustering`, and compares it exactly with the vectorized
+`compute_report`. Any generation mismatch is reported with the first
+divergent growth step.
 """
 
 from __future__ import annotations
@@ -60,66 +62,32 @@ def first_divergent_step(fast: GrownGraph, reference: GrownGraph) -> tuple[int, 
     return None
 
 
-def brute_force_clustering(graph: GrownGraph, v: int, t_hat: int | None = None):
-    """Exhaustive O(deg^2) pair enumeration; the oracle the fast path is held to.
+def brute_force_clustering(graph: GrownGraph, t_hat: np.ndarray) -> dict:
+    """Exhaustive pair enumeration; the oracle `compute_report` is held to.
 
-    Returns (c_directed, c_old, c_new, c_undirected), with None entries
-    where the coefficient is undefined.
+    `t_hat` holds the id-indexed split times (see `split_times`). Returns
+    {v: (c_directed, c_old, c_new, c_undirected)} for every vertex, with
+    None where a coefficient is undefined.
     """
     edge_set = set(graph.iter_edges())
-    incoming = graph.in_neighbors(v).tolist()
-    c_directed = c_old = c_new = None
-    if len(incoming) >= 2:
-        pairs = math.comb(len(incoming), 2)
-        total = old = 0
-        for a in incoming:
-            for b in incoming:
-                if a != b and (a, b) in edge_set:
-                    total += 1
-                    if t_hat is not None and b <= t_hat:
-                        old += 1
-        c_directed = total / pairs
-        if t_hat is not None:
-            c_old = old / pairs
-            c_new = (total - old) / pairs
-    neighborhood = set(incoming) | set(graph.out_neighbors(v).tolist())
-    c_undirected = None
-    if len(neighborhood) >= 2:
-        members = sorted(neighborhood)
-        count = sum(
-            1
-            for i, a in enumerate(members)
-            for b in members[i + 1 :]
-            if (a, b) in edge_set or (b, a) in edge_set
-        )
-        c_undirected = count / math.comb(len(members), 2)
-    return c_directed, c_old, c_new, c_undirected
-
-
-def _clustering_mismatch(graph: GrownGraph) -> str | None:
-    policy = SplitPolicy(mode="half")
-    report = compute_report(graph, policy)
-    t_hat = split_times(graph, policy)
-    edge_set = set(graph.iter_edges())
-    directed = {int(v): (c, o) for v, c, o in zip(
-        report.ids_directed, report.c_directed, report.c_old)}
-    undirected = {int(v): c for v, c in zip(report.ids_undirected, report.c_undirected)}
+    splits = t_hat.tolist()
+    result = {}
     for v in range(1, graph.n + 1):
         incoming = graph.in_neighbors(v).tolist()
+        c_directed = c_old = c_new = None
         if len(incoming) >= 2:
             pairs = math.comb(len(incoming), 2)
+            split = splits[v]
             total = old = 0
             for a in incoming:
                 for b in incoming:
                     if a != b and (a, b) in edge_set:
                         total += 1
-                        if b <= t_hat[v]:
+                        if b <= split:
                             old += 1
-            if directed.get(v) != (total / pairs, old / pairs):
-                return f"directed clustering differs at vertex {v}"
-        elif v in directed:
-            return f"vertex {v} reported despite in-degree < 2"
+            c_directed, c_old, c_new = total / pairs, old / pairs, (total - old) / pairs
         neighborhood = sorted(set(incoming) | set(graph.out_neighbors(v).tolist()))
+        c_undirected = None
         if len(neighborhood) >= 2:
             count = sum(
                 1
@@ -127,8 +95,26 @@ def _clustering_mismatch(graph: GrownGraph) -> str | None:
                 for b in neighborhood[i + 1 :]
                 if (a, b) in edge_set or (b, a) in edge_set
             )
-            if undirected.get(v) != count / math.comb(len(neighborhood), 2):
-                return f"undirected clustering differs at vertex {v}"
+            c_undirected = count / math.comb(len(neighborhood), 2)
+        result[v] = (c_directed, c_old, c_new, c_undirected)
+    return result
+
+
+def _clustering_mismatch(graph: GrownGraph) -> str | None:
+    policy = SplitPolicy(mode="half")
+    report = compute_report(graph, policy)
+    oracle = brute_force_clustering(graph, split_times(graph, policy))
+    directed = {int(v): (c, o, w) for v, c, o, w in zip(
+        report.ids_directed, report.c_directed, report.c_old, report.c_new)}
+    undirected = {int(v): c for v, c in zip(report.ids_undirected, report.c_undirected)}
+    for v, (c_directed, c_old, c_new, c_undirected) in oracle.items():
+        if c_directed is not None:
+            if directed.get(v) != (c_directed, c_old, c_new):
+                return f"directed clustering differs at vertex {v}"
+        elif v in directed:
+            return f"vertex {v} reported despite in-degree < 2"
+        if c_undirected is not None and undirected.get(v) != c_undirected:
+            return f"undirected clustering differs at vertex {v}"
     return None
 
 

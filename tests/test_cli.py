@@ -152,30 +152,6 @@ def test_sweep_formula_and_output(tmp_path):
     assert all(row["p"] == "0.5" for row in rows)
 
 
-def test_scatter_command(tmp_path):
-    out = str(tmp_path)
-    run(["generate", *ARGS, "--seed", "3", "--out", out])
-    graph = os.path.join(out, "spa_n400_p0.7_seed3.tsv")
-    assert run(["scatter", graph, "--variant", "directed", "--out", out]) == 0
-    with open(os.path.join(out, "scatter_spa_n400_p0.7_seed3.csv")) as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["variant", "degree", "c"]
-    assert len(rows) > 10
-
-
-def test_trajectory_command(tmp_path):
-    out = str(tmp_path)
-    run(["generate", *ARGS, "--seed", "3", "--out", out])
-    graph = os.path.join(out, "spa_n400_p0.7_seed3.tsv")
-    assert run(["trajectory", graph, "--top", "5", "--out", out]) == 0
-    with open(os.path.join(out, "trajectories_spa_n400_p0.7_seed3.csv")) as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == list(
-        ("vertex", "final_degree", "onset_time", "ratio_min", "ratio_max", "vacuous")
-    )
-    assert len(rows) == 6
-
-
 def test_generate_from_config_file(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("n=200\np=0.6\na1=1.0\na2=5.0\nseed=4\nreplicas=2\noutput_dir=.\n")
@@ -196,9 +172,11 @@ def test_generate_config_output_dir_used_without_out_flag(tmp_path, monkeypatch)
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("n=50\na2=1.0\nbogus=1\n")
-    assert run(["generate", "--config", str(config), "--out", str(tmp_path)]) == 1
-    assert "unknown key" in capsys.readouterr().err
+    for line in ("bogus=1", "split=half", "omega=2.0", "delta=0.2"):
+        config.write_text(f"n=50\na2=1.0\n{line}\n")
+        assert run(["generate", "--config", str(config), "--out", str(tmp_path)]) == 1
+        key = line.split("=")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_parallel_replicas_match_sequential(tmp_path, monkeypatch):
@@ -244,7 +222,7 @@ def _trajectory_vertices(out, stem):
         return [int(row["vertex"]) for row in csv.DictReader(handle)]
 
 
-@pytest.mark.parametrize("command", ["stats", "trajectory"])
+@pytest.mark.parametrize("command", ["stats"])
 def test_top_at_least_n_never_selects_slot_zero(tmp_path, command):
     params = ModelParams(n=7, p=0.7, a1=1.0, a2=30 / 7, seed=0)
     edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
@@ -267,18 +245,40 @@ def test_top_below_n_keeps_argsort_choice_and_order(tmp_path):
         assert cli._top_vertices(graph, top).tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("damage", ["missing position row", "duplicate header key"])
+@pytest.mark.parametrize("damage", [
+    "missing position row", "duplicate header key",
+    "coordinate 1.5", "coordinate -0.1", "coordinate 1.0", "coordinate nan",
+    "coordinate inf",
+])
 def test_damaged_graph_file_exits_2(tmp_path, capsys, damage):
     out = str(tmp_path)
     run(["generate", *ARGS, "--seed", "3", "--out", out])
     path = os.path.join(out, "spa_n400_p0.7_seed3.tsv")
     data = open(path, "rb").read()
+    start = data.index(b"\n17\t", data.index(b"%positions")) + 1
     if damage == "missing position row":
-        start = data.index(b"\n17\t", data.index(b"%positions")) + 1
         data = data[:start] + data[data.index(b"\n", start) + 1:]
-    else:
+    elif damage == "duplicate header key":
         data = data.replace(b"p=0.7\n", b"p=0.7\np=0.5\n", 1)
+    else:
+        coord = start + len(b"17\t")
+        value = damage.split()[1].encode()
+        data = data[:coord] + value + data[data.index(b"\t", coord):]
     with open(path, "wb") as handle:
         handle.write(data)
     assert run(["stats", path, "--out", out]) == 2
-    assert "byte offset" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "byte offset" in err
+    if damage.startswith("coordinate"):
+        assert f"position of vertex 17 outside [0, 1) (byte offset {start})" in err
+
+
+@pytest.mark.parametrize("omega", ["-1", "0", "nan", "inf"])
+def test_bad_omega_mode_exits_1(tmp_path, capsys, omega):
+    out = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", out])
+    path = os.path.join(out, "spa_n400_p0.7_seed3.tsv")
+    assert run(["stats", path, "--out", out, f"--omega-mode={omega}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "omega" in err
+    assert "Traceback" not in err

@@ -15,6 +15,28 @@ def graph_from(n, edges):
     return GrownGraph.from_edges(ModelParams(n=n, **PARAMS), edges)
 
 
+def report_coefficients(graph, policy=cl.SplitPolicy()):
+    """{v: (c_directed, c_old, c_new, c_undirected)} from compute_report, None where undefined."""
+    report = cl.compute_report(graph, policy)
+    directed = {
+        v: (c, o, w)
+        for v, c, o, w in zip(report.ids_directed.tolist(), report.c_directed,
+                              report.c_old, report.c_new)
+    }
+    undirected = dict(zip(report.ids_undirected.tolist(), report.c_undirected))
+    return {
+        v: (*directed.get(v, (None, None, None)), undirected.get(v))
+        for v in range(1, graph.n + 1)
+    }
+
+
+def coefficients(graph, v, policy=cl.SplitPolicy()):
+    """v's coefficients from compute_report, checked against the oracle first."""
+    got = report_coefficients(graph, policy)
+    assert got == brute_force_clustering(graph, cl.split_times(graph, policy))
+    return got[v]
+
+
 @pytest.fixture(scope="module")
 def grown():
     return generate(ModelParams(n=2000, seed=17, **PARAMS))
@@ -23,34 +45,33 @@ def grown():
 def test_single_pair_with_edge():
     # v=1 has in-neighbors {2, 3} and 3 -> 2 exists
     g = graph_from(3, [(2, 1), (3, 1), (3, 2)])
-    assert cl.local_clustering_directed(g, 1) == 1.0
+    assert coefficients(g, 1)[0] == 1.0
 
 
 def test_single_pair_without_edge():
     g = graph_from(3, [(2, 1), (3, 1)])
-    assert cl.local_clustering_directed(g, 1) == 0.0
+    assert coefficients(g, 1)[0] == 0.0
 
 
 def test_four_in_neighbors_three_edges():
     # hub 1 with in-neighbors {2,3,4,5}; 3 edges among them -> 3 / C(4,2)
     edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
     g = graph_from(7, edges)
-    assert cl.local_clustering_directed(g, 1) == 0.5
-    assert brute_force_clustering(g, 1)[0] == 0.5
+    assert coefficients(g, 1)[0] == 0.5
 
 
 def test_low_degree_undefined():
     g = graph_from(3, [(2, 1)])
-    assert cl.local_clustering_directed(g, 1) is None
-    assert cl.local_clustering_undirected(g, 3) is None
+    assert coefficients(g, 1)[0] is None
+    assert coefficients(g, 3)[3] is None
 
 
 def test_undirected_triangle_and_star():
     g = graph_from(3, [(2, 1), (3, 1), (3, 2)])
     for v in (1, 2, 3):
-        assert cl.local_clustering_undirected(g, v) == 1.0
+        assert coefficients(g, v)[3] == 1.0
     star = graph_from(4, [(2, 1), (3, 1), (4, 1)])
-    assert cl.local_clustering_undirected(star, 1) == 0.0
+    assert coefficients(star, 1)[3] == 0.0
 
 
 def test_zero_out_degree_vertices_equal_views(grown):
@@ -77,29 +98,34 @@ def test_old_new_handcrafted_split():
     ]
     g = graph_from(9, edges)
     policy = cl.SplitPolicy(mode="half")
-    assert cl.split_time(g, 1, policy) == 5  # threshold 3, 4th neighbor is vertex 5
-    c_old, c_new = cl.old_new_split(g, 1, policy)
+    assert cl.split_times(g, policy)[1] == 5  # threshold 3, 4th neighbor is vertex 5
+    c_directed, c_old, c_new, _ = coefficients(g, 1, policy)
     assert c_new == 1 / math.comb(6, 2)
     assert c_old == 0.0
-    got = cl.local_clustering_directed(g, 1)
-    assert got == c_old + c_new
+    assert c_directed == c_old + c_new
 
 
 def test_split_threshold_never_reached_makes_everything_old():
     edges = [(2, 1), (3, 1), (3, 2)]
     g = graph_from(3, edges)
     policy = cl.SplitPolicy(mode="log", omega=100.0)  # unreachable threshold
-    assert cl.split_time(g, 1, policy) == g.n
-    c_old, c_new = cl.old_new_split(g, 1, policy)
+    assert cl.split_times(g, policy)[1] == g.n
+    c_directed, c_old, c_new, _ = coefficients(g, 1, policy)
     assert c_new == 0.0
-    assert c_old == cl.local_clustering_directed(g, 1)
+    assert c_old == c_directed
+
+
+@pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+def test_split_policy_rejects_bad_omega(omega):
+    with pytest.raises(ParameterError, match="omega"):
+        cl.SplitPolicy(mode="log", omega=omega)
 
 
 def test_half_final_threshold_arithmetic():
     # final degree 8: old set is the first 5 neighbors
     edges = [(u, 1) for u in range(2, 10)]
     g = graph_from(9, edges)
-    assert cl.split_time(g, 1, cl.SplitPolicy(mode="half")) == 6  # 5th neighbor
+    assert cl.split_times(g, cl.SplitPolicy(mode="half"))[1] == 6  # 5th neighbor
 
 
 def test_decomposition_identity_both_modes(grown):
@@ -119,34 +145,22 @@ def test_every_coefficient_in_unit_interval(grown):
 
 def test_vectorized_matches_brute_force(grown):
     policy = cl.SplitPolicy(mode="half")
-    report = cl.compute_report(grown, policy)
-    t_hat = cl.split_times(grown, policy)
-    rng = np.random.default_rng(3)
-    picks = rng.choice(report.ids_directed.size, 80, replace=False)
-    for idx in picks:
-        v = int(report.ids_directed[idx])
-        c_dir, c_old, c_new, c_und = brute_force_clustering(grown, v, int(t_hat[v]))
-        assert report.c_directed[idx] == c_dir
-        assert report.c_old[idx] == c_old
-        assert report.c_new[idx] == c_new
-    undirected = dict(zip(report.ids_undirected.tolist(), report.c_undirected))
-    for idx in picks:
-        v = int(report.ids_directed[idx])
-        assert undirected[v] == brute_force_clustering(grown, v)[3]
+    oracle = brute_force_clustering(grown, cl.split_times(grown, policy))
+    assert report_coefficients(grown, policy) == oracle
+    assert sum(c[0] is not None for c in oracle.values()) > 100
 
 
 def test_adding_neighbor_edge_increases_coefficient():
     sparse = graph_from(4, [(2, 1), (3, 1), (4, 1), (4, 3)])
     denser = graph_from(4, [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)])
-    assert cl.local_clustering_directed(denser, 1) > cl.local_clustering_directed(sparse, 1)
+    assert coefficients(denser, 1)[0] > coefficients(sparse, 1)[0]
 
 
 def test_exact_curve_binning():
     edges = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 4), (6, 4), (7, 4), (8, 7)]
     g = graph_from(8, edges)
-    curve = cl.clustering_curve(g, "directed")
-    assert curve[3] == (2, (cl.local_clustering_directed(g, 1)
-                            + cl.local_clustering_directed(g, 4)) / 2)
+    curve = cl.curve_from_report(cl.compute_report(g), "directed")
+    assert curve[3] == (2, (coefficients(g, 1)[0] + coefficients(g, 4)[0]) / 2)
     assert 2 not in curve  # no vertex of in-degree exactly 2
 
 
@@ -199,11 +213,11 @@ def test_scatter_export(grown):
 
 def test_global_clustering_small_cases():
     triangle = graph_from(3, [(2, 1), (3, 1), (3, 2)])
-    assert cl.global_clustering(triangle) == 1.0
+    assert cl.compute_report(triangle).global_clustering == 1.0
     path = graph_from(3, [(2, 1), (3, 2)])
-    assert cl.global_clustering(path) == 0.0
+    assert cl.compute_report(path).global_clustering == 0.0
     lonely = graph_from(2, [])
-    assert cl.global_clustering(lonely) == 0.0
+    assert cl.compute_report(lonely).global_clustering == 0.0
 
 
 def test_global_clustering_brute_force(grown):
@@ -221,4 +235,5 @@ def test_global_clustering_brute_force(grown):
                 if (a, b) in edge_set or (b, a) in edge_set:
                     triangles += 1
     # each triangle is seen once per corner, so this already counts 3T
-    assert cl.global_clustering(grown) == pytest.approx(triangles / wedges, rel=1e-12)
+    got = cl.compute_report(grown).global_clustering
+    assert got == pytest.approx(triangles / wedges, rel=1e-12)

@@ -50,18 +50,6 @@ def test_round_trip_without_positions(grown, tmp_path):
     assert np.array_equal(parsed.out_targets, grown.out_targets)
 
 
-def test_trajectory_section_round_trip(grown, tmp_path):
-    path = str(tmp_path / "g.tsv")
-    hub = int(np.argmax(grown.in_degree))
-    graph_io.write_graph(grown, path, trajectory_ids=[hub])
-    text = open(path, "r").read()
-    assert "%trajectories" in text
-    steps, degrees = grown.trajectory(hub)
-    assert f"{hub}\t{steps[0]}\t1\n" in text
-    graph_io.write_graph(graph_io.read_graph(path), path, trajectory_ids=[hub])
-    assert open(path, "r").read() == text
-
-
 def test_parse_error_reports_byte_offset(grown, tmp_path):
     path = str(tmp_path / "g.tsv")
     graph_io.write_graph(grown, path, include_positions=False)
@@ -108,16 +96,15 @@ def test_config_parse_round_trip(tmp_path):
     norm=linf
     seed=7
     replicas=3
-    delta=0.2
-    split=half
     output_dir=out
+    include_positions=false
     """
     config = graph_io.parse_config(text)
     assert config.model.n == 1500
     assert config.model.a2 == 10.0
     assert config.seed_list() == (7, 8, 9)
-    assert config.split == "half"
-    assert config.delta == 0.2
+    assert config.output_dir == "out"
+    assert config.include_positions is False
 
 
 def test_config_explicit_seeds_and_validation():
@@ -127,6 +114,8 @@ def test_config_explicit_seeds_and_validation():
         graph_io.parse_config("n=10\nseeds=4,4\na2=1.0")
     with pytest.raises(ParameterError):
         graph_io.parse_config("n=10\ndelta=0.7\na2=1.0")
+    with pytest.raises(ParameterError):
+        graph_io.parse_config("n=10\nreplicas=0\na2=1.0")
     with pytest.raises(ParameterError):
         graph_io.parse_config("n=10\nbroken line\na2=1.0")
 
@@ -196,6 +185,14 @@ def test_parse_rejects_duplicate_position_row(grown):
     row = row[: row.index(b"\n") + 1]
     damaged = data + row
     with pytest.raises(ParseError, match="duplicate position row for vertex 7") as info:
+        graph_io.parse_graph(damaged)
+    assert info.value.byte_offset == len(data)
+
+
+def test_parse_rejects_trajectories_section(grown):
+    data = graph_io.serialize_graph(grown)
+    damaged = data + b"%trajectories\n1\t2\t1\n"
+    with pytest.raises(ParseError, match="unknown section marker '%trajectories'") as info:
         graph_io.parse_graph(damaged)
     assert info.value.byte_offset == len(data)
 

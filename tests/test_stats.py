@@ -176,6 +176,13 @@ def test_trajectory_check_vacuous_below_threshold(grown):
     assert math.isnan(check.ratio_min)
 
 
+@pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+def test_trajectory_check_rejects_bad_omega(grown, omega):
+    hub = int(np.argmax(grown.in_degree))
+    with pytest.raises(ParameterError, match="omega"):
+        stats.trajectory_check(grown, hub, omega)
+
+
 def test_trajectory_check_extremes_match_full_scan(grown):
     hub = int(np.argmax(grown.in_degree))
     omega = 2.0
