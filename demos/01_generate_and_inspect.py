@@ -1,7 +1,7 @@
 """Grow a graph on the unit torus and look at what came out.
 
 Every run is a pure function of (parameters, seed): rerunning this script
-produces byte-identical results, and the fast grid-indexed generator is
+produces byte-identical results, and the fast vertex-centric generator is
 bit-for-bit equal to the quadratic reference scan.
 """
 
@@ -30,6 +30,6 @@ print(f"\nfirst edge: {v} -> {u} (source born later than target)")
 
 # the naive O(n^2) generator replays the identical randomness
 reference = generate_naive(params)
-print("indexed == naive, bit for bit:",
+print("vertex-centric == naive, bit for bit:",
       np.array_equal(graph.out_targets, reference.out_targets)
       and np.array_equal(graph.positions[1:], reference.positions[1:]))

@@ -1,7 +1,7 @@
 """Spatial preferential attachment graphs: generation and theory checks.
 
 geometry       torus metric, ball volume/radius conversions
-spatial_index  leveled grid answering sphere-of-influence coverage queries
+spatial_index  linear-scan sphere-of-influence coverage queries (naive oracle)
 rng            counter-based uniform streams (reproducibility contract)
 generator      the growth process: vertex-centric walk and naive reference
 clustering     vectorized clustering coefficients, old/new split, curves

@@ -55,6 +55,22 @@ def _model_from_args(args) -> ModelParams:
     )
 
 
+def _run_config(args, **fields) -> graph_io.RunConfig:
+    """Model flags plus --replicas/--seeds, checked as a config file is.
+
+    RunConfig rejects --replicas < 1 and repeated seeds.
+    """
+    seeds = None
+    if args.seeds:
+        try:
+            seeds = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError:
+            raise ParameterError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}"
+            ) from None
+    return graph_io.RunConfig(_model_from_args(args), args.replicas, seeds, **fields)
+
+
 def _add_model_flags(parser, n_default=100_000):
     parser.add_argument("--n", type=int, default=n_default, help="number of vertices")
     parser.add_argument("--p", type=float, default=0.7, help="link probability")
@@ -111,21 +127,10 @@ def _run_replicas(model: ModelParams, seeds, out_dir, include_positions=True):
 def cmd_generate(args) -> int:
     if args.config:
         config = graph_io.load_config(args.config)
-        model, seeds = config.model, config.seed_list()
-        out_dir = args.out if args.out is not None else config.output_dir
-        include_positions = config.include_positions
     else:
-        model = _model_from_args(args)
-        seeds = (
-            tuple(int(s) for s in args.seeds.split(","))
-            if args.seeds
-            else tuple(model.seed + i for i in range(args.replicas))
-        )
-        if len(set(seeds)) != len(seeds):
-            raise ParameterError(f"replica seeds must be pairwise distinct: {seeds}")
-        out_dir = args.out if args.out is not None else "."
-        include_positions = not args.no_positions
-    paths = _run_replicas(model, seeds, out_dir, include_positions)
+        config = _run_config(args, include_positions=not args.no_positions)
+    out_dir = args.out if args.out is not None else config.output_dir
+    paths = _run_replicas(config.model, config.seed_list(), out_dir, config.include_positions)
     for path in paths:
         print(path)
     return 0
@@ -235,8 +240,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    if args.replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {args.replicas}")
     p_values = [float(x) for x in args.p_list.split(",") if x.strip()]
+    if not p_values:
+        raise ParameterError(f"--p-list names no p value: {args.p_list!r}")
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for p in p_values:
         if not 0.0 < p <= 1.0:
@@ -266,16 +275,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = _model_from_args(args)
-    seeds = (
-        tuple(int(s) for s in args.seeds.split(","))
-        if args.seeds
-        else tuple(model.seed + i for i in range(args.replicas))
-    )
-    report = verify_equivalence(model, seeds)
+    config = _run_config(args)
+    report = verify_equivalence(config.model, config.seed_list())
     print(report.summary())
     if not report.passed:
-        raise VerificationError("indexed and naive runs disagree")
+        raise VerificationError("vertex-centric and naive runs disagree")
     return 0
 
 
@@ -318,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", default=".")
     sw.set_defaults(func=cmd_sweep)
 
-    ver = sub.add_parser("verify", help="indexed vs naive equivalence on a small run")
+    ver = sub.add_parser("verify", help="vertex-centric vs naive equivalence on a small run")
     _add_model_flags(ver, n_default=2000)
     ver.add_argument("--replicas", type=int, default=1)
     ver.add_argument("--seeds", help="comma-separated explicit seeds")

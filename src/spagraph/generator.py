@@ -12,11 +12,12 @@ position first, buckets them once into a static cell-sorted grid per cell
 size, and walks each vertex forward in time through doubling windows,
 reading the coin of (step, vertex) only when the vertex covers the step
 (n = 10^5 in about 7 s on one core of a 2.1 GHz Xeon virtual machine).
-`generate_naive` is the step-centric O(n^2) oracle: each step scans all
-prior vertices. Passing `index_factory` to `generate` runs the same
-step-centric walk over a dynamic sphere index (`SphereIndex` or a
-subclass), which keeps a seam for injecting a broken or instrumented
-index. All paths read the same counter-based streams and compare the same
+`generate_naive` is the step-centric O(n^2) oracle: each step asks a
+linear-scan `SphereIndex` which prior vertices cover the newcomer.
+Passing `index_factory` to `generate` runs the same step-centric walk
+over an index of the caller's choosing (`SphereIndex` or a subclass),
+which keeps a seam for injecting a broken or instrumented index. All
+paths read the same counter-based streams and compare the same
 membership expression, so for equal parameters and seed they produce
 bit-identical graphs; any disagreement is a bug.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, UsageError
-from .geometry import Norm, ball_contains, needed_volume, unit_ball_volume
+from .geometry import Norm, needed_volume, unit_ball_volume
 from .rng import CounterStream
 from .spatial_index import SphereIndex
 
@@ -178,52 +179,34 @@ def generate(params: ModelParams, index_factory=None) -> GrownGraph:
 
     By default the vertex-centric walk over a static grid runs. Passing
     `index_factory` (same signature as SphereIndex) runs the step-centric
-    walk over that dynamic index instead, so equivalence harnesses can
-    inject a deliberately broken or instrumented index.
+    walk over that index instead, so equivalence harnesses can inject a
+    deliberately broken or instrumented index.
     """
     if index_factory is None:
         return _grow_by_vertex(params)
-    index = index_factory(params.dimension, params.norm, params.n)
-    return _grow(params, _indexed_candidates(index), index)
+    return _grow(params, index_factory(params.dimension, params.norm, params.n))
 
 
 def generate_naive(params: ModelParams, force: bool = False) -> GrownGraph:
-    """Reference generator: linear scan of all prior vertices per step.
+    """Reference generator: the step-centric walk over a linear-scan SphereIndex.
 
     Semantically identical to `generate` (same streams, same membership
-    predicate); costs O(n^2), hence the size guard.
+    predicate) but a different algorithm; each step scans all prior
+    vertices, so it costs O(n^2), hence the size guard.
     """
     if params.n > NAIVE_GUARD and not force:
         raise UsageError(
             f"n={params.n} exceeds the naive-generator guard {NAIVE_GUARD}; "
             "pass force=True if you really mean it"
         )
-    return _grow(params, _scan_candidates(params), None)
+    return _grow(params, SphereIndex(params.dimension, params.norm, params.n))
 
 
-def _indexed_candidates(index):
-    def candidates(t, x, positions, weights):
-        return index.covering_spheres(x, t - 1)
-
-    return candidates
-
-
-def _scan_candidates(params):
-    norm = params.norm
-
-    def candidates(t, x, positions, weights):
-        volumes = np.minimum(weights[1:t] / float(t - 1), 1.0)
-        mask = ball_contains(positions[1:t], volumes, x, norm)
-        return np.nonzero(mask)[0] + 1
-
-    return candidates
-
-
-def _grow(params: ModelParams, candidate_fn, index) -> GrownGraph:
+def _grow(params: ModelParams, index) -> GrownGraph:
+    """Step-centric growth: step t asks `index` which spheres cover x_t."""
     n, m, p = params.n, params.dimension, params.p
     stream = CounterStream(params.seed)
     positions = np.full((n + 1, m), np.nan)
-    weights = np.zeros(n + 1)
     in_degree = np.zeros(n + 1, dtype=np.int64)
     out_ptr = np.zeros(n + 2, dtype=np.int64)
     targets: list[int] = []
@@ -232,20 +215,15 @@ def _grow(params: ModelParams, candidate_fn, index) -> GrownGraph:
         x = stream.position(t, m)
         positions[t] = x
         if t > 1:
-            candidates = candidate_fn(t, x, positions, weights)
+            candidates = index.covering_spheres(x, t - 1)
             if candidates.size:
                 coins = stream.coin_uniforms(t, candidates)
                 for u in candidates[coins < p].tolist():
                     in_degree[u] += 1
-                    w = params.a1 * in_degree[u] + params.a2
-                    weights[u] = w
-                    if index is not None:
-                        index.update_weight(u, w)
+                    index.update_weight(u, params.a1 * in_degree[u] + params.a2)
                     targets.append(u)
         out_ptr[t + 1] = len(targets)
-        weights[t] = params.a2
-        if index is not None:
-            index.insert(t, x, params.a2)
+        index.insert(t, x, params.a2)
 
     return GrownGraph(
         params=params,

@@ -79,8 +79,8 @@ def needed_volume(centers, x, norm: Norm) -> np.ndarray:
 
     `centers` is (k, m) (or (m,)); `x` is (m,) or, for pairwise use, the
     same shape as `centers`. Only correctly-rounded float operations are
-    used, and every membership decision in the package (grid index, linear
-    scan, vertex-centric generator, test oracles) compares this one
+    used, and every membership decision in the package (linear-scan index,
+    vertex-centric generator, test oracles) compares this one
     expression against a volume, so they all see bit-identical decisions.
     """
     centers = np.asarray(centers, dtype=float)

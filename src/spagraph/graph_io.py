@@ -224,6 +224,8 @@ class RunConfig:
         if self.replicas < 1:
             raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
         seeds = self.seed_list()
+        if not seeds:
+            raise ParameterError("no replica seeds given")
         if len(set(seeds)) != len(seeds):
             raise ParameterError(f"replica seeds must be pairwise distinct: {seeds}")
 
@@ -252,6 +254,8 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ParameterError(f"config line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ParameterError(f"config line {lineno}: repeated key {key!r}")
         fields[key] = value.strip()
     try:
         model = ModelParams(

@@ -46,6 +46,21 @@ def test_generate_rejects_duplicate_seeds(tmp_path, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--n", "50", "--replicas", "0"], "replicas must be >= 1"),
+    (["generate", *ARGS, "--replicas", "0"], "replicas must be >= 1"),
+    (["sweep", "--p-list", "0.5", "--n", "50", "--replicas", "0"], "replicas must be >= 1"),
+    (["verify", "--n", "50", "--seeds", "3,3"], "distinct"),
+    (["generate", *ARGS, "--seeds", "3,x"], "comma-separated integers"),
+    (["sweep", "--p-list", ",", "--n", "50"], "names no p value"),
+], ids=["verify", "generate", "sweep", "verify-seeds", "generate-bad-seeds", "sweep-no-p"])
+def test_no_runs_or_repeated_seeds_exit_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_invalid_params_exit_code_1(tmp_path, capsys):
     code = run(["generate", "--n", "10", "--p", "0.9", "--a1", "2.0", "--out", str(tmp_path)])
     assert code == 1

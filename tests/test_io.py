@@ -118,6 +118,10 @@ def test_config_explicit_seeds_and_validation():
         graph_io.parse_config("n=10\nreplicas=0\na2=1.0")
     with pytest.raises(ParameterError):
         graph_io.parse_config("n=10\nbroken line\na2=1.0")
+    with pytest.raises(ParameterError, match="no replica seeds"):
+        graph_io.parse_config("n=10\nseeds=\na2=1.0")
+    with pytest.raises(ParameterError, match="line 3: repeated key 'n'"):
+        graph_io.parse_config("n=100\na2=1.0\nn=200")
 
 
 def test_write_csv_schema(tmp_path):
