@@ -239,24 +239,34 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _sweep_models(args) -> list[ModelParams]:
+    """One model per --p-list entry, every entry checked before any graph is grown."""
+    models = []
+    for text in args.p_list.split(","):
+        if not text.strip():
+            continue
+        try:
+            p = float(text)
+        except ValueError:
+            raise ParameterError(f"--p-list entries must be numbers, got {text!r}") from None
+        if not 0.0 < p < 1.0:
+            raise ParameterError(f"sweep p values must be in (0, 1), got {p}")
+        models.append(ModelParams(
+            n=args.n, p=p, a1=args.a1, a2=10.0 * (1.0 - p) / p, dimension=args.dim,
+            norm=Norm.parse(args.norm), seed=args.seed,
+        ))
+    if not models:
+        raise ParameterError(f"--p-list names no p value: {args.p_list!r}")
+    return models
+
+
 def cmd_sweep(args) -> int:
     if args.replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {args.replicas}")
-    p_values = [float(x) for x in args.p_list.split(",") if x.strip()]
-    if not p_values:
-        raise ParameterError(f"--p-list names no p value: {args.p_list!r}")
+    models = _sweep_models(args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for p in p_values:
-        if not 0.0 < p <= 1.0:
-            raise ParameterError(f"sweep p values must be in (0, 1], got {p}")
-        a2 = 10.0 * (1.0 - p) / p
-        if a2 <= 0:
-            raise ParameterError(f"p={p} gives a2={a2}; the sweep needs p < 1")
-        model = ModelParams(
-            n=args.n, p=p, a1=args.a1, a2=a2, dimension=args.dim,
-            norm=Norm.parse(args.norm), seed=args.seed,
-        )
+    for model in models:
         curves = {"directed": [], "undirected": []}
         for i in range(args.replicas):
             graph = generate(replace(model, seed=model.seed + i))
@@ -265,7 +275,7 @@ def cmd_sweep(args) -> int:
                 curves[variant].append(clustering.curve_from_report(report, variant))
         for variant, per_replica in curves.items():
             for d, (count, mean) in sorted(_pool_curves(per_replica).items()):
-                rows.append((variant, repr(p), d, count, repr(mean)))
+                rows.append((variant, repr(model.p), d, count, repr(mean)))
     graph_io.write_csv(
         os.path.join(args.out, "sweep.csv"),
         ("variant", "p", "d", "count", "mean_c"), rows,

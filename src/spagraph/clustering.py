@@ -7,9 +7,16 @@ neighborhood before v's degree crossed a threshold) and "new" (the rest),
 giving c = c_old + c_new per vertex.
 
 Vertices below degree 2 have an undefined coefficient and are excluded
-from every average. `compute_report` computes every coefficient in one
-vectorized pass over the whole graph; its exact oracle is the exhaustive
-pair enumeration `verify.brute_force_clustering`.
+from every average. Every edge points from the younger vertex to the
+older, so each triangle x < y < z is the edges z->y, z->x and y->x, and
+all three numerators come from one vectorized enumeration of triangles:
+for every edge z->y and every x in out(y), one lookup in the sorted edge
+keys asks whether z->x exists (the "forward" listing of Schank and
+Wagner, 2005). A triangle is one edge among x's in-neighbors (old when
+y joined before x's split time) and one neighborhood edge of each of x,
+y and z in the undirected view. `compute_report` builds every
+coefficient from that pass; its exact oracle is the exhaustive pair
+enumeration `verify.brute_force_clustering`.
 """
 
 from __future__ import annotations
@@ -83,86 +90,43 @@ def split_times(graph: GrownGraph, policy: SplitPolicy) -> np.ndarray:
     return out
 
 
-def _edge_keys(graph: GrownGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sources, targets, sorted src*(n+1)+tgt keys) over all edges."""
-    n = graph.n
-    srcs = np.repeat(np.arange(1, n + 1, dtype=np.int64), graph.out_degree[1:])
-    keys = srcs * np.int64(n + 1) + graph.out_targets
-    return srcs, graph.out_targets, keys
-
-
-def _flatten_out_lists(graph, around):
-    """Concatenate out-neighbor lists of `around`, with per-element owner index."""
-    lengths = graph.out_degree[around]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    owner = np.repeat(np.arange(around.size, dtype=np.int64), lengths)
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-    flat = graph.out_targets[np.repeat(graph.out_ptr[around], lengths) + within]
-    return flat, owner
-
-
 def _member_of(keys, query_keys):
-    pos = np.searchsorted(keys, query_keys)
-    pos_clipped = np.minimum(pos, keys.size - 1)
-    return (pos < keys.size) & (keys[pos_clipped] == query_keys)
+    """Whether each query key occurs in the sorted array `keys`."""
+    pos = np.minimum(np.searchsorted(keys, query_keys), keys.size - 1)
+    return keys[pos] == query_keys
 
 
-def directed_pair_counts(
-    graph: GrownGraph, t_hat: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-vertex count of directed edges among in-neighbors.
+def _triangle_counts(
+    graph: GrownGraph, t_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-vertex (directed, old, undirected) numerators from one triangle pass.
 
-    When `t_hat` is given, also returns the count of those edges whose
-    target is an old neighbor (birth step <= t_hat of the center vertex).
-    Arrays are id-indexed with slot 0 unused.
+    Each triangle x < y < z is found once, from edge z->y and x in out(y),
+    by one lookup of z->x in the sorted edge keys (see the module
+    docstring). Arrays are id-indexed with slot 0 unused.
     """
     n = graph.n
-    srcs, tgts, keys = _edge_keys(graph)
-    total = np.zeros(n + 1, dtype=np.int64)
-    old = np.zeros(n + 1, dtype=np.int64) if t_hat is not None else None
-    if keys.size == 0:
-        return total, old
+    nk = np.int64(n + 1)
+    srcs = graph.edge_sources()
+    keys = srcs * nk + graph.out_targets
+    directed = np.zeros(n + 1, dtype=np.int64)
+    old = np.zeros(n + 1, dtype=np.int64)
+    undirected = np.zeros(n + 1, dtype=np.int64)
     for lo in range(0, srcs.size, _CHUNK):
-        s = srcs[lo : lo + _CHUNK]
-        v = tgts[lo : lo + _CHUNK]
-        w, owner = _flatten_out_lists(graph, s)
-        if w.size == 0:
-            continue
-        center = v[owner]
-        hit = _member_of(keys, w * np.int64(n + 1) + center)
-        total += np.bincount(center[hit], minlength=n + 1)
-        if t_hat is not None:
-            old_hit = hit & (w <= t_hat[center])
-            old += np.bincount(center[old_hit], minlength=n + 1)
-    return total, old
-
-
-def undirected_pair_counts(graph: GrownGraph) -> np.ndarray:
-    """Per-vertex count of edges among the undirected neighborhood."""
-    n = graph.n
-    srcs, tgts, keys = _edge_keys(graph)
-    total = np.zeros(n + 1, dtype=np.int64)
-    if keys.size == 0:
-        return total
-    # Each neighbor a of center v appears in exactly one orientation
-    # (in-neighbors are younger, out-neighbors older), so iterating the
-    # out-list of a counts every neighborhood edge once, at its source.
-    centers = np.concatenate((tgts, srcs))
-    around = np.concatenate((srcs, tgts))
-    for lo in range(0, centers.size, _CHUNK):
-        v = centers[lo : lo + _CHUNK]
-        a = around[lo : lo + _CHUNK]
-        w, owner = _flatten_out_lists(graph, a)
-        if w.size == 0:
-            continue
-        center = v[owner]
-        nk = np.int64(n + 1)
-        hit = _member_of(keys, w * nk + center) | _member_of(keys, center * nk + w)
-        total += np.bincount(center[hit], minlength=n + 1)
-    return total
+        y = graph.out_targets[lo : lo + _CHUNK]
+        lengths = graph.out_degree[y]
+        ends = np.cumsum(lengths)
+        owner = np.repeat(np.arange(y.size), lengths)   # edge z->y of each x
+        x = graph.out_targets[
+            np.arange(ends[-1]) + np.repeat(graph.out_ptr[y] + lengths - ends, lengths)
+        ]
+        z = srcs[lo : lo + _CHUNK][owner]
+        hit = _member_of(keys, z * nk + x)
+        x, y, z = x[hit], y[owner[hit]], z[hit]
+        directed += np.bincount(x, minlength=n + 1)
+        old += np.bincount(x[y <= t_hat[x]], minlength=n + 1)
+        undirected += np.bincount(y, minlength=n + 1) + np.bincount(z, minlength=n + 1)
+    return directed, old, undirected + directed
 
 
 def _pair_denominator(degree: np.ndarray) -> np.ndarray:
@@ -197,8 +161,7 @@ def compute_report(
 ) -> ClusteringReport:
     """All per-vertex coefficients in one vectorized pass over the graph."""
     t_hat = split_times(graph, policy)
-    directed_num, old_num = directed_pair_counts(graph, t_hat)
-    undirected_num = undirected_pair_counts(graph)
+    directed_num, old_num, undirected_num = _triangle_counts(graph, t_hat)
 
     in_deg = graph.in_degree
     tot_deg = in_deg + graph.out_degree

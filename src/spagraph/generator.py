@@ -99,13 +99,10 @@ class GrownGraph:
         counts = np.bincount(self.out_targets, minlength=n + 1)
         self.in_ptr = np.zeros(n + 2, dtype=np.int64)
         np.cumsum(counts, out=self.in_ptr[1:])
-        srcs = np.repeat(
-            np.arange(1, n + 1, dtype=np.int64), np.diff(self.out_ptr[1:])
-        )
-        order = np.argsort(self.out_targets, kind="stable")
-        self.in_sources = srcs[order]
-        self.in_degree = np.diff(self.in_ptr)
         self.out_degree = np.diff(self.out_ptr)
+        order = np.argsort(self.out_targets, kind="stable")
+        self.in_sources = self.edge_sources()[order]
+        self.in_degree = np.diff(self.in_ptr)
 
     @property
     def n(self) -> int:
@@ -131,6 +128,10 @@ class GrownGraph:
         arrivals = self.in_neighbors(v)
         return arrivals, np.arange(1, arrivals.size + 1, dtype=np.int64)
 
+    def edge_sources(self) -> np.ndarray:
+        """Source of every edge, aligned with `out_targets` (generation order)."""
+        return np.repeat(np.arange(1, self.n + 1, dtype=np.int64), self.out_degree[1:])
+
     def iter_edges(self):
         """Yield (source, target) pairs in generation order."""
         for v in range(1, self.n + 1):
@@ -141,24 +142,17 @@ class GrownGraph:
     def from_edges(cls, params: ModelParams, edges, positions=None) -> "GrownGraph":
         """Build a graph from an explicit edge list (tests, file parsing).
 
-        Edges must be given in generation order: grouped by ascending
-        source, targets ascending within each source, each target smaller
-        than its source.
+        `edges` is a sequence of (source, target) pairs or an (E, 2) integer
+        array, in generation order: grouped by ascending source, targets
+        ascending within each source, each target smaller than its source.
         """
         n = params.n
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        bad = first_bad_edge(n, edges)
+        if bad is not None:
+            raise UsageError(bad[1])
         out_ptr = np.zeros(n + 2, dtype=np.int64)
-        targets = np.empty(len(edges), dtype=np.int64)
-        prev_src, prev_tgt = 0, 0
-        for i, (s, u) in enumerate(edges):
-            if not 1 <= s <= n or not 1 <= u < s:
-                raise UsageError(f"edge ({s}, {u}) violates birth ordering")
-            if s < prev_src or (s == prev_src and u <= prev_tgt):
-                raise UsageError(f"edge ({s}, {u}) out of generation order")
-            if s != prev_src:
-                out_ptr[prev_src + 1 : s + 1] = i
-            prev_src, prev_tgt = s, u
-            targets[i] = u
-        out_ptr[prev_src + 1 :] = len(edges)
+        np.cumsum(np.bincount(edges[:, 0], minlength=n + 1), out=out_ptr[1:])
         if positions is not None:
             positions = np.asarray(positions, dtype=float)
             if positions.shape != (n + 1, params.dimension):
@@ -166,8 +160,27 @@ class GrownGraph:
                     f"positions must have shape {(n + 1, params.dimension)}, "
                     f"got {positions.shape}"
                 )
-        return cls(params=params, out_ptr=out_ptr, out_targets=targets,
-                   positions=positions)
+        return cls(params=params, out_ptr=out_ptr,
+                   out_targets=np.ascontiguousarray(edges[:, 1]), positions=positions)
+
+
+def first_bad_edge(n: int, edges: np.ndarray) -> tuple[int, str] | None:
+    """(index, message) of the first of `edges` that breaks birth or generation order.
+
+    An edge (s, u) needs 1 <= u < s <= n, and its key s*(n+1) + u must
+    exceed the previous edge's; None when every edge passes.
+    """
+    s, u = edges[:, 0], edges[:, 1]
+    unborn = (s < 1) | (s > n) | (u < 1) | (u >= s)
+    keys = s * np.int64(n + 1) + u
+    unordered = np.zeros(s.size, dtype=bool)
+    unordered[1:] = keys[1:] <= keys[:-1]
+    bad = np.flatnonzero(unborn | unordered)
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    reason = "violates birth ordering" if unborn[i] else "out of generation order"
+    return i, f"edge ({s[i]}, {u[i]}) {reason}"
 
 
 def generate(params: ModelParams, index_factory=None) -> GrownGraph:

@@ -53,7 +53,11 @@ def test_generate_rejects_duplicate_seeds(tmp_path, capsys):
     (["verify", "--n", "50", "--seeds", "3,3"], "distinct"),
     (["generate", *ARGS, "--seeds", "3,x"], "comma-separated integers"),
     (["sweep", "--p-list", ",", "--n", "50"], "names no p value"),
-], ids=["verify", "generate", "sweep", "verify-seeds", "generate-bad-seeds", "sweep-no-p"])
+    (["sweep", "--p-list", "0.5,abc", "--n", "50"], "must be numbers"),
+    (["sweep", "--p-list", "0.5,1.5", "--n", "50"], "must be in (0, 1)"),
+    (["sweep", "--p-list", "0.5,1", "--n", "50"], "must be in (0, 1)"),
+], ids=["verify", "generate", "sweep", "verify-seeds", "generate-bad-seeds", "sweep-no-p",
+        "sweep-p-not-a-number", "sweep-p-above-1", "sweep-p-1"])
 def test_no_runs_or_repeated_seeds_exit_1(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spagraph import clustering as cl
 from spagraph.errors import ParameterError
@@ -148,6 +150,23 @@ def test_vectorized_matches_brute_force(grown):
     oracle = brute_force_clustering(grown, cl.split_times(grown, policy))
     assert report_coefficients(grown, policy) == oracle
     assert sum(c[0] is not None for c in oracle.values()) > 100
+
+
+@st.composite
+def dense_graphs(draw):
+    """Birth-ordered graphs on up to 30 vertices holding about half of all pairs."""
+    n = draw(st.integers(1, 30))
+    pairs = [(s, u) for s in range(2, n + 1) for u in range(1, s)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=dense_graphs(), mode=st.sampled_from(["log", "half"]))
+def test_report_matches_brute_force_on_dense_graphs(graph, mode):
+    policy = cl.SplitPolicy(mode)
+    oracle = brute_force_clustering(graph, cl.split_times(graph, policy))
+    assert report_coefficients(graph, policy) == oracle
 
 
 def test_adding_neighbor_edge_increases_coefficient():

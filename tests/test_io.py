@@ -1,8 +1,11 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spagraph import graph_io, stats
 from spagraph.errors import ParameterError, ParseError, UsageError
@@ -207,3 +210,89 @@ def test_parse_rejects_duplicate_header_key(grown):
     with pytest.raises(ParseError, match="duplicate key 'p'") as info:
         graph_io.parse_graph(damaged)
     assert info.value.byte_offset == damaged.index(b"p=0.5")
+
+
+small_graphs = st.builds(
+    lambda n, dimension, norm, seed: generate(make(n, seed, dimension=dimension, norm=norm)),
+    n=st.integers(1, 120),
+    dimension=st.integers(1, 3),
+    norm=st.sampled_from(list(Norm)),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=small_graphs, include_positions=st.booleans(), suffix=st.sampled_from([".tsv", ".tsv.gz"]))
+def test_round_trip_property(graph, include_positions, suffix):
+    data = graph_io.serialize_graph(graph, include_positions)
+    assert graph_io.serialize_graph(graph_io.parse_graph(data), include_positions) == data
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "g" + suffix)
+        graph_io.write_graph(graph, path, include_positions)
+        first = open(path, "rb").read()
+        graph_io.write_graph(graph_io.read_graph(path), path, include_positions)
+        assert open(path, "rb").read() == first
+
+
+def _edge_lines(data: bytes) -> tuple[int, int, list[bytes]]:
+    """Start and end of the edge section, and its lines without their newlines."""
+    start = data.index(b"%edges\n") + len(b"%edges\n")
+    end = data.index(b"%positions\n")
+    return start, end, data[start:end].splitlines()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=small_graphs,
+    damage=st.sampled_from(
+        ["space", "third field", "non-integer", "out of order", "repeated", "target >= source"]
+    ),
+    pick=st.integers(0, 10 ** 6),
+)
+def test_damaged_edge_line_raises_at_its_offset(graph, damage, pick):
+    data = graph_io.serialize_graph(graph)
+    start, end, lines = _edge_lines(data)
+    assume(len(lines) >= 2)
+    i = pick % (len(lines) - 1)
+    source, target = lines[i].split(b"\t")
+    if damage == "space":
+        lines[i] = source + b" " + target
+    elif damage == "third field":
+        lines[i] += b"\t" + target
+    elif damage == "non-integer":
+        lines[i] = source + b"\t" + target + b".5"
+    elif damage == "target >= source":
+        lines[i] = source + b"\t" + str(int(source) + pick % 3).encode()
+    elif damage == "repeated":
+        lines[i + 1] = lines[i]
+        i += 1
+    else:
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        i += 1   # the first edge smaller than the one before it
+    damaged = data[:start] + b"".join(line + b"\n" for line in lines) + data[end:]
+    with pytest.raises(ParseError) as info:
+        graph_io.parse_graph(damaged)
+    assert info.value.byte_offset == start + sum(len(line) + 1 for line in lines[:i])
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("blank line", "bad edges line ''"),
+    ("trailing blank line", "bad positions line ''"),
+    ("carriage return", "carriage return"),
+    ("repeated marker", "repeated section marker '%edges'"),
+])
+def test_parse_rejects_blank_lines_and_repeated_markers(grown, damage, message):
+    data = graph_io.serialize_graph(grown)
+    at = data.index(b"\n", data.index(b"%edges\n") + 7) + 1   # the second edge line
+    if damage == "blank line":
+        damaged = data[:at] + b"\n" + data[at:]
+    elif damage == "trailing blank line":
+        damaged, at = data + b"\n", len(data)
+    elif damage == "carriage return":
+        damaged = data[:at - 1] + b"\r" + data[at - 1:]
+        at = data.index(b"%edges\n") + 7
+    else:
+        damaged, at = data + b"%edges\n", len(data)
+    with pytest.raises(ParseError, match=message) as info:
+        graph_io.parse_graph(damaged)
+    assert info.value.byte_offset == at
