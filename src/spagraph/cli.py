@@ -218,10 +218,11 @@ def cmd_stats(args) -> int:
             [(c.vertex, c.final_degree, repr(c.onset_time), repr(c.ratio_min),
               repr(c.ratio_max), int(c.vacuous)) for c in checks],
         )
-        scatter_rows = []
-        for variant in clustering.VARIANTS:
-            for degree, value in clustering.scatter_from_report(report, variant):
-                scatter_rows.append((variant, int(degree), repr(float(value))))
+        scatter_rows = [
+            (variant, int(degree), repr(value))
+            for variant in clustering.VARIANTS
+            for degree, value in clustering.scatter_from_report(report, variant).tolist()
+        ]
         graph_io.write_csv(
             os.path.join(args.out, f"scatter_{stem}.csv"),
             graph_io.SCATTER_COLUMNS, scatter_rows,

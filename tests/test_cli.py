@@ -6,6 +6,7 @@ import pytest
 
 from spagraph import cli
 from spagraph.cli import main
+from spagraph.clustering import compute_report, scatter_from_report
 from spagraph.errors import ParameterError
 from spagraph.generator import GrownGraph, ModelParams
 from spagraph.graph_io import read_graph, write_graph
@@ -104,6 +105,15 @@ def test_stats_emits_all_reports(tmp_path):
     assert rows[0] == ["variant", "d", "count", "mean_c"]
     variants = {row[0] for row in rows[1:]}
     assert {"directed", "undirected", "old", "new", "directed_band"} <= variants
+    # scatter values are written as the repr of each exact coefficient
+    report = compute_report(read_graph(graph))
+    with open(os.path.join(reports, f"scatter_{stem}.csv")) as handle:
+        scatter = [row for row in csv.reader(handle) if row[0] in ("directed", "undirected")]
+    assert scatter == [
+        [variant, str(int(degree)), repr(float(value))]
+        for variant in ("directed", "undirected")
+        for degree, value in scatter_from_report(report, variant)
+    ]
 
 
 def test_stats_pooled_curve_merges_replicas(tmp_path):

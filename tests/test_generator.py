@@ -7,11 +7,12 @@ from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import (
     GrownGraph,
     ModelParams,
+    _StaticGrid,
     generate,
     generate_naive,
     sphere_volume,
 )
-from spagraph.geometry import Norm
+from spagraph.geometry import Norm, needed_volume
 from spagraph.graph_io import serialize_graph
 from spagraph.spatial_index import SphereIndex
 
@@ -198,6 +199,47 @@ def test_vertex_centric_equals_naive_property(n, p, a1_fraction, a2, dimension, 
     a1 = a1_fraction * min(10.0, 1.0 / p) if p > 0 else 10.0 * a1_fraction
     params = ModelParams(n=n, p=p, a1=a1, a2=a2, dimension=dimension, norm=norm, seed=seed)
     assert_same_graph(generate(params), generate_naive(params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    dimension=st.integers(1, 4),
+    norm=st.sampled_from(list(Norm)),
+    a2=st.floats(0.01, 10.0),
+    snap=st.integers(0, 4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_static_grid_runs_hold_every_covered_step_at_every_level(
+    n, dimension, norm, a2, snap, seed
+):
+    rng = np.random.default_rng(seed)
+    positions = np.full((n + 1, dimension), np.nan)
+    positions[1:] = rng.random((n, dimension))
+    if snap:
+        # coordinates on cell boundaries of the coarser levels
+        positions[1:] = np.floor(positions[1:] * 2 ** snap) / 2 ** snap
+    grid = _StaticGrid(positions, make(n, a2=a2, dimension=dimension, norm=norm))
+    centers = positions[rng.integers(1, n + 1, size=3)]
+    # random volumes, or balls whose surface passes exactly through a position
+    volumes = np.where(
+        rng.random(3) < 0.5,
+        10.0 ** rng.uniform(-4, 0, size=3),
+        needed_volume(centers, positions[rng.integers(1, n + 1, size=3)], norm),
+    )
+    s = rng.integers(1, n + 1, size=3)
+    e = rng.integers(s, n + 1)
+    radii = grid.radii(volumes)
+    for level in range(len(grid._keys)):
+        row, lo, hi = grid.runs(level, centers, radii, s, e)
+        for i in range(3):
+            got = [grid.steps(level, np.arange(a, b)) for a, b in zip(lo[row == i], hi[row == i])]
+            got = np.concatenate([np.empty(0, dtype=np.int64), *got])
+            assert np.unique(got).size == got.size
+            assert ((got >= s[i]) & (got <= e[i])).all()
+            window = np.arange(s[i], e[i] + 1)
+            covered = window[needed_volume(positions[window], centers[i], norm) <= volumes[i]]
+            assert np.isin(covered, got).all(), f"level {level} misses steps"
 
 
 def test_index_factory_runs_the_step_centric_walk():

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from spagraph import verify
 from spagraph.errors import UsageError
-from spagraph.generator import ModelParams
+from spagraph.generator import GrownGraph, ModelParams
 from spagraph.spatial_index import SphereIndex
-from spagraph.verify import verify_equivalence
+from spagraph.verify import first_divergent_step, verify_equivalence
 
 PARAMS = dict(p=0.7, a1=1.0, a2=30 / 7)
 
@@ -52,3 +56,43 @@ def test_corrupted_index_fails_and_names_step():
     assert result.first_divergent_step is not None
     assert result.first_divergent_step > 1
     assert "MISMATCH" in report.summary()
+
+
+@pytest.mark.parametrize("field", ["c_old", "c_undirected"])
+def test_wrong_clustering_fails_and_names_vertex(monkeypatch, field):
+    real = verify.compute_report
+    broken = {}
+
+    def perturbed(graph, policy):
+        report = real(graph, policy)
+        values = getattr(report, field).copy()
+        i = values.size // 2
+        values[i] += 1e-12
+        ids = report.ids_undirected if field == "c_undirected" else report.ids_directed
+        broken["vertex"] = int(ids[i])
+        return replace(report, **{field: values})
+
+    monkeypatch.setattr(verify, "compute_report", perturbed)
+    report = verify_equivalence(ModelParams(n=300, seed=0, **PARAMS), seeds=[0])
+    kind = "undirected" if field == "c_undirected" else "directed"
+    assert not report.passed
+    assert report.results[0].detail == (
+        f"{kind} clustering differs at vertex {broken['vertex']}"
+    )
+
+
+def test_first_divergent_step_names_the_step():
+    params = ModelParams(n=6, seed=0, **PARAMS)
+    positions = np.random.default_rng(0).random((7, 2))
+    edges = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1), (6, 5)]
+    changed = [(2, 1), (3, 1), (3, 2), (4, 3), (5, 1), (6, 5)]
+    graph = GrownGraph.from_edges(params, edges, positions)
+    assert first_divergent_step(graph, GrownGraph.from_edges(params, edges, positions)) is None
+    assert first_divergent_step(graph, GrownGraph.from_edges(params, changed, positions)) == (
+        4, "out-edges differ: [2] vs [3]"
+    )
+    moved = positions.copy()
+    moved[5, 1] = 0.5
+    assert first_divergent_step(graph, GrownGraph.from_edges(params, edges, moved)) == (
+        5, "positions differ"
+    )
