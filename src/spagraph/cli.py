@@ -196,11 +196,11 @@ def cmd_stats(args) -> int:
             os.path.join(args.out, f"curves_{stem}.csv"),
             graph_io.CURVE_COLUMNS, _curve_rows(report, args.delta),
         )
-        census_rows = [
+        census_rows = (
             (i, int(count), repr(float(count) / census.total),
              repr(float(consts.c[i])) if i < consts.c.size else "")
             for i, count in enumerate(census.counts) if count > 0
-        ]
+        )
         graph_io.write_csv(
             os.path.join(args.out, f"census_{stem}.csv"),
             graph_io.CENSUS_COLUMNS, census_rows,
@@ -218,11 +218,11 @@ def cmd_stats(args) -> int:
             [(c.vertex, c.final_degree, repr(c.onset_time), repr(c.ratio_min),
               repr(c.ratio_max), int(c.vacuous)) for c in checks],
         )
-        scatter_rows = [
+        scatter_rows = (
             (variant, int(degree), repr(value))
             for variant in clustering.VARIANTS
             for degree, value in clustering.scatter_from_report(report, variant).tolist()
-        ]
+        )
         graph_io.write_csv(
             os.path.join(args.out, f"scatter_{stem}.csv"),
             graph_io.SCATTER_COLUMNS, scatter_rows,

@@ -14,9 +14,12 @@ for every edge z->y and every x in out(y), one lookup in the sorted edge
 keys asks whether z->x exists (the "forward" listing of Schank and
 Wagner, 2005). A triangle is one edge among x's in-neighbors (old when
 y joined before x's split time) and one neighborhood edge of each of x,
-y and z in the undirected view. `compute_report` builds every
-coefficient from that pass; its exact oracle is the exhaustive pair
-enumeration `verify.brute_force_clustering`.
+y and z in the undirected view. The pass walks the edges in chunks of
+at most `_CHUNK` wedges and builds only the keys each chunk looks up, so
+apart from one int64 per edge while the chunks are cut, its temporaries
+do not grow with the graph. `compute_report` builds every coefficient
+from that pass; its exact oracle is the exhaustive pair enumeration
+`verify.brute_force_clustering`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .generator import GrownGraph
 
 VARIANTS = ("directed", "undirected", "old", "new")
 
-_CHUNK = 200_000
+_CHUNK = 1 << 16   # wedges per triangle-pass chunk
 
 
 def default_omega(n: int) -> float:
@@ -96,6 +99,23 @@ def _member_of(keys, query_keys):
     return keys[pos] == query_keys
 
 
+def _wedge_chunks(graph: GrownGraph) -> list[int]:
+    """Edge bounds cutting the edge list into chunks of at most _CHUNK wedges.
+
+    Edge z->y heads the out_degree[y] wedges z->y->x. Each chunk ends where
+    its wedge count would pass _CHUNK, so a chunk holds at most _CHUNK
+    wedges, or one edge that alone has more.
+    """
+    wedges = graph.out_degree[graph.out_targets]
+    np.cumsum(wedges, out=wedges)   # wedges headed by edges 0..i
+    bounds = [0]
+    while bounds[-1] < wedges.size:
+        lo = bounds[-1]
+        start = int(wedges[lo - 1]) if lo else 0
+        bounds.append(max(lo + 1, int(np.searchsorted(wedges, start + _CHUNK, side="right"))))
+    return bounds
+
+
 def _triangle_counts(
     graph: GrownGraph, t_hat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,29 +123,36 @@ def _triangle_counts(
 
     Each triangle x < y < z is found once, from edge z->y and x in out(y),
     by one lookup of z->x in the sorted edge keys (see the module
-    docstring). Arrays are id-indexed with slot 0 unused.
+    docstring). A chunk of edges only looks up edges of its own sources,
+    so it builds just those keys, and every temporary stays within about
+    _CHUNK wedges. Arrays are id-indexed with slot 0 unused.
     """
     n = graph.n
     nk = np.int64(n + 1)
-    srcs = graph.edge_sources()
-    keys = srcs * nk + graph.out_targets
+    targets, out_ptr = graph.out_targets, graph.out_ptr
     directed = np.zeros(n + 1, dtype=np.int64)
     old = np.zeros(n + 1, dtype=np.int64)
     undirected = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, srcs.size, _CHUNK):
-        y = graph.out_targets[lo : lo + _CHUNK]
+    bounds = _wedge_chunks(graph)
+    for lo, hi in zip(bounds, bounds[1:]):
+        # keys z * (n + 1) + y of every edge whose source z is in the chunk
+        first, last = np.searchsorted(out_ptr, [lo, hi - 1], side="right") - 1
+        base = out_ptr[first]
+        keys = np.repeat(np.arange(first, last + 1) * nk, graph.out_degree[first : last + 1])
+        keys += targets[base : out_ptr[last + 1]]
+        y = targets[lo:hi]
         lengths = graph.out_degree[y]
         ends = np.cumsum(lengths)
         owner = np.repeat(np.arange(y.size), lengths)   # edge z->y of each x
-        x = graph.out_targets[
-            np.arange(ends[-1]) + np.repeat(graph.out_ptr[y] + lengths - ends, lengths)
-        ]
-        z = srcs[lo : lo + _CHUNK][owner]
-        hit = _member_of(keys, z * nk + x)
-        x, y, z = x[hit], y[owner[hit]], z[hit]
-        directed += np.bincount(x, minlength=n + 1)
-        old += np.bincount(x[y <= t_hat[x]], minlength=n + 1)
-        undirected += np.bincount(y, minlength=n + 1) + np.bincount(z, minlength=n + 1)
+        x = targets[np.arange(ends[-1]) + (out_ptr[y + 1] - ends)[owner]]
+        query = (keys[lo - base : hi - base] - y)[owner]
+        query += x   # z * (n + 1) + x
+        hit = _member_of(keys, query)
+        x, y, z = x[hit], y[owner[hit]], query[hit] // nk
+        np.add.at(directed, x, 1)
+        np.add.at(old, x[y <= t_hat[x]], 1)
+        np.add.at(undirected, y, 1)
+        np.add.at(undirected, z, 1)
     return directed, old, undirected + directed
 
 

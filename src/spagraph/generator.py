@@ -24,6 +24,7 @@ bit-identical graphs; any disagreement is a bug.
 
 from __future__ import annotations
 
+import array
 import itertools
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ from .rng import CounterStream
 from .spatial_index import SphereIndex
 
 NAIVE_GUARD = 10_000
+_FILL = 1 << 16   # edges per block when filling the in-neighbor sort keys
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,9 @@ class GrownGraph:
     are fixed at its birth step. Because of that, the in-neighbors of v
     arrive exactly at their own birth steps, so the full in-degree
     trajectory of any vertex is recoverable from its sorted in-neighbor
-    list; nothing extra needs recording during growth.
+    list; nothing extra needs recording during growth. The in-neighbor
+    lists come from sorting one key per edge in place, in the array that
+    becomes `in_sources`, so building them needs no other edge-sized array.
     """
 
     params: ModelParams
@@ -96,13 +100,18 @@ class GrownGraph:
 
     def __post_init__(self):
         n = self.params.n
-        counts = np.bincount(self.out_targets, minlength=n + 1)
-        self.in_ptr = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(counts, out=self.in_ptr[1:])
+        nk = np.int64(n + 1)
         self.out_degree = np.diff(self.out_ptr)
-        order = np.argsort(self.out_targets, kind="stable")
-        self.in_sources = self.edge_sources()[order]
-        self.in_degree = np.diff(self.in_ptr)
+        self.in_degree = np.bincount(self.out_targets, minlength=n + 1)
+        self.in_ptr = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(self.in_degree, out=self.in_ptr[1:])
+        # The keys target * (n + 1) + source are unique, so sorting them
+        # lists every vertex's in-neighbors ascending by birth.
+        keys = self.edge_sources()
+        for lo in range(0, keys.size, _FILL):
+            keys[lo : lo + _FILL] += self.out_targets[lo : lo + _FILL] * nk
+        keys.sort()
+        self.in_sources = np.remainder(keys, nk, out=keys)
 
     @property
     def n(self) -> int:
@@ -342,12 +351,13 @@ def _grow_by_vertex(params: ModelParams) -> GrownGraph:
     for t in range(1, n + 1):
         positions[t] = stream.position(t, m)
     grid = _StaticGrid(positions, params)
-    chunks = [np.empty(0, dtype=np.int64)]
+    # One buffer grown in place holds the keys t * (n + 1) + u of every
+    # edge: no per-block arrays to free, and no second copy to join them.
+    edges = array.array("q")
     for first in range(1, n, BLOCK):
-        chunks.append(_advance_block(first, min(first + BLOCK, n), grid, stream, params))
+        edges.extend(_advance_block(first, min(first + BLOCK, n), grid, stream, params))
     del grid   # the per-level keys are not needed for the CSR arrays
-    keys = np.concatenate(chunks)   # t * (n + 1) + u per edge
-    del chunks
+    keys = np.frombuffer(edges, dtype=np.int64)
     keys.sort()
     # out_ptr[v + 1] counts the edges whose source is at most v
     out_ptr = np.zeros(n + 2, dtype=np.int64)
@@ -384,8 +394,8 @@ def _threshold_degrees(q, tm1, bound, params: ModelParams) -> np.ndarray:
 
 
 def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStream,
-                   params: ModelParams) -> np.ndarray:
-    """In-edges of vertices first..stop-1, as keys t * (n + 1) + u."""
+                   params: ModelParams) -> list[int]:
+    """In-edges of vertices first..stop-1, as a list of keys t * (n + 1) + u."""
     n, p, n1 = params.n, params.p, params.n + 1
     u = np.arange(first, stop, dtype=np.int64)
     k = np.zeros(u.size, dtype=np.int64)
@@ -426,7 +436,7 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStre
         s[:take] = new_s
         alive = s <= n
         u, k, s = u[alive], k[alive], s[alive]
-    return np.array(edges, dtype=np.int64)
+    return edges
 
 
 def _gather(grid: _StaticGrid, u, s, e, bound, params: ModelParams):

@@ -22,15 +22,22 @@ rename, so readers never observe partial files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import io
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
 
 from ._version import __version__
 from .errors import ParameterError, ParseError, UsageError
@@ -50,17 +57,24 @@ _BATCH = 1 << 13   # lines formatted per tolist() batch when serializing
 _EDGE_ROW = np.dtype([("edge", np.int64, (2,))])
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str, mode: str = "wb", **options):
+    """A file on a temp name beside `path`, renamed onto it when the block succeeds."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, mode, **options) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(data)
 
 
 def _format_value(value) -> str:
@@ -291,6 +305,14 @@ def read_graph(path: str) -> GrownGraph:
     return parse_graph(data)
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set so far, in MiB; None where `resource` is missing."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # bytes on macOS, KiB elsewhere
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def write_manifest(path: str, graph: GrownGraph, graph_file: str, wall_time_s: float) -> None:
     p = graph.params
     manifest = {
@@ -303,6 +325,7 @@ def write_manifest(path: str, graph: GrownGraph, graph_file: str, wall_time_s: f
         },
         "edge_count": graph.num_edges,
         "wall_time_s": wall_time_s,
+        "peak_rss_mb": _peak_rss_mb(),
         "graph_file": graph_file,
     }
     atomic_write_bytes(path, (json.dumps(manifest, indent=2) + "\n").encode())
@@ -396,8 +419,8 @@ def load_config(path: str) -> RunConfig:
 
 
 def write_csv(path: str, columns, rows) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    atomic_write_bytes(path, out.getvalue().encode())
+    """A header line, then one line per row; `rows` may be any iterable, read once."""
+    with _atomic_file(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)

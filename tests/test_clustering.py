@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,68 @@ def test_report_matches_brute_force_on_dense_graphs(graph, mode):
     policy = cl.SplitPolicy(mode)
     oracle = brute_force_clustering(graph, cl.split_times(graph, policy))
     assert report_coefficients(graph, policy) == oracle
+
+
+def _counts_at_budget(graph, t_hat, budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cl, "_CHUNK", budget)
+        bounds = cl._wedge_chunks(graph)
+        wedges = np.cumsum(np.concatenate(([0], graph.out_degree[graph.out_targets])))
+        for lo, hi in zip(bounds, bounds[1:]):   # within budget, or one edge alone
+            assert wedges[hi] - wedges[lo] <= budget or hi == lo + 1
+        assert bounds[0] == 0 and bounds[-1] == graph.num_edges
+        return cl._triangle_counts(graph, t_hat), report_coefficients(graph)
+
+
+def assert_budget_free(graph, budgets=(1, 2, 3, 64)):
+    """The triangle pass gives the same numerators at every wedge budget."""
+    t_hat = cl.split_times(graph, cl.SplitPolicy())
+    want = cl._triangle_counts(graph, t_hat)
+    oracle = brute_force_clustering(graph, t_hat)
+    for budget in budgets:
+        counts, coefficients = _counts_at_budget(graph, t_hat, budget)
+        assert all(np.array_equal(a, b) for a, b in zip(counts, want))
+        assert coefficients == oracle
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=dense_graphs())
+def test_triangle_counts_do_not_depend_on_wedge_budget(graph):
+    assert_budget_free(graph)
+
+
+def test_triangle_counts_budget_free_on_grown_graph(grown):
+    assert_budget_free(grown)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (5, []),                                               # no edges at all
+    (1, []),                                               # one vertex
+    # edge 7->6 heads five wedges, more than budgets 1, 2 and 3
+    (7, [(2, 1), (6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (7, 1), (7, 3), (7, 6)]),
+])
+def test_triangle_counts_budget_free_edge_cases(n, edges):
+    assert_budget_free(graph_from(n, edges))
+
+
+def test_compute_report_memory_stays_within_edge_budget():
+    """compute_report's traced peak stays under 6 int64 arrays of E entries plus 4 MiB.
+
+    The rule is fixed before measuring: besides the graph it may hold
+    the sorted edge keys and a few other E-sized arrays, plus temporaries
+    bounded by the wedge budget and the n-sized outputs. Listing every
+    wedge at once (about eight per edge at this size, held in several
+    int64 arrays) breaks it.
+    """
+    graph = generate(ModelParams(n=20_000, seed=0, **PARAMS))
+    budget = 6 * 8 * graph.num_edges + (4 << 20)
+    tracemalloc.start()
+    try:
+        cl.compute_report(graph, cl.SplitPolicy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, f"peak {peak / 2**20:.1f} MiB over {budget / 2**20:.1f} MiB"
 
 
 def test_adding_neighbor_edge_increases_coefficient():

@@ -128,6 +128,29 @@ def test_in_neighbors_sorted_and_trajectory():
     assert g.in_degree_at(hub, g.n) == g.in_degree[hub]
 
 
+@st.composite
+def sparse_edge_lists(draw):
+    """(n, edges) in generation order, on up to 40 vertices; vertex n never has in-edges."""
+    n = draw(st.integers(1, 40))
+    pairs = [(s, u) for s in range(2, n + 1) for u in range(1, s)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, k in zip(pairs, keep) if k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sparse_edge_lists())
+def test_in_csr_equals_stable_argsort(case):
+    n, edges = case
+    g = GrownGraph.from_edges(make(n), edges)
+    order = np.argsort(g.out_targets, kind="stable")
+    counts = np.bincount(g.out_targets, minlength=n + 1)
+    assert np.array_equal(g.in_sources, g.edge_sources()[order])
+    assert np.array_equal(g.in_ptr, np.concatenate(([0], np.cumsum(counts))))
+    assert np.array_equal(g.in_degree, counts)
+    assert g.in_sources.dtype == g.in_ptr.dtype == np.int64
+    assert g.in_degree[n] == 0
+
+
 def test_naive_guard():
     with pytest.raises(UsageError):
         generate_naive(make(10_001))

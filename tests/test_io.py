@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import tempfile
 
 import numpy as np
@@ -81,11 +82,22 @@ def test_manifest_reproduces_graph(grown, tmp_path):
     graph_io.write_manifest(manifest_path, grown, "g.tsv", wall_time_s=1.25)
     manifest = json.load(open(manifest_path))
     assert manifest["edge_count"] == grown.num_edges
+    # own-process peak RSS in MiB, never above what the process reports after writing
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 0 < manifest["peak_rss_mb"] <= peak
     params = graph_io.params_from_manifest(manifest_path)
     regenerated = generate(params)
     regen_path = str(tmp_path / "regen.tsv")
     graph_io.write_graph(regenerated, regen_path)
     assert open(regen_path, "rb").read() == open(graph_path, "rb").read()
+
+
+def test_manifest_peak_rss_is_null_without_resource(grown, tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_io, "resource", None)
+    path = str(tmp_path / "g.manifest.json")
+    graph_io.write_manifest(path, grown, "g.tsv", wall_time_s=0.5)
+    manifest = json.load(open(path))
+    assert "peak_rss_mb" in manifest and manifest["peak_rss_mb"] is None
 
 
 def test_config_parse_round_trip(tmp_path):
@@ -133,6 +145,21 @@ def test_write_csv_schema(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "variant,d,count,mean_c"
     assert lines[1] == "directed,2,10,0.5"
+
+
+def test_write_csv_streams_rows_and_is_atomic(tmp_path):
+    path = str(tmp_path / "rows.csv")
+    graph_io.write_csv(path, ("a", "b"), ((i, repr(i / 3)) for i in range(3)))
+    assert open(path, "rb").read() == b"a,b\n0,0.0\n1,0.3333333333333333\n2,0.6666666666666666\n"
+
+    def failing_rows():
+        yield (9, "x")
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        graph_io.write_csv(path, ("a", "b"), failing_rows())
+    assert sorted(os.listdir(tmp_path)) == ["rows.csv"]
+    assert open(path, "rb").read().startswith(b"a,b\n0,")
 
 
 def test_atomic_write_leaves_no_temp_files(grown, tmp_path):

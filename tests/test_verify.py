@@ -96,3 +96,14 @@ def test_first_divergent_step_names_the_step():
     assert first_divergent_step(graph, GrownGraph.from_edges(params, edges, moved)) == (
         5, "positions differ"
     )
+
+
+def test_first_divergent_step_without_positions():
+    params = ModelParams(n=3, seed=0, **PARAMS)
+    graph = GrownGraph.from_edges(params, [(2, 1), (3, 1)])
+    changed = GrownGraph.from_edges(params, [(2, 1), (3, 2)])
+    assert first_divergent_step(graph, GrownGraph.from_edges(params, [(2, 1), (3, 1)])) is None
+    assert first_divergent_step(graph, changed) == (3, "out-edges differ: [1] vs [2]")
+    placed = GrownGraph.from_edges(params, [(2, 1), (3, 1)], np.full((4, 2), 0.5))
+    assert first_divergent_step(graph, placed) == (1, "positions missing in one run")
+    assert first_divergent_step(placed, graph) == (1, "positions missing in one run")
