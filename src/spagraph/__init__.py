@@ -6,10 +6,12 @@ rng            counter-based uniform streams (reproducibility contract)
 generator      the growth process: vertex-centric walk and naive reference
 clustering     vectorized clustering coefficients, old/new split, curves
 stats          degree censuses, power-law fit, trajectory concentration
-graph_io       graph files, manifests, run configs, CSV reports
-verify         exact equivalence harness between the two generators, and
-               the brute-force clustering oracle
-cli            the spa-model command line tool
+graph_io       graph files, manifests, CSV reports
+verify         exact equivalence harness between a generator (`generate`
+               by default) and the naive one, and the brute-force
+               clustering oracle
+cli            the spa-model command line tool; reads a `generate --config`
+               file as generate's own flags
 """
 
 from ._version import __version__

@@ -2,11 +2,15 @@
 
 Subcommands: generate, stats, sweep, verify. `stats` is the one writer of
 every per-graph report (curves, census, exponent, trajectories, scatter).
-Exit codes: 0 success, 1 domain error (bad parameters), 2 I/O or parse
-error, 3 verification failure. Parallelism is controlled only by the
-SPA_JOBS environment variable (number of worker processes for replicas
-and per-file analyses; default 1, capped at the CPU count; a value that
-is not a positive integer is an error).
+`generate --config FILE` reads key=value lines as generate's own flags,
+parsed before the command line's, so command-line flags override them
+and every value gets its flag's type, default and checks. Exit codes: 0
+success, 1 domain error (bad parameters or config lines), 2 I/O or parse
+error (argparse's usage errors included), 3 verification failure.
+Parallelism is controlled only by the SPA_JOBS environment variable
+(number of worker processes for replicas and per-file analyses; default
+1, capped at the CPU count; a value that is not a positive integer is an
+error).
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ def _jobs() -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+def _map(fn, tasks) -> list:
+    """fn over tasks, in SPA_JOBS worker processes when there is more than one task."""
+    jobs = _jobs()
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def _top_vertices(graph, top: int) -> np.ndarray:
     """The `top` vertices of highest in-degree, highest first; never slot 0."""
     order = np.argsort(graph.in_degree)
@@ -55,20 +68,66 @@ def _model_from_args(args) -> ModelParams:
     )
 
 
-def _run_config(args, **fields) -> graph_io.RunConfig:
-    """Model flags plus --replicas/--seeds, checked as a config file is.
+def _seed_list(args) -> list[int]:
+    """Replica seeds: --seeds if given, else --replicas of them counting up from --seed.
 
-    RunConfig rejects --replicas < 1 and repeated seeds.
+    --replicas must be >= 1, and --seeds a non-empty list of integers with
+    no repeats.
     """
-    seeds = None
-    if args.seeds:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError:
+    if args.replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {args.replicas}")
+    if args.seeds is None:
+        return [args.seed + i for i in range(args.replicas)]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"--seeds must be comma-separated integers, got {args.seeds!r}"
+        ) from None
+    if len(set(seeds)) != len(seeds):
+        raise ParameterError(f"replica seeds must be pairwise distinct: {seeds}")
+    return seeds
+
+
+# The flag each config key stands for; include_positions=false is --no-positions.
+_CONFIG_FLAGS = {
+    "n": "--n", "p": "--p", "a1": "--a1", "a2": "--a2", "dimension": "--dim",
+    "norm": "--norm", "seed": "--seed", "replicas": "--replicas", "seeds": "--seeds",
+    "output_dir": "--out", "include_positions": "--no-positions",
+}
+
+
+def _config_flags(path: str) -> list[str]:
+    """The generate flags a key=value config file stands for, in file order.
+
+    `#` starts a comment and blank lines are skipped. A line without `=`,
+    an unknown key or a repeated key is an error naming the line.
+    """
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    flags, seen = [], set()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            raise ParameterError(f"config line {lineno} is not key=value: {raw!r}")
+        if key not in _CONFIG_FLAGS:
+            raise ParameterError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ParameterError(f"config line {lineno}: repeated key {key!r}")
+        seen.add(key)
+        if key != "include_positions":
+            flags.append(f"{_CONFIG_FLAGS[key]}={value}")
+        elif value not in ("true", "false"):
             raise ParameterError(
-                f"--seeds must be comma-separated integers, got {args.seeds!r}"
-            ) from None
-    return graph_io.RunConfig(_model_from_args(args), args.replicas, seeds, **fields)
+                f"config line {lineno}: include_positions must be true or false, got {value!r}"
+            )
+        elif value == "false":
+            flags.append(_CONFIG_FLAGS[key])
+    return flags
 
 
 def _add_model_flags(parser, n_default=100_000):
@@ -112,26 +171,14 @@ def _generate_one(task):
     return graph_path
 
 
-def _run_replicas(model: ModelParams, seeds, out_dir, include_positions=True):
-    os.makedirs(out_dir, exist_ok=True)
-    tasks = [
-        (replace(model, seed=int(s)), out_dir, include_positions) for s in seeds
-    ]
-    jobs = _jobs()
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_generate_one, tasks))
-    return [_generate_one(task) for task in tasks]
-
-
 def cmd_generate(args) -> int:
-    if args.config:
-        config = graph_io.load_config(args.config)
-    else:
-        config = _run_config(args, include_positions=not args.no_positions)
-    out_dir = args.out if args.out is not None else config.output_dir
-    paths = _run_replicas(config.model, config.seed_list(), out_dir, config.include_positions)
-    for path in paths:
+    model = _model_from_args(args)
+    tasks = [
+        (replace(model, seed=seed), args.out, not args.no_positions)
+        for seed in _seed_list(args)
+    ]
+    os.makedirs(args.out, exist_ok=True)
+    for path in _map(_generate_one, tasks):
         print(path)
     return 0
 
@@ -159,12 +206,15 @@ def _pool_curves(curves: list[dict]) -> dict:
     return {d: (c, s / c) for d, (c, s) in pooled.items() if c > 0}
 
 
-def _analyze_graph(task):
-    path, split, omega_mode, d_min, top = task
+def _report_graph(task) -> dict:
+    """Analyse one graph file and write its five CSVs.
+
+    Returns its exact curves by variant, which `cmd_stats` pools.
+    """
+    path, out, split, omega_mode, d_min, top, delta = task
     graph = graph_io.read_graph(path)
     omega = _parse_omega(omega_mode, graph.n)
-    policy = clustering.SplitPolicy(mode=split, omega=omega)
-    report = clustering.compute_report(graph, policy)
+    report = clustering.compute_report(graph, clustering.SplitPolicy(mode=split, omega=omega))
     census = stats.degree_census(graph)
     consts = stats.theory_constants(graph.params, i_max=max(census.counts.size - 1, 10))
     exponent = None
@@ -173,67 +223,46 @@ def _analyze_graph(task):
     except UsageError:
         pass
     checks = [stats.trajectory_check(graph, int(v), omega) for v in _top_vertices(graph, top)]
-    return graph.params, report, census, consts, exponent, checks
+
+    stem = os.path.splitext(os.path.basename(path.removesuffix(".gz")))[0]
+
+    def write(kind, columns, rows):
+        graph_io.write_csv(os.path.join(out, f"{kind}_{stem}.csv"), columns, rows)
+
+    write("curves", graph_io.CURVE_COLUMNS, _curve_rows(report, delta))
+    write("census", graph_io.CENSUS_COLUMNS, (
+        (i, int(count), repr(float(count) / census.total),
+         repr(float(consts.c[i])) if i < consts.c.size else "")
+        for i, count in enumerate(census.counts) if count > 0
+    ))
+    if exponent is not None:
+        write("exponent", graph_io.EXPONENT_COLUMNS, [(
+            d_min, exponent.n_tail, repr(exponent.estimate), repr(exponent.stderr),
+            repr(exponent.ls_slope), repr(consts.gamma),
+        )])
+    write("trajectories", graph_io.TRAJECTORY_COLUMNS, [
+        (c.vertex, c.final_degree, repr(c.onset_time), repr(c.ratio_min),
+         repr(c.ratio_max), int(c.vacuous)) for c in checks
+    ])
+    write("scatter", graph_io.SCATTER_COLUMNS, (
+        (variant, int(degree), repr(value))
+        for variant in clustering.VARIANTS
+        for degree, value in clustering.scatter_from_report(report, variant).tolist()
+    ))
+    return {v: clustering.curve_from_report(report, v) for v in clustering.VARIANTS}
 
 
 def cmd_stats(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    tasks = [
-        (path, args.split, args.omega_mode, args.d_min, args.top)
+    curves = _map(_report_graph, [
+        (path, args.out, args.split, args.omega_mode, args.d_min, args.top, args.delta)
         for path in args.graphs
+    ])
+    pooled_rows = [
+        (variant, d, count, repr(mean))
+        for variant in clustering.VARIANTS
+        for d, (count, mean) in sorted(_pool_curves([c[variant] for c in curves]).items())
     ]
-    jobs = _jobs()
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            analyses = list(pool.map(_analyze_graph, tasks))
-    else:
-        analyses = [_analyze_graph(task) for task in tasks]
-
-    pooled_exact: dict[str, list] = {v: [] for v in clustering.VARIANTS}
-    for path, (params, report, census, consts, exponent, checks) in zip(args.graphs, analyses):
-        stem = os.path.splitext(os.path.basename(path.removesuffix(".gz")))[0]
-        graph_io.write_csv(
-            os.path.join(args.out, f"curves_{stem}.csv"),
-            graph_io.CURVE_COLUMNS, _curve_rows(report, args.delta),
-        )
-        census_rows = (
-            (i, int(count), repr(float(count) / census.total),
-             repr(float(consts.c[i])) if i < consts.c.size else "")
-            for i, count in enumerate(census.counts) if count > 0
-        )
-        graph_io.write_csv(
-            os.path.join(args.out, f"census_{stem}.csv"),
-            graph_io.CENSUS_COLUMNS, census_rows,
-        )
-        if exponent is not None:
-            graph_io.write_csv(
-                os.path.join(args.out, f"exponent_{stem}.csv"),
-                graph_io.EXPONENT_COLUMNS,
-                [(args.d_min, exponent.n_tail, repr(exponent.estimate),
-                  repr(exponent.stderr), repr(exponent.ls_slope), repr(consts.gamma))],
-            )
-        graph_io.write_csv(
-            os.path.join(args.out, f"trajectories_{stem}.csv"),
-            graph_io.TRAJECTORY_COLUMNS,
-            [(c.vertex, c.final_degree, repr(c.onset_time), repr(c.ratio_min),
-              repr(c.ratio_max), int(c.vacuous)) for c in checks],
-        )
-        scatter_rows = (
-            (variant, int(degree), repr(value))
-            for variant in clustering.VARIANTS
-            for degree, value in clustering.scatter_from_report(report, variant).tolist()
-        )
-        graph_io.write_csv(
-            os.path.join(args.out, f"scatter_{stem}.csv"),
-            graph_io.SCATTER_COLUMNS, scatter_rows,
-        )
-        for variant in clustering.VARIANTS:
-            pooled_exact[variant].append(clustering.curve_from_report(report, variant))
-
-    pooled_rows = []
-    for variant in clustering.VARIANTS:
-        for d, (count, mean) in sorted(_pool_curves(pooled_exact[variant]).items()):
-            pooled_rows.append((variant, d, count, repr(mean)))
     graph_io.write_csv(
         os.path.join(args.out, "curves_pooled.csv"), graph_io.CURVE_COLUMNS, pooled_rows
     )
@@ -262,15 +291,14 @@ def _sweep_models(args) -> list[ModelParams]:
 
 
 def cmd_sweep(args) -> int:
-    if args.replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {args.replicas}")
+    seeds = _seed_list(args)
     models = _sweep_models(args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for model in models:
         curves = {"directed": [], "undirected": []}
-        for i in range(args.replicas):
-            graph = generate(replace(model, seed=model.seed + i))
+        for seed in seeds:
+            graph = generate(replace(model, seed=seed))
             report = clustering.compute_report(graph)
             for variant in curves:
                 curves[variant].append(clustering.curve_from_report(report, variant))
@@ -286,8 +314,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _run_config(args)
-    report = verify_equivalence(config.model, config.seed_list())
+    report = verify_equivalence(_model_from_args(args), _seed_list(args))
     print(report.summary())
     if not report.passed:
         raise VerificationError("vertex-centric and naive runs disagree")
@@ -307,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(gen)
     gen.add_argument("--replicas", type=int, default=1)
     gen.add_argument("--seeds", help="comma-separated explicit seeds")
-    gen.add_argument("--out", default=None, help="output directory (default: . or the config's output_dir)")
+    gen.add_argument("--out", default=".", help="output directory")
     gen.add_argument("--no-positions", action="store_true")
-    gen.add_argument("--config", help="key=value config file (overrides flags)")
+    gen.add_argument("--config", help="key=value file of generate flags; "
+                     "flags on the command line override it")
     gen.set_defaults(func=cmd_generate)
 
     st = sub.add_parser("stats", help="clustering curves, censuses, exponent, trajectories")
@@ -331,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--replicas", type=int, default=1)
     sw.add_argument("--out", default=".")
-    sw.set_defaults(func=cmd_sweep)
+    sw.set_defaults(func=cmd_sweep, seeds=None)
 
     ver = sub.add_parser("verify", help="vertex-centric vs naive equivalence on a small run")
     _add_model_flags(ver, n_default=2000)
@@ -343,8 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.command == "generate" and args.config:
+            # the file's flags go first, so the command line's override them
+            at = argv.index("generate") + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.func(args)
     except (ParameterError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

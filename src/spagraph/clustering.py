@@ -15,11 +15,10 @@ keys asks whether z->x exists (the "forward" listing of Schank and
 Wagner, 2005). A triangle is one edge among x's in-neighbors (old when
 y joined before x's split time) and one neighborhood edge of each of x,
 y and z in the undirected view. The pass walks the edges in chunks of
-at most `_CHUNK` wedges and builds only the keys each chunk looks up, so
-apart from one int64 per edge while the chunks are cut, its temporaries
-do not grow with the graph. `compute_report` builds every coefficient
-from that pass; its exact oracle is the exhaustive pair enumeration
-`verify.brute_force_clustering`.
+at most `_CHUNK` edges and `_CHUNK` wedges and builds only the keys each
+chunk looks up, so its temporaries do not grow with the graph.
+`compute_report` builds every coefficient from that pass; its exact
+oracle is the exhaustive pair enumeration `verify.brute_force_clustering`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .generator import GrownGraph
 
 VARIANTS = ("directed", "undirected", "old", "new")
 
-_CHUNK = 1 << 16   # wedges per triangle-pass chunk
+_CHUNK = 1 << 16   # at most this many edges and wedges per triangle-pass chunk
 
 
 def default_omega(n: int) -> float:
@@ -99,21 +98,22 @@ def _member_of(keys, query_keys):
     return keys[pos] == query_keys
 
 
-def _wedge_chunks(graph: GrownGraph) -> list[int]:
-    """Edge bounds cutting the edge list into chunks of at most _CHUNK wedges.
+def _wedge_chunks(graph: GrownGraph):
+    """Yield edge bounds (lo, hi) cutting the edge list into chunks.
 
-    Edge z->y heads the out_degree[y] wedges z->y->x. Each chunk ends where
-    its wedge count would pass _CHUNK, so a chunk holds at most _CHUNK
-    wedges, or one edge that alone has more.
+    Edge z->y heads the out_degree[y] wedges z->y->x. Wedges are summed
+    over windows of _CHUNK edges, and a chunk ends where its wedge count
+    would pass _CHUNK or at the window's end, so it holds at most _CHUNK
+    edges and _CHUNK wedges, or one edge alone.
     """
-    wedges = graph.out_degree[graph.out_targets]
-    np.cumsum(wedges, out=wedges)   # wedges headed by edges 0..i
-    bounds = [0]
-    while bounds[-1] < wedges.size:
-        lo = bounds[-1]
-        start = int(wedges[lo - 1]) if lo else 0
-        bounds.append(max(lo + 1, int(np.searchsorted(wedges, start + _CHUNK, side="right"))))
-    return bounds
+    for start in range(0, graph.num_edges, _CHUNK):
+        wedges = np.cumsum(graph.out_degree[graph.out_targets[start : start + _CHUNK]])
+        lo = 0
+        while lo < wedges.size:
+            before = int(wedges[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(wedges, before + _CHUNK, side="right")))
+            yield start + lo, start + hi
+            lo = hi
 
 
 def _triangle_counts(
@@ -125,7 +125,7 @@ def _triangle_counts(
     by one lookup of z->x in the sorted edge keys (see the module
     docstring). A chunk of edges only looks up edges of its own sources,
     so it builds just those keys, and every temporary stays within about
-    _CHUNK wedges. Arrays are id-indexed with slot 0 unused.
+    _CHUNK edges or wedges. Arrays are id-indexed with slot 0 unused.
     """
     n = graph.n
     nk = np.int64(n + 1)
@@ -133,8 +133,7 @@ def _triangle_counts(
     directed = np.zeros(n + 1, dtype=np.int64)
     old = np.zeros(n + 1, dtype=np.int64)
     undirected = np.zeros(n + 1, dtype=np.int64)
-    bounds = _wedge_chunks(graph)
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in _wedge_chunks(graph):
         # keys z * (n + 1) + y of every edge whose source z is in the chunk
         first, last = np.searchsorted(out_ptr, [lo, hi - 1], side="right") - 1
         base = out_ptr[first]

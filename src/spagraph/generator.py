@@ -70,9 +70,12 @@ class ModelParams:
             raise ParameterError(f"seed must be a 64-bit unsigned int, got {self.seed}")
 
 
-def sphere_volume(in_degree: int, t: int, params: ModelParams) -> float:
-    """Volume of a degree-`in_degree` vertex's sphere at time t, capped at 1."""
-    return min((params.a1 * in_degree + params.a2) / t, 1.0)
+def sphere_volume(in_degree, t, params: ModelParams):
+    """Volume of a degree-`in_degree` vertex's sphere at time t, capped at 1.
+
+    Scalars or arrays; arrays broadcast against each other.
+    """
+    return np.minimum((params.a1 * in_degree + params.a2) / t, 1.0)
 
 
 @dataclass
@@ -224,18 +227,25 @@ def generate_naive(params: ModelParams, force: bool = False) -> GrownGraph:
     return _grow(params, SphereIndex(params.dimension, params.norm, params.n))
 
 
+def _draw_positions(params: ModelParams, stream: CounterStream) -> np.ndarray:
+    """Every vertex's position, id-indexed; slot 0 stays NaN."""
+    positions = np.full((params.n + 1, params.dimension), np.nan)
+    for t in range(1, params.n + 1):
+        positions[t] = stream.position(t, params.dimension)
+    return positions
+
+
 def _grow(params: ModelParams, index) -> GrownGraph:
     """Step-centric growth: step t asks `index` which spheres cover x_t."""
-    n, m, p = params.n, params.dimension, params.p
+    n, p = params.n, params.p
     stream = CounterStream(params.seed)
-    positions = np.full((n + 1, m), np.nan)
+    positions = _draw_positions(params, stream)
     in_degree = np.zeros(n + 1, dtype=np.int64)
     out_ptr = np.zeros(n + 2, dtype=np.int64)
     targets: list[int] = []
 
     for t in range(1, n + 1):
-        x = stream.position(t, m)
-        positions[t] = x
+        x = positions[t]
         if t > 1:
             candidates = index.covering_spheres(x, t - 1)
             if candidates.size:
@@ -291,7 +301,7 @@ class _StaticGrid:
         if 3 ** m <= _MAX_CELLS:
             # No query is finer than a fresh vertex's sphere at step n, and
             # cell * (n + 1) + t must fit in an int64.
-            smallest = self.radii(np.array([min(params.a2 / max(n - 1, 1), 1.0)]))
+            smallest = self.radii(np.array([sphere_volume(0, max(n - 1, 1), params)]))
             finest = int(np.floor(-np.log2(smallest[0])))
             levels = 1 + min(max(finest, 0), (62 - self.n1.bit_length()) // m)
         self._keys = [self._bucket(level) for level in range(levels)]
@@ -345,11 +355,9 @@ class _StaticGrid:
 
 
 def _grow_by_vertex(params: ModelParams) -> GrownGraph:
-    n, m = params.n, params.dimension
+    n = params.n
     stream = CounterStream(params.seed)
-    positions = np.full((n + 1, m), np.nan)
-    for t in range(1, n + 1):
-        positions[t] = stream.position(t, m)
+    positions = _draw_positions(params, stream)
     grid = _StaticGrid(positions, params)
     # One buffer grown in place holds the keys t * (n + 1) + u of every
     # edge: no per-block arrays to free, and no second copy to join them.
@@ -369,7 +377,7 @@ def _grow_by_vertex(params: ModelParams) -> GrownGraph:
 
 def _covered(q, degree, tm1, params: ModelParams) -> np.ndarray:
     """The generator's membership test, with the sphere volume of `degree`."""
-    return q <= np.minimum((params.a1 * degree + params.a2) / tm1, 1.0)
+    return q <= sphere_volume(degree, tm1, params)
 
 
 def _threshold_degrees(q, tm1, bound, params: ModelParams) -> np.ndarray:
@@ -447,7 +455,7 @@ def _gather(grid: _StaticGrid, u, s, e, bound, params: ModelParams):
     u[i]'s sphere at degree bound[i] and time s[i] - 1, its largest in
     the window. Rows are taken while the pairs stay within MAX_PAIRS.
     """
-    volumes = np.minimum((params.a1 * bound + params.a2) / (s - 1).astype(float), 1.0)
+    volumes = sphere_volume(bound, (s - 1).astype(float), params)
     radii = grid.radii(volumes)
     levels = grid.levels(radii)
     runs = []

@@ -1,4 +1,4 @@
-"""Serialization: graph files, run manifests, run configs, CSV reports.
+"""Serialization: graph files, run manifests, CSV reports.
 
 Graph file format (text, `.gz` suffix selects gzip with a zeroed mtime so
 identical graphs produce identical bytes):
@@ -17,7 +17,9 @@ outside [0, 1). The header is read line by line; each section is parsed
 by one bulk numpy call and checked as whole arrays, and a failed check
 names the byte offset of the first bad line. Serialize -> parse ->
 serialize is byte-identical. All writes go through a temp file plus
-rename, so readers never observe partial files.
+rename, so readers never observe partial files. Run configs are not a
+file format here: `cli` reads a `generate --config` file as that
+command's own flags.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -340,82 +341,6 @@ def params_from_manifest(path: str) -> ModelParams:
         dimension=int(raw["dimension"]), norm=Norm.parse(raw["norm"]),
         seed=int(raw["seed"]),
     )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One generation campaign: model parameters plus replication policy."""
-
-    model: ModelParams
-    replicas: int = 1
-    seeds: tuple[int, ...] | None = None   # explicit; default base seed + i
-    output_dir: str = "."
-    include_positions: bool = True
-
-    def __post_init__(self):
-        if self.replicas < 1:
-            raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
-        seeds = self.seed_list()
-        if not seeds:
-            raise ParameterError("no replica seeds given")
-        if len(set(seeds)) != len(seeds):
-            raise ParameterError(f"replica seeds must be pairwise distinct: {seeds}")
-
-    def seed_list(self) -> tuple[int, ...]:
-        if self.seeds is not None:
-            return tuple(self.seeds)
-        return tuple(self.model.seed + i for i in range(self.replicas))
-
-
-_CONFIG_KEYS = frozenset(
-    _PARAM_KEYS
-    + ("replicas", "seeds", "output_dir", "include_positions")
-)
-
-
-def parse_config(text: str) -> RunConfig:
-    """Flat key=value config; keys mirror ModelParams / RunConfig fields."""
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParameterError(f"config line {lineno} is not key=value: {raw!r}")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ParameterError(f"config line {lineno}: unknown key {key!r}")
-        if key in fields:
-            raise ParameterError(f"config line {lineno}: repeated key {key!r}")
-        fields[key] = value.strip()
-    try:
-        model = ModelParams(
-            n=int(fields.get("n", "1000")),
-            p=float(fields.get("p", "0.7")),
-            a1=float(fields.get("a1", "1.0")),
-            a2=float(fields.get("a2", "1.0")),
-            dimension=int(fields.get("dimension", "2")),
-            norm=Norm.parse(fields.get("norm", "linf")),
-            seed=int(fields.get("seed", "0")),
-        )
-        seeds = None
-        if "seeds" in fields:
-            seeds = tuple(int(s) for s in fields["seeds"].split(",") if s.strip())
-        return RunConfig(
-            model=model,
-            replicas=int(fields.get("replicas", "1")),
-            seeds=seeds,
-            output_dir=fields.get("output_dir", "."),
-            include_positions=fields.get("include_positions", "true").lower() != "false",
-        )
-    except ValueError as exc:
-        raise ParameterError(f"bad config value: {exc}") from None
-
-
-def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
 
 
 def write_csv(path: str, columns, rows) -> None:

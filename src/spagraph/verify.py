@@ -1,15 +1,15 @@
 """Equivalence harness: fast generator against the linear-scan reference.
 
-Runs both generators from the same seed and demands bit-identical
-positions, edges, and degrees; then recomputes every clustering
-coefficient with the one exhaustive pair-enumeration oracle,
+Runs the generator under test (`generate` unless the caller passes
+another) and `generate_naive` from the same seed and demands
+bit-identical positions, edges, and degrees; then recomputes every
+clustering coefficient with the one exhaustive pair-enumeration oracle,
 `brute_force_clustering`, and compares it exactly with the vectorized
 `compute_report`. Any generation mismatch is reported with the first
 divergent growth step.
 
 The naive generator costs O(n^2) time and the oracle's dense adjacency
-matrix (n + 1)^2 bytes, so `VERIFY_GUARD` caps n at 5000 (25 MB) unless
-`force=True`.
+matrix (n + 1)^2 bytes, so `VERIFY_GUARD` caps n at 5000 (25 MB).
 """
 
 from __future__ import annotations
@@ -132,36 +132,29 @@ def _clustering_mismatch(graph: GrownGraph) -> str | None:
     return None
 
 
-def verify_equivalence(
-    params: ModelParams,
-    seeds,
-    index_factory=None,
-    clustering_check: bool = True,
-    force: bool = False,
-) -> VerifyReport:
-    """Run every seed through both generators and compare exactly."""
-    if params.n > VERIFY_GUARD and not force:
-        raise UsageError(
-            f"n={params.n} exceeds the verification guard {VERIFY_GUARD}; "
-            "pass force=True to override"
-        )
+def verify_equivalence(params: ModelParams, seeds, generator=None) -> VerifyReport:
+    """Run every seed through `generator` and the naive generator and compare exactly.
+
+    `generator(params)` is the run under test. None means this module's
+    `generate`, looked up at call time, so a harness that swaps that
+    attribute is what gets verified.
+    """
+    if params.n > VERIFY_GUARD:
+        raise UsageError(f"n={params.n} exceeds the verification guard {VERIFY_GUARD}")
+    run = generate if generator is None else generator
     results = []
     for seed in seeds:
         seeded = replace(params, seed=int(seed))
-        fast = generate(seeded, index_factory=index_factory)
-        reference = generate_naive(seeded, force=force)
+        fast = run(seeded)
+        reference = generate_naive(seeded)
         divergence = first_divergent_step(fast, reference)
         if divergence is not None:
             step, detail = divergence
             results.append(SeedVerification(seed, False, step, detail))
             continue
         if not np.array_equal(fast.in_degree, reference.in_degree):
-            results.append(SeedVerification(seed, False, None, "in-degrees differ"))
-            continue
-        if clustering_check:
+            problem = "in-degrees differ"
+        else:
             problem = _clustering_mismatch(fast)
-            if problem is not None:
-                results.append(SeedVerification(seed, False, None, problem))
-                continue
-        results.append(SeedVerification(seed, True))
+        results.append(SeedVerification(seed, problem is None, None, problem or ""))
     return VerifyReport(results=tuple(results))

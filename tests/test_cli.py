@@ -53,11 +53,14 @@ def test_generate_rejects_duplicate_seeds(tmp_path, capsys):
     (["sweep", "--p-list", "0.5", "--n", "50", "--replicas", "0"], "replicas must be >= 1"),
     (["verify", "--n", "50", "--seeds", "3,3"], "distinct"),
     (["generate", *ARGS, "--seeds", "3,x"], "comma-separated integers"),
+    (["generate", *ARGS, "--seeds", ""], "comma-separated integers"),
+    (["verify", "--n", "50", "--seeds", ""], "comma-separated integers"),
     (["sweep", "--p-list", ",", "--n", "50"], "names no p value"),
     (["sweep", "--p-list", "0.5,abc", "--n", "50"], "must be numbers"),
     (["sweep", "--p-list", "0.5,1.5", "--n", "50"], "must be in (0, 1)"),
     (["sweep", "--p-list", "0.5,1", "--n", "50"], "must be in (0, 1)"),
-], ids=["verify", "generate", "sweep", "verify-seeds", "generate-bad-seeds", "sweep-no-p",
+], ids=["verify", "generate", "sweep", "verify-seeds", "generate-bad-seeds",
+        "generate-empty-seeds", "verify-empty-seeds", "sweep-no-p",
         "sweep-p-not-a-number", "sweep-p-above-1", "sweep-p-1"])
 def test_no_runs_or_repeated_seeds_exit_1(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -208,6 +211,115 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+def test_config_file_round_trip(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("""
+    # campaign settings
+    n=1500
+    p=0.5
+    a1=1.0
+    a2=10.0
+    dimension=2
+    norm=linf
+    seed=7
+    replicas=3
+    output_dir=out
+    include_positions=false
+    """)
+    assert run(["generate", "--config", str(config)]) == 0
+    names = sorted(f for f in os.listdir(tmp_path / "out") if f.endswith(".tsv"))
+    assert names == [f"spa_n1500_p0.5_seed{s}.tsv" for s in (7, 8, 9)]
+    graph = read_graph(str(tmp_path / "out" / names[0]))
+    assert graph.params == ModelParams(n=1500, p=0.5, a1=1.0, a2=10.0, seed=7)
+    assert graph.positions is None
+
+
+def _config_run(tmp_path, monkeypatch, text):
+    """Exit code and the models `generate --config` would grow, without growing them."""
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    grown = []
+    monkeypatch.setattr(cli, "_generate_one", lambda task: grown.append(task) or task[1])
+    monkeypatch.chdir(tmp_path)
+    return run(["generate", "--config", str(config)]), grown
+
+
+def test_config_explicit_seeds_and_validation(tmp_path, monkeypatch, capsys):
+    code, grown = _config_run(tmp_path, monkeypatch, "n=10\nseeds=4,5,6\nreplicas=3\na2=1.0")
+    assert code == 0 and [params.seed for params, _, _ in grown] == [4, 5, 6]
+    for text, message in [
+        ("n=10\nseeds=4,4\na2=1.0", "pairwise distinct"),
+        ("n=10\ndelta=0.7\na2=1.0", "line 2: unknown key 'delta'"),
+        ("n=10\nreplicas=0\na2=1.0", "replicas must be >= 1"),
+        ("n=10\nbroken line\na2=1.0", "line 2 is not key=value"),
+        ("n=10\nseeds=\na2=1.0", "comma-separated integers"),
+        ("n=100\na2=1.0\nn=200", "line 3: repeated key 'n'"),
+    ]:
+        code, grown = _config_run(tmp_path, monkeypatch, text)
+        assert (code, grown) == (1, [])
+        assert message in capsys.readouterr().err
+
+
+def test_command_line_flags_override_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("n=50\na2=1.0\nseed=2\n")
+    argv = ["generate", "--config", str(config), "--n", "999", "--seed", "5", "--no-positions"]
+    assert run(argv) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "run.cfg", "spa_n999_p0.7_seed5.manifest.json", "spa_n999_p0.7_seed5.tsv"]
+    graph = read_graph(str(tmp_path / "spa_n999_p0.7_seed5.tsv"))
+    assert graph.params == ModelParams(n=999, p=0.7, a1=1.0, a2=1.0, seed=5)
+    assert graph.positions is None
+
+
+def test_config_without_a_key_takes_the_flag_default(tmp_path, monkeypatch):
+    code, grown = _config_run(tmp_path, monkeypatch, "seed=3\n")
+    assert code == 0
+    assert [params for params, _, _ in grown] == [
+        ModelParams(n=100_000, p=0.7, a1=1.0, a2=30 / 7, seed=3)]
+    assert grown[0][1:] == (".", True)
+
+
+@pytest.mark.parametrize("value, include", [
+    ("true", True), ("false", False),
+    ("0", None), ("1", None), ("False", None), ("yes", None), ("", None),
+])
+def test_config_include_positions_takes_only_true_or_false(
+    tmp_path, monkeypatch, capsys, value, include
+):
+    code, grown = _config_run(tmp_path, monkeypatch, f"n=10\ninclude_positions={value}\n")
+    if include is None:
+        assert (code, grown) == (1, [])
+        assert "include_positions must be true or false" in capsys.readouterr().err
+    else:
+        assert code == 0 and grown[0][2] is include
+
+
+@pytest.mark.parametrize("key, flag, value", [
+    ("n", "--n", "abc"), ("a2", "--a2", "x"), ("dimension", "--dim", "1.5"),
+    ("norm", "--norm", "l3"), ("replicas", "--replicas", "two"),
+])
+def test_bad_config_value_fails_as_its_flag_does(tmp_path, monkeypatch, capsys, key, flag, value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as from_flag:
+        run(["generate", flag, value])
+    flag_err = capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={value}\n")
+    with pytest.raises(SystemExit) as from_file:
+        run(["generate", "--config", str(config)])
+    assert from_file.value.code == from_flag.value.code == 2
+    assert capsys.readouterr().err == flag_err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert run(["generate", "--config", str(tmp_path / "nope.cfg")]) == 2
+    assert "nope.cfg" in capsys.readouterr().err
+
+
 def test_parallel_replicas_match_sequential(tmp_path, monkeypatch):
     seq, par = str(tmp_path / "seq"), str(tmp_path / "par")
     run(["generate", *ARGS, "--seed", "1", "--replicas", "2", "--out", seq])
@@ -218,6 +330,20 @@ def test_parallel_replicas_match_sequential(tmp_path, monkeypatch):
             with open(os.path.join(seq, name), "rb") as a, \
                  open(os.path.join(par, name), "rb") as b:
                 assert a.read() == b.read()
+
+
+def test_parallel_stats_match_sequential(tmp_path, monkeypatch):
+    graphs = str(tmp_path / "graphs")
+    run(["generate", *ARGS, "--seed", "1", "--replicas", "2", "--out", graphs])
+    paths = sorted(os.path.join(graphs, f) for f in os.listdir(graphs) if f.endswith(".tsv"))
+    outputs = {}
+    for jobs in ("1", "2"):
+        monkeypatch.setenv("SPA_JOBS", jobs)
+        out = tmp_path / f"jobs{jobs}"
+        assert run(["stats", *paths, "--out", str(out), "--d-min", "3"]) == 0
+        outputs[jobs] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    assert len(outputs["1"]) == 11   # five CSVs per graph plus the pooled curves
+    assert outputs["2"] == outputs["1"]
 
 
 # -- input checks -------------------------------------------------------------

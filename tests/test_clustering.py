@@ -173,11 +173,12 @@ def test_report_matches_brute_force_on_dense_graphs(graph, mode):
 def _counts_at_budget(graph, t_hat, budget):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cl, "_CHUNK", budget)
-        bounds = cl._wedge_chunks(graph)
+        chunks = list(cl._wedge_chunks(graph))
         wedges = np.cumsum(np.concatenate(([0], graph.out_degree[graph.out_targets])))
-        for lo, hi in zip(bounds, bounds[1:]):   # within budget, or one edge alone
-            assert wedges[hi] - wedges[lo] <= budget or hi == lo + 1
-        assert bounds[0] == 0 and bounds[-1] == graph.num_edges
+        for lo, hi in chunks:   # within budget in edges and wedges, or one edge alone
+            assert (hi - lo <= budget and wedges[hi] - wedges[lo] <= budget) or hi == lo + 1
+        bounds = [0] + [hi for _, hi in chunks]
+        assert [lo for lo, _ in chunks] == bounds[:-1] and bounds[-1] == graph.num_edges
         return cl._triangle_counts(graph, t_hat), report_coefficients(graph)
 
 
@@ -207,6 +208,8 @@ def test_triangle_counts_budget_free_on_grown_graph(grown):
     (1, []),                                               # one vertex
     # edge 7->6 heads five wedges, more than budgets 1, 2 and 3
     (7, [(2, 1), (6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (7, 1), (7, 3), (7, 6)]),
+    # a star into vertex 1: no edge heads a wedge, so only the edge cap cuts chunks
+    (70, [(v, 1) for v in range(2, 71)]),
 ])
 def test_triangle_counts_budget_free_edge_cases(n, edges):
     assert_budget_free(graph_from(n, edges))

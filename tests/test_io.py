@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spagraph import graph_io, stats
-from spagraph.errors import ParameterError, ParseError, UsageError
+from spagraph.errors import ParseError, UsageError
 from spagraph.generator import ModelParams, generate
 from spagraph.geometry import Norm
 
@@ -98,45 +98,6 @@ def test_manifest_peak_rss_is_null_without_resource(grown, tmp_path, monkeypatch
     graph_io.write_manifest(path, grown, "g.tsv", wall_time_s=0.5)
     manifest = json.load(open(path))
     assert "peak_rss_mb" in manifest and manifest["peak_rss_mb"] is None
-
-
-def test_config_parse_round_trip(tmp_path):
-    text = """
-    # campaign settings
-    n=1500
-    p=0.5
-    a1=1.0
-    a2=10.0
-    dimension=2
-    norm=linf
-    seed=7
-    replicas=3
-    output_dir=out
-    include_positions=false
-    """
-    config = graph_io.parse_config(text)
-    assert config.model.n == 1500
-    assert config.model.a2 == 10.0
-    assert config.seed_list() == (7, 8, 9)
-    assert config.output_dir == "out"
-    assert config.include_positions is False
-
-
-def test_config_explicit_seeds_and_validation():
-    config = graph_io.parse_config("n=10\nseeds=4,5,6\nreplicas=3\na2=1.0")
-    assert config.seed_list() == (4, 5, 6)
-    with pytest.raises(ParameterError):
-        graph_io.parse_config("n=10\nseeds=4,4\na2=1.0")
-    with pytest.raises(ParameterError):
-        graph_io.parse_config("n=10\ndelta=0.7\na2=1.0")
-    with pytest.raises(ParameterError):
-        graph_io.parse_config("n=10\nreplicas=0\na2=1.0")
-    with pytest.raises(ParameterError):
-        graph_io.parse_config("n=10\nbroken line\na2=1.0")
-    with pytest.raises(ParameterError, match="no replica seeds"):
-        graph_io.parse_config("n=10\nseeds=\na2=1.0")
-    with pytest.raises(ParameterError, match="line 3: repeated key 'n'"):
-        graph_io.parse_config("n=100\na2=1.0\nn=200")
 
 
 def test_write_csv_schema(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from spagraph import verify
 from spagraph.errors import UsageError
-from spagraph.generator import GrownGraph, ModelParams
+from spagraph.generator import GrownGraph, ModelParams, generate
 from spagraph.spatial_index import SphereIndex
 from spagraph.verify import first_divergent_step, verify_equivalence
 
@@ -49,13 +50,42 @@ def test_verify_guard():
 def test_corrupted_index_fails_and_names_step():
     params = ModelParams(n=600, seed=0, **PARAMS)
     report = verify_equivalence(
-        params, seeds=[0], index_factory=DroppedUpdateIndex, clustering_check=False
+        params, seeds=[0], generator=functools.partial(generate, index_factory=DroppedUpdateIndex)
     )
     assert not report.passed
     result = report.results[0]
     assert result.first_divergent_step is not None
     assert result.first_divergent_step > 1
     assert "MISMATCH" in report.summary()
+
+
+def _first_step_past_edge_40(graph):
+    """The first step whose out-edges start at or after edge 40 and that has any."""
+    return next(t for t in range(1, graph.n + 1)
+                if graph.out_ptr[t] >= 40 and graph.out_degree[t] > 0)
+
+
+def drop_an_edge(params):
+    """The default vertex-centric run, less the first out-edge of the first step past edge 40."""
+    graph = generate(params)
+    edges = np.column_stack((graph.edge_sources(), graph.out_targets))
+    edges = np.delete(edges, graph.out_ptr[_first_step_past_edge_40(graph)], axis=0)
+    return GrownGraph.from_edges(params, edges, graph.positions)
+
+
+def test_dropped_edge_on_default_path_fails_and_names_step():
+    params = ModelParams(n=600, seed=0, **PARAMS)
+    report = verify_equivalence(params, seeds=[0], generator=drop_an_edge)
+    assert not report.passed
+    step = _first_step_past_edge_40(generate(params))
+    assert report.results[0].first_divergent_step == step > 1
+    assert f"MISMATCH at step {step}: out-edges differ" in report.summary()
+
+
+def test_default_generator_is_looked_up_at_call_time(monkeypatch):
+    monkeypatch.setattr(verify, "generate", drop_an_edge)
+    report = verify_equivalence(ModelParams(n=300, seed=0, **PARAMS), seeds=[0])
+    assert not report.passed
 
 
 @pytest.mark.parametrize("field", ["c_old", "c_undirected"])
