@@ -103,8 +103,11 @@ def _config_flags(path: str) -> list[str]:
     `#` starts a comment and blank lines are skipped. A line without `=`,
     an unknown key or a repeated key is an error naming the line.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path} is not UTF-8", exc.start) from None
     flags, seen = [], set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -211,7 +214,7 @@ def _report_graph(task) -> dict:
 
     Returns its exact curves by variant, which `cmd_stats` pools.
     """
-    path, out, split, omega_mode, d_min, top, delta = task
+    path, stem, out, split, omega_mode, d_min, top, delta = task
     graph = graph_io.read_graph(path)
     omega = _parse_omega(omega_mode, graph.n)
     report = clustering.compute_report(graph, clustering.SplitPolicy(mode=split, omega=omega))
@@ -223,8 +226,6 @@ def _report_graph(task) -> dict:
     except UsageError:
         pass
     checks = [stats.trajectory_check(graph, int(v), omega) for v in _top_vertices(graph, top)]
-
-    stem = os.path.splitext(os.path.basename(path.removesuffix(".gz")))[0]
 
     def write(kind, columns, rows):
         graph_io.write_csv(os.path.join(out, f"{kind}_{stem}.csv"), columns, rows)
@@ -253,10 +254,17 @@ def _report_graph(task) -> dict:
 
 
 def cmd_stats(args) -> int:
+    # a graph's CSVs are named by its file stem, so no two inputs may share one
+    paths = {}
+    for path in args.graphs:
+        stem = os.path.splitext(os.path.basename(path.removesuffix(".gz")))[0]
+        if stem in paths:
+            raise UsageError(f"{paths[stem]} and {path} would both write the CSVs of {stem!r}")
+        paths[stem] = path
     os.makedirs(args.out, exist_ok=True)
     curves = _map(_report_graph, [
-        (path, args.out, args.split, args.omega_mode, args.d_min, args.top, args.delta)
-        for path in args.graphs
+        (path, stem, args.out, args.split, args.omega_mode, args.d_min, args.top, args.delta)
+        for stem, path in paths.items()
     ])
     pooled_rows = [
         (variant, d, count, repr(mean))

@@ -8,12 +8,16 @@ randomness no matter how they discover candidates, and a divergence stays
 local to the (step, vertex) pair that caused it.
 
 The stream function is the keyed BLAKE2b PRF from hashlib (RFC 7693),
-which is stable across platforms and Python versions.
+which is stable across platforms and Python versions. Its little-endian
+word w gives the exact float (w >> 11) * 2^-53; `uniforms` draws many in
+one loop, and `heads(p)` tests w < ceil(p * 2^53) << 11, which equals
+`uniform < p` for every p in [0, 1] without computing a float.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -47,19 +51,33 @@ class CounterStream:
         """One uniform in [0, 1) from the given lane/step/counter."""
         return (self._word(lane, t, counter) >> 11) * _TO_UNIT
 
+    def uniforms(self, lane: int, steps, counters) -> np.ndarray:
+        """`uniform(lane, steps[i], counters[i])` for every i of two int sequences."""
+        copy = self._keyed.copy
+        digests = []
+        for t, counter in zip(steps, counters):
+            state = copy()
+            state.update(_PACK(lane, t, counter))
+            digests.append(state.digest())
+        return (np.frombuffer(b"".join(digests), "<u8") >> 11) * _TO_UNIT
+
+    def heads(self, p: float):
+        """The coin test `uniform(LANE_COIN, t, u) < p` as a function of (t, u)."""
+        threshold = math.ceil(p * 2.0 ** 53) << 11
+        copy, from_bytes = self._keyed.copy, int.from_bytes
+
+        def heads(t: int, u: int) -> bool:
+            state = copy()
+            state.update(_PACK(LANE_COIN, t, u))
+            return from_bytes(state.digest(), "little") < threshold
+
+        return heads
+
     def position(self, t: int, m: int) -> np.ndarray:
         """The m position coordinates consumed at step t."""
-        return np.array(
-            [(self._word(LANE_POSITION, t, j) >> 11) * _TO_UNIT for j in range(m)]
-        )
-
-    def coin(self, t: int, vertex_id: int) -> float:
-        """The link coin of one candidate at step t (scalar `coin_uniforms`)."""
-        return (self._word(LANE_COIN, t, vertex_id) >> 11) * _TO_UNIT
+        return self.uniforms(LANE_POSITION, [t] * m, range(m))
 
     def coin_uniforms(self, t: int, vertex_ids) -> np.ndarray:
         """Link coins for step t, one per candidate, indexed by birth index."""
-        word = self._word
-        return np.array(
-            [(word(LANE_COIN, t, int(u)) >> 11) * _TO_UNIT for u in vertex_ids]
-        )
+        ids = np.asarray(vertex_ids).tolist()
+        return self.uniforms(LANE_COIN, [t] * len(ids), ids)

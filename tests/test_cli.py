@@ -320,6 +320,31 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "nope.cfg" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"n=5\xff\n")
+    assert run(["generate", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "run.cfg is not UTF-8 (byte offset 3)" in err and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("names", [("a/x.tsv", "b/x.tsv"), ("x.tsv", "x.tsv.gz")])
+def test_stats_inputs_sharing_a_stem_exit_1_and_write_nothing(tmp_path, capsys, names):
+    graph = GrownGraph.from_edges(ModelParams(n=3, p=0.5, a1=1.0, a2=1.0), [(2, 1), (3, 1)])
+    paths = []
+    for name in names:
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        write_graph(graph, str(path))
+        paths.append(str(path))
+    out = tmp_path / "reports"
+    assert run(["stats", *paths, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert paths[0] in err and paths[1] in err
+    assert not out.exists()
+
+
 def test_parallel_replicas_match_sequential(tmp_path, monkeypatch):
     seq, par = str(tmp_path / "seq"), str(tmp_path / "par")
     run(["generate", *ARGS, "--seed", "1", "--replicas", "2", "--out", seq])

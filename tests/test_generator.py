@@ -7,13 +7,16 @@ from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import (
     GrownGraph,
     ModelParams,
+    _DRAW,
     _StaticGrid,
+    _draw_positions,
     generate,
     generate_naive,
     sphere_volume,
 )
 from spagraph.geometry import Norm, needed_volume
 from spagraph.graph_io import serialize_graph
+from spagraph.rng import CounterStream
 from spagraph.spatial_index import SphereIndex
 
 DEFAULTS = dict(p=0.7, a1=1.0, a2=30 / 7, dimension=2, norm=Norm.LINF)
@@ -21,6 +24,17 @@ DEFAULTS = dict(p=0.7, a1=1.0, a2=30 / 7, dimension=2, norm=Norm.LINF)
 
 def make(n, seed=0, **overrides):
     return ModelParams(n=n, seed=seed, **{**DEFAULTS, **overrides})
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_batched_positions_equal_per_step_draws_across_the_batch_boundary(dimension):
+    n = _DRAW // dimension + 3
+    stream = CounterStream(17)
+    positions = _draw_positions(make(n, seed=17, dimension=dimension), stream)
+    assert positions.shape == (n + 1, dimension)
+    assert np.isnan(positions[0]).all()
+    want = np.array([stream.position(t, dimension) for t in range(1, n + 1)])
+    assert np.array_equal(positions[1:], want)
 
 
 def test_param_domain():

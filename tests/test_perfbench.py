@@ -33,6 +33,14 @@ def test_selfcheck_detects_the_broken_index(tmp_path):
     assert worker("selfcheck", "grow", work_dir=tmp_path) == {"detected": True}
 
 
+def test_grow_passes_every_check(tmp_path):
+    checks = worker("run", "grow", work_dir=tmp_path)["checks"]
+    names = {name for name, _, _ in checks}
+    assert {"grow.naive_prefix", "grow.manifest_edges"} <= names
+    assert any(name.startswith("grow.sha256.") for name in names)
+    assert_all_pass(checks)
+
+
 def test_sweep_passes_every_check(tmp_path):
     checks = worker("run", "sweep", work_dir=tmp_path)["checks"]
     assert any(name == "sweep.sha256.sweep.csv" for name, _, _ in checks)

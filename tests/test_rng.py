@@ -77,7 +77,44 @@ def test_words_match_keyed_blake2b_on_random_counters():
 def test_scalar_coin_equals_word_and_coin_uniforms():
     rng = np.random.default_rng(99)
     s = CounterStream(31337)
-    for t, u in rng.integers(1, 2 ** 40, size=(500, 2)).tolist():
-        want = (_keyed_blake2b_word(31337, LANE_COIN, t, u) >> 11) * 2.0 ** -53
-        assert s.coin(t, u) == want == (s._word(LANE_COIN, t, u) >> 11) * 2.0 ** -53
-        assert s.coin(t, u) == s.coin_uniforms(t, [u])[0]
+    pairs = rng.integers(1, 2 ** 40, size=(500, 2)).tolist()
+    words = [_keyed_blake2b_word(31337, LANE_COIN, t, u) for t, u in pairs]
+    want = [(w >> 11) * 2.0 ** -53 for w in words]
+    steps, ids = zip(*pairs)
+    assert s.uniforms(LANE_COIN, steps, ids).tolist() == want
+    for (t, u), coin in zip(pairs, want):
+        assert s.coin_uniforms(t, [u])[0] == coin == s.uniform(LANE_COIN, t, u)
+    for p in (0.0, 0.3, 0.7, 1.0):
+        heads = s.heads(p)
+        assert [heads(t, u) for t, u in pairs] == [coin < p for coin in want]
+
+
+def test_batch_draws_match_keyed_blake2b_on_random_64_bit_counters():
+    rng = np.random.default_rng(7)
+    for seed in (0, 7, 2 ** 64 - 1):
+        s = CounterStream(seed)
+        draws = rng.integers(0, 2 ** 64, size=(200, 2), dtype=np.uint64)
+        pairs = [(int(t), int(u)) for t, u in draws]
+        steps, ids = zip(*pairs)
+        for lane in (LANE_POSITION, LANE_COIN):
+            want = [(_keyed_blake2b_word(seed, lane, t, u) >> 11) * 2.0 ** -53 for t, u in pairs]
+            assert s.uniforms(lane, steps, ids).tolist() == want
+        coins = s.uniforms(LANE_COIN, steps, ids)
+        heads = s.heads(0.5)
+        assert [heads(t, u) for t, u in pairs] == (coins < 0.5).tolist()
+
+
+def test_heads_flips_exactly_at_the_coin_value():
+    s = CounterStream(11)
+    for t, u in [(1, 1), (2, 1), (9, 4), (2 ** 63, 2 ** 64 - 1)]:
+        coin = (_keyed_blake2b_word(11, LANE_COIN, t, u) >> 11) * 2.0 ** -53
+        assert not s.heads(coin)(t, u)
+        assert s.heads(np.nextafter(coin, 2))(t, u)
+        assert not s.heads(0.0)(t, u)
+        assert s.heads(1.0)(t, u)
+
+
+def test_empty_batch_draws():
+    s = CounterStream(3)
+    assert s.uniforms(LANE_COIN, [], []).shape == (0,)
+    assert s.coin_uniforms(5, np.empty(0, dtype=np.int64)).shape == (0,)
