@@ -254,6 +254,8 @@ def _report_graph(task) -> dict:
 
 
 def cmd_stats(args) -> int:
+    if args.top < 0:
+        raise ParameterError(f"--top must be >= 0, got {args.top}")
     # a graph's CSVs are named by its file stem, so no two inputs may share one
     paths = {}
     for path in args.graphs:

@@ -12,8 +12,9 @@ position first, buckets them once into a static cell-sorted grid per cell
 size, and walks each vertex forward in time through doubling windows,
 reading the coin of (step, vertex) only when the vertex covers the step
 (n = 10^5 in about 5.5 s on one core of a 2.1 GHz Xeon virtual machine).
-`generate_naive` is the step-centric O(n^2) oracle: each step asks a
-linear-scan `SphereIndex` which prior vertices cover the newcomer.
+`generate_naive` is the step-centric O(n^2) oracle: step t asks a
+linear-scan `SphereIndex` which prior spheres, at their volumes for time
+t - 1, cover the newcomer.
 Passing `index_factory` to `generate` runs the same step-centric walk
 over an index of the caller's choosing (`SphereIndex` or a subclass),
 which keeps a seam for injecting a broken or instrumented index. All
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import array
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,8 @@ class ModelParams:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"p must be in [0, 1], got {self.p}")
+        if not (math.isfinite(self.a1) and math.isfinite(self.a2)):
+            raise ParameterError(f"a1 and a2 must be finite, got {self.a1} and {self.a2}")
         if self.a1 <= 0:
             raise ParameterError(f"a1 must be > 0, got {self.a1}")
         if self.p * self.a1 >= 1.0:

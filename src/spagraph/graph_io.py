@@ -12,20 +12,22 @@ identical graphs produce identical bytes):
     <vertex>TAB<coord>...       # repr() floats in [0, 1), shortest round-trip form
 
 Any other `%` line is a parse error, and so are a repeated section marker,
-a blank line or carriage return inside a section, and a coordinate
-outside [0, 1). The header is read line by line; each section is parsed
-by one bulk numpy call and checked as whole arrays, and a failed check
-names the byte offset of the first bad line. Serialize -> parse ->
-serialize is byte-identical. All writes go through a temp file plus
-rename, so readers never observe partial files. Run configs are not a
-file format here: `cli` reads a `generate --config` file as that
-command's own flags.
+a header key that is not a model parameter, a blank line or carriage
+return inside a section, and a coordinate outside [0, 1). The header is
+read line by line, and a manifest's parameters are checked as a header's
+are; each section is parsed by one bulk numpy call and checked as whole
+arrays, and a failed check names the byte offset of the first bad line.
+Serialize -> parse -> serialize is byte-identical. All writes go through
+a temp file plus rename, so readers never observe partial files. Run
+configs are not a file format here: `cli` reads a `generate --config`
+file as that command's own flags.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import gzip
 import io
 import json
@@ -41,12 +43,16 @@ except ImportError:   # not on Windows
     resource = None
 
 from ._version import __version__
-from .errors import ParameterError, ParseError, UsageError
+from .errors import ParseError, UsageError
 from .generator import GrownGraph, ModelParams, first_bad_edge
 from .geometry import Norm
 
 HEADER = "%spa-graph v1"
-_PARAM_KEYS = ("p", "a1", "a2", "dimension", "norm", "n", "seed")
+# each model parameter's header key, in file order, and how its value is read
+_PARAM_TYPES = {
+    "p": float, "a1": float, "a2": float, "dimension": int,
+    "norm": Norm.parse, "n": int, "seed": int,
+}
 
 CURVE_COLUMNS = ("variant", "d", "count", "mean_c")
 CENSUS_COLUMNS = ("degree", "count", "fraction", "theory_c")
@@ -86,7 +92,7 @@ def _format_value(value) -> str:
 
 def serialize_graph(graph: GrownGraph, include_positions: bool = True) -> bytes:
     p = graph.params
-    header = [HEADER] + [f"{key}={_format_value(getattr(p, key))}" for key in _PARAM_KEYS]
+    header = [HEADER] + [f"{key}={_format_value(getattr(p, key))}" for key in _PARAM_TYPES]
     parts = ["\n".join(header + ["%edges\n"]).encode()]
     sources, targets = graph.edge_sources(), graph.out_targets
     for lo in range(0, targets.size, _BATCH):
@@ -112,20 +118,16 @@ def write_graph(graph: GrownGraph, path: str, include_positions: bool = True) ->
 
 
 def _parse_params(fields: dict, offset: int) -> ModelParams:
-    missing = [k for k in _PARAM_KEYS if k not in fields]
+    """ModelParams from key -> (value, byte offset of its line); the block starts at `offset`."""
+    unknown = [key for key in fields if key not in _PARAM_TYPES]
+    if unknown:
+        raise ParseError(f"unknown parameter key {unknown[0]!r}", fields[unknown[0]][1])
+    missing = [key for key in _PARAM_TYPES if key not in fields]
     if missing:
         raise ParseError(f"missing parameter keys {missing}", offset)
     try:
-        return ModelParams(
-            n=int(fields["n"]),
-            p=float(fields["p"]),
-            a1=float(fields["a1"]),
-            a2=float(fields["a2"]),
-            dimension=int(fields["dimension"]),
-            norm=Norm.parse(fields["norm"]),
-            seed=int(fields["seed"]),
-        )
-    except (ValueError, ParameterError) as exc:
+        return ModelParams(**{key: _PARAM_TYPES[key](value) for key, (value, _) in fields.items()})
+    except ValueError as exc:
         raise ParseError(f"bad parameter block: {exc}", offset) from None
 
 
@@ -183,8 +185,9 @@ def _sections(data: bytes, start: int) -> dict[str, tuple[int, int, int]]:
         name, marker_offset, start = marker[1:], end, line_end + 1
 
 
-def _header_fields(data: bytes, start: int, end: int) -> dict[str, str]:
-    fields: dict[str, str] = {}
+def _header_fields(data: bytes, start: int, end: int) -> dict[str, tuple[str, int]]:
+    """key -> (value, byte offset of its line) for the key=value lines of the header."""
+    fields: dict[str, tuple[str, int]] = {}
     offset = start
     for raw in data[start:end].split(b"\n"):
         line_offset, offset = offset, offset + len(raw) + 1
@@ -196,7 +199,7 @@ def _header_fields(data: bytes, start: int, end: int) -> dict[str, str]:
             raise ParseError(f"bad header line {line!r}: expected key=value", line_offset)
         if key in fields:
             raise ParseError(f"bad header line {line!r}: duplicate key {key!r}", line_offset)
-        fields[key] = value
+        fields[key] = (value, line_offset)
     return fields
 
 
@@ -315,15 +318,11 @@ def _peak_rss_mb() -> float | None:
 
 
 def write_manifest(path: str, graph: GrownGraph, graph_file: str, wall_time_s: float) -> None:
-    p = graph.params
     manifest = {
         "format": "spa-graph-manifest v1",
         "library": "spagraph",
         "version": __version__,
-        "params": {
-            "n": p.n, "p": p.p, "a1": p.a1, "a2": p.a2,
-            "dimension": p.dimension, "norm": p.norm.value, "seed": p.seed,
-        },
+        "params": {**dataclasses.asdict(graph.params), "norm": graph.params.norm.value},
         "edge_count": graph.num_edges,
         "wall_time_s": wall_time_s,
         "peak_rss_mb": _peak_rss_mb(),
@@ -333,14 +332,10 @@ def write_manifest(path: str, graph: GrownGraph, graph_file: str, wall_time_s: f
 
 
 def params_from_manifest(path: str) -> ModelParams:
+    """The manifest's parameters, read from their text as a header's are (2000.5 is no n)."""
     with open(path, "rb") as handle:
         manifest = json.load(handle)
-    raw = manifest["params"]
-    return ModelParams(
-        n=int(raw["n"]), p=float(raw["p"]), a1=float(raw["a1"]), a2=float(raw["a2"]),
-        dimension=int(raw["dimension"]), norm=Norm.parse(raw["norm"]),
-        seed=int(raw["seed"]),
-    )
+    return _parse_params({key: (str(v), 0) for key, v in manifest["params"].items()}, 0)
 
 
 def write_csv(path: str, columns, rows) -> None:

@@ -11,7 +11,7 @@ The stream function is the keyed BLAKE2b PRF from hashlib (RFC 7693),
 which is stable across platforms and Python versions. Its little-endian
 word w gives the exact float (w >> 11) * 2^-53; `uniforms` draws many in
 one loop, and `heads(p)` tests w < ceil(p * 2^53) << 11, which equals
-`uniform < p` for every p in [0, 1] without computing a float.
+that float < p for every p in [0, 1] without computing a float.
 """
 
 from __future__ import annotations
@@ -42,17 +42,8 @@ class CounterStream:
         # re-keying on every word and yields the same digests.
         self._keyed = hashlib.blake2b(key=struct.pack("<Q", seed), digest_size=8)
 
-    def _word(self, lane: int, t: int, counter: int) -> int:
-        state = self._keyed.copy()
-        state.update(_PACK(lane, t, counter))
-        return int.from_bytes(state.digest(), "little")
-
-    def uniform(self, lane: int, t: int, counter: int) -> float:
-        """One uniform in [0, 1) from the given lane/step/counter."""
-        return (self._word(lane, t, counter) >> 11) * _TO_UNIT
-
     def uniforms(self, lane: int, steps, counters) -> np.ndarray:
-        """`uniform(lane, steps[i], counters[i])` for every i of two int sequences."""
+        """The uniform in [0, 1) at (lane, steps[i], counters[i]) for every i."""
         copy = self._keyed.copy
         digests = []
         for t, counter in zip(steps, counters):
@@ -62,7 +53,7 @@ class CounterStream:
         return (np.frombuffer(b"".join(digests), "<u8") >> 11) * _TO_UNIT
 
     def heads(self, p: float):
-        """The coin test `uniform(LANE_COIN, t, u) < p` as a function of (t, u)."""
+        """The coin test `uniforms(LANE_COIN, [t], [u])[0] < p` as a function of (t, u)."""
         threshold = math.ceil(p * 2.0 ** 53) << 11
         copy, from_bytes = self._keyed.copy, int.from_bytes
 

@@ -1,14 +1,14 @@
 """Linear-scan index over spheres of influence on the torus.
 
-Answers "which inserted vertices' spheres contain the point x" by testing
-every inserted vertex, O(t) per query. `generate_naive` walks steps over
-this index, and `generate` does so too when it is passed `index_factory`,
-the seam through which harnesses inject a broken or instrumented index
-(a subclass of `SphereIndex`); its default vertex-centric walk needs no
-dynamic index.
+Answers "which inserted vertices' spheres contain the point x at time t"
+by testing every inserted vertex, O(t) per query. `generate_naive` walks
+steps over this index, and `generate` does so too when it is passed
+`index_factory`, the seam through which harnesses inject a broken or
+instrumented index (a subclass of `SphereIndex`); its default
+vertex-centric walk needs no dynamic index.
 
-Each entry stores its sphere's volume numerator w, so its current volume
-is min(w / t, 1) for the clock t; time decay costs nothing until a query.
+Each entry stores its sphere's volume numerator w; a query at time t
+tests membership at volume min(w / t, 1).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class SphereIndex:
         self.m = m
         self.norm = norm
         self.capacity = capacity
-        self.clock = 1
         # slots never inserted keep NaN centers, which no ball contains
         self._positions = np.full((capacity + 1, m), np.nan)
         self._weights = np.zeros(capacity + 1)
@@ -39,7 +38,7 @@ class SphereIndex:
         return 0 < vertex_id <= self.capacity and bool(self._present[vertex_id])
 
     def insert(self, vertex_id: int, position, weight: float) -> None:
-        """Add a vertex whose sphere has volume min(weight / clock, 1)."""
+        """Add a vertex whose sphere has volume min(weight / t, 1) at time t."""
         if vertex_id in self:
             raise UsageError(f"vertex {vertex_id} already present")
         if not 0 < vertex_id <= self.capacity:
@@ -55,26 +54,12 @@ class SphereIndex:
             raise UsageError(f"vertex {vertex_id} not present")
         self._weights[vertex_id] = weight
 
-    def advance_time(self, t: int) -> None:
-        """Move the clock forward; all sphere volumes decay to w/t."""
-        if t < self.clock:
-            raise UsageError(f"clock may not go backwards: {t} < {self.clock}")
-        self.clock = t
+    def covering_spheres(self, x, t: int) -> np.ndarray:
+        """Ids of all vertices whose sphere of volume min(w / t, 1) contains x, ascending.
 
-    def covering_spheres(self, x, t: int | None = None) -> np.ndarray:
-        """Ids of all vertices whose sphere contains x, ascending by birth.
-
-        If t is given the clock is advanced to it first, so radii reflect
-        exactly the volumes min(w / t, 1). Membership is the closed-ball
-        predicate shared with the vertex-centric generator.
+        Membership is the closed-ball predicate shared with the
+        vertex-centric generator.
         """
-        if t is not None:
-            self.advance_time(t)
         end = self._end
-        volumes = np.minimum(self._weights[1:end] / float(self.clock), 1.0)
+        volumes = np.minimum(self._weights[1:end] / float(t), 1.0)
         return np.flatnonzero(ball_contains(self._positions[1:end], volumes, x, self.norm)) + 1
-
-    def current_volume(self, vertex_id: int) -> float:
-        if vertex_id not in self:
-            raise UsageError(f"vertex {vertex_id} not present")
-        return float(min(self._weights[vertex_id] / float(self.clock), 1.0))

@@ -59,9 +59,13 @@ def test_generate_rejects_duplicate_seeds(tmp_path, capsys):
     (["sweep", "--p-list", "0.5,abc", "--n", "50"], "must be numbers"),
     (["sweep", "--p-list", "0.5,1.5", "--n", "50"], "must be in (0, 1)"),
     (["sweep", "--p-list", "0.5,1", "--n", "50"], "must be in (0, 1)"),
+    (["generate", *ARGS, "--a1", "nan"], "a1 and a2 must be finite"),
+    (["generate", *ARGS, "--a2", "nan"], "a1 and a2 must be finite"),
+    (["generate", *ARGS, "--a2", "inf"], "a1 and a2 must be finite"),
 ], ids=["verify", "generate", "sweep", "verify-seeds", "generate-bad-seeds",
         "generate-empty-seeds", "verify-empty-seeds", "sweep-no-p",
-        "sweep-p-not-a-number", "sweep-p-above-1", "sweep-p-1"])
+        "sweep-p-not-a-number", "sweep-p-above-1", "sweep-p-1",
+        "generate-a1-nan", "generate-a2-nan", "generate-a2-inf"])
 def test_no_runs_or_repeated_seeds_exit_1(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1
@@ -462,3 +466,37 @@ def test_bad_omega_mode_exits_1(tmp_path, capsys, omega):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "omega" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old,new,message,at", [
+    # a bad value is reported at the parameter block, an unknown key at its own line
+    (b"a2=4.285714285714286\n", b"a2=nan\n", "bad parameter block: a1 and a2 must be finite",
+     b"p=0.7\n"),
+    (b"%edges\n", b"foo=bar\n%edges\n", "unknown parameter key 'foo'", b"foo=bar\n"),
+], ids=["a2=nan", "unknown key"])
+def test_bad_header_parameter_exits_2_and_writes_nothing(tmp_path, capsys, old, new, message, at):
+    src = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", src])
+    path = os.path.join(src, "spa_n400_p0.7_seed3.tsv")
+    data = open(path, "rb").read()
+    assert old in data
+    data = data.replace(old, new, 1)
+    with open(path, "wb") as handle:
+        handle.write(data)
+    out = tmp_path / "out"
+    assert run(["stats", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and f"(byte offset {data.index(at)})" in err
+    assert os.listdir(out) == []
+
+
+def test_negative_top_exits_1_before_writing(tmp_path, capsys):
+    src = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", src])
+    path = os.path.join(src, "spa_n400_p0.7_seed3.tsv")
+    out = tmp_path / "out"
+    assert run(["stats", path, "--out", str(out), "--top", "-5"]) == 1
+    assert "--top must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["stats", path, "--out", str(out), "--top", "0"]) == 0
+    assert _trajectory_vertices(str(out), "spa_n400_p0.7_seed3") == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,11 @@ def test_param_domain():
         make(0)
     with pytest.raises(ParameterError):
         make(10, seed=-1)
+    # p * a1 is nan for a1 = inf and p = 0, which no comparison catches
+    for a1, a2, p in [(math.nan, 1.0, 0.7), (1.0, math.nan, 0.7), (1.0, math.inf, 0.7),
+                      (math.inf, 1.0, 0.0)]:
+        with pytest.raises(ParameterError, match="a1 and a2 must be finite"):
+            make(10, p=p, a1=a1, a2=a2)
     make(10, p=1.0, a1=0.99)  # open boundary p*a1 < 1
 
 

@@ -284,3 +284,25 @@ def test_parse_rejects_blank_lines_and_repeated_markers(grown, damage, message):
     with pytest.raises(ParseError, match=message) as info:
         graph_io.parse_graph(damaged)
     assert info.value.byte_offset == at
+
+
+def test_manifest_params_are_checked_as_a_header_is(grown, tmp_path):
+    path = tmp_path / "g.manifest.json"
+    graph_io.write_manifest(str(path), grown, "g.tsv", wall_time_s=0.5)
+    manifest = json.loads(path.read_text())
+    assert list(manifest["params"]) == ["n", "p", "a1", "a2", "dimension", "norm", "seed"]
+    for damage, message in [
+        ({"foo": "bar"}, "unknown parameter key 'foo'"),
+        ({"a2": float("nan")}, "bad parameter block: a1 and a2 must be finite"),
+        ({"a1": None}, "bad parameter block"),
+        ({"n": 300.5}, "bad parameter block: invalid literal for int"),
+        ({"seed": 5.0}, "bad parameter block: invalid literal for int"),
+        ({"norm": "l3"}, "bad parameter block: unknown norm"),
+    ]:
+        path.write_text(json.dumps({**manifest, "params": {**manifest["params"], **damage}}))
+        with pytest.raises(ParseError, match=message):
+            graph_io.params_from_manifest(str(path))
+    del manifest["params"]["seed"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match=r"missing parameter keys \['seed'\]"):
+        graph_io.params_from_manifest(str(path))

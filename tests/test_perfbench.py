@@ -52,3 +52,14 @@ def test_analyze_passes_every_check(tmp_path):
     checks = worker("run", "analyze", work_dir=tmp_path)["checks"]
     assert sum(name.startswith("analyze.sha256.") for name, _, _ in checks) == 6
     assert_all_pass(checks)
+
+
+def test_traced_verify_passes_every_check(tmp_path):
+    # tracing installs a wrapper on every name the benchmark wraps, so a
+    # dropped or renamed one fails here
+    trace = tmp_path / "trace.json"
+    out = worker("run", "verify", "--trace", str(trace), work_dir=tmp_path)
+    assert out["checks"]
+    assert_all_pass(out["checks"])
+    assert out["layers"]["spatial_index.covering_spheres_s"] > 0
+    assert json.loads(trace.read_text())["workload"] == "verify"
