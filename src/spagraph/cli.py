@@ -144,16 +144,19 @@ def _add_model_flags(parser, n_default=100_000):
 
 
 def _parse_omega(mode: str, n: int) -> float:
+    """omega for an n-vertex graph; a number must be finite and > 0 whatever n is."""
     if mode == "loglog":
         return clustering.default_omega(n)
     if mode == "logloglog":
         return math.log(clustering.default_omega(n)) if n > 15 else 1.0
     try:
-        return float(mode)
+        omega = float(mode)
     except ValueError:
         raise ParameterError(
             f"--omega-mode must be 'loglog', 'logloglog', or a number, got {mode!r}"
         ) from None
+    clustering.check_omega(omega)
+    return omega
 
 
 def _graph_stem(params: ModelParams) -> str:
@@ -254,8 +257,14 @@ def _report_graph(task) -> dict:
 
 
 def cmd_stats(args) -> int:
+    # every analysis flag is checked before any graph is read or directory made
     if args.top < 0:
         raise ParameterError(f"--top must be >= 0, got {args.top}")
+    if not 0.0 < args.delta < 0.5:
+        raise ParameterError(f"--delta must be in (0, 1/2), got {args.delta}")
+    if args.d_min < 1:
+        raise ParameterError(f"--d-min must be >= 1, got {args.d_min}")
+    _parse_omega(args.omega_mode, 1)
     # a graph's CSVs are named by its file stem, so no two inputs may share one
     paths = {}
     for path in args.graphs:

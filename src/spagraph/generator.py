@@ -11,7 +11,7 @@ form an independent process. `generate` exploits this: it draws every
 position first, buckets them once into a static cell-sorted grid per cell
 size, and walks each vertex forward in time through doubling windows,
 reading the coin of (step, vertex) only when the vertex covers the step
-(n = 10^5 in about 5.5 s on one core of a 2.1 GHz Xeon virtual machine).
+(n = 10^5 in about 4.7 s on one core of a 2.1 GHz Xeon virtual machine).
 `generate_naive` is the step-centric O(n^2) oracle: step t asks a
 linear-scan `SphereIndex` which prior spheres, at their volumes for time
 t - 1, cover the newcomer.
@@ -283,6 +283,9 @@ def _grow(params: ModelParams, index) -> GrownGraph:
 # covered at degree K, and scans them in t order, reading the coin at
 # (t, u) only when its current degree reaches the step's threshold degree.
 # Once the degree passes K the window restarts just after that step.
+# Rows of (k, m) arrays are read with take(axis=0), not a[idx]: with m this
+# small, 2-D fancy indexing costs 10x more (157 gathers of 10.5k rows: 0.036
+# s against 0.003 s on a 2.1 GHz Xeon VM), as do .all(axis=-1) and int64 @.
 
 BLOCK = 512            # vertices advanced in lockstep
 MAX_PAIRS = 32_768     # (vertex, step) pairs gathered per round, unless one vertex needs more
@@ -341,18 +344,26 @@ class _StaticGrid:
             list(itertools.product(range(int(counts.max())), repeat=self._m)),
             dtype=np.int64,
         )
-        row, cell = np.nonzero((offsets < counts[:, None, :]).all(axis=-1))
-        base = self._flat((first[row] + offsets[cell]) % ncells, ncells) * self.n1
-        lo = np.searchsorted(keys, base + s[row])
-        hi = np.searchsorted(keys, base + e[row], side="right")
+        inside = offsets[:, 0] < counts[:, None, 0]
+        for j in range(1, self._m):
+            inside &= offsets[:, j] < counts[:, None, j]
+        row, cell = np.nonzero(inside)
+        cells = (first.take(row, axis=0) + offsets.take(cell, axis=0)) % ncells
+        base = self._flat(cells, ncells) * self.n1
+        lo = np.searchsorted(keys, base + s.take(row))
+        hi = np.searchsorted(keys, base + e.take(row), side="right")
         nonempty = hi > lo
         return row[nonempty], lo[nonempty], hi[nonempty]
 
     def steps(self, level: int, index: np.ndarray) -> np.ndarray:
-        return self._keys[level][index] % self.n1
+        return self._keys[level].take(index) % self.n1
 
     def _flat(self, cells: np.ndarray, ncells: int) -> np.ndarray:
-        return cells @ (ncells ** np.arange(self._m - 1, -1, -1, dtype=np.int64))
+        """Row-major cell number of each row of (k, m) cell coordinates."""
+        flat = cells[:, 0]
+        for j in range(1, self._m):
+            flat = flat * ncells + cells[:, j]
+        return flat
 
     def _bucket(self, level: int) -> np.ndarray:
         ncells = 1 << level
@@ -423,13 +434,15 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStre
         bound = k + np.maximum(4, k // 2)
         e = np.minimum(2 * s, n)
         take, owners, steps = _gather(grid, u, s, e, bound, params)
-        q = needed_volume(grid.positions[u[owners]], grid.positions[steps], params.norm)
+        positions = grid.positions
+        q = needed_volume(positions.take(u.take(owners), axis=0), positions.take(steps, axis=0),
+                          params.norm)
         tm1 = (steps - 1).astype(float)
-        keep = _covered(q, bound[owners], tm1, params)
-        owners, steps, q, tm1 = owners[keep], steps[keep], q[keep], tm1[keep]
-        order = np.argsort(owners * n1 + steps)
-        owners, steps = owners[order], steps[order]
-        kappa = _threshold_degrees(q[order], tm1[order], bound[owners], params).tolist()
+        # the covered pairs in (owner, step) order, compressed and sorted in one index
+        keep = np.flatnonzero(_covered(q, bound.take(owners), tm1, params))
+        order = keep.take(np.argsort(owners.take(keep) * n1 + steps.take(keep)))
+        owners, steps, q, tm1 = owners.take(order), steps.take(order), q.take(order), tm1.take(order)
+        kappa = _threshold_degrees(q, tm1, bound.take(owners), params).tolist()
         ptr = np.searchsorted(owners, np.arange(take + 1)).tolist()
         steps = steps.tolist()
         walked = zip(u[:take].tolist(), k[:take].tolist(), bound[:take].tolist(),
@@ -469,8 +482,9 @@ def _gather(grid: _StaticGrid, u, s, e, bound, params: ModelParams):
     runs = []
     for level in np.flatnonzero(np.bincount(levels)).tolist():
         rows = np.flatnonzero(levels == level)
-        row, lo, hi = grid.runs(level, grid.positions[u[rows]], radii[rows], s[rows], e[rows])
-        runs.append((level, rows[row], lo, hi))
+        centers = grid.positions.take(u.take(rows), axis=0)
+        row, lo, hi = grid.runs(level, centers, radii.take(rows), s.take(rows), e.take(rows))
+        runs.append((level, rows.take(row), lo, hi))
     pairs = np.zeros(u.size)
     for _, row, lo, hi in runs:
         pairs += np.bincount(row, hi - lo, minlength=u.size)

@@ -10,6 +10,8 @@ divergent growth step.
 
 The naive generator costs O(n^2) time and the oracle's dense adjacency
 matrix (n + 1)^2 bytes, so `VERIFY_GUARD` caps n at 5000 (25 MB).
+Beyond that, `vertex_walk` derives one vertex's in-neighbours exactly
+from the positions and the coin stream, at any n.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 
 from .clustering import SplitPolicy, compute_report, split_times
 from .errors import UsageError
-from .generator import GrownGraph, ModelParams, generate, generate_naive
+from .generator import GrownGraph, ModelParams, generate, generate_naive, sphere_volume
+from .geometry import needed_volume
+from .rng import CounterStream
 
 VERIFY_GUARD = 5000
 
@@ -77,6 +81,39 @@ def first_divergent_step(fast: GrownGraph, reference: GrownGraph) -> tuple[int, 
                 f"{reference.out_neighbors(t).tolist()}"
             )
     return None
+
+
+def vertex_walk(params: ModelParams, positions: np.ndarray, v: int) -> np.ndarray:
+    """In-neighbours of vertex v, ascending, from the model's definition alone.
+
+    Step t > v links to v when v's sphere at time t - 1, at v's in-degree
+    so far, holds x_t and the coin at (t, v) is heads. Steps are scanned
+    in windows [s, 2s]: the numpy pass keeps the steps covered at a degree
+    bound 2k + 16 that no degree tested in the window exceeds, and the
+    scan restarts after a step that takes the degree past it, so a vertex
+    of final in-degree d costs O(n log d). Shares only `needed_volume`,
+    `sphere_volume` and `CounterStream` with `generate`, so it checks the
+    grid walk at any n.
+    """
+    n = params.n
+    heads = CounterStream(params.seed).heads(params.p)
+    arrivals: list[int] = []
+    s = v + 1
+    while s <= n:
+        bound = 2 * len(arrivals) + 16
+        steps = np.arange(s, min(2 * s, n) + 1)
+        # the torus distance is symmetric bit for bit, so v may sit on either side
+        q = needed_volume(positions[steps], positions[v], params.norm)
+        tm1 = (steps - 1).astype(float)
+        near = q <= sphere_volume(bound, tm1, params)
+        s = int(steps[-1]) + 1
+        for t, q_t, t_1 in zip(steps[near].tolist(), q[near].tolist(), tm1[near].tolist()):
+            if q_t <= sphere_volume(len(arrivals), t_1, params) and heads(t, v):
+                arrivals.append(t)
+                if len(arrivals) > bound:
+                    s = t + 1
+                    break
+    return np.array(arrivals, dtype=np.int64)
 
 
 def brute_force_clustering(graph: GrownGraph, t_hat: np.ndarray) -> dict:

@@ -17,7 +17,7 @@ from spagraph import clustering as cl
 from spagraph import graph_io, stats
 from spagraph.generator import ModelParams, generate
 from spagraph.geometry import Norm, radius_to_volume, torus_distance, volume_to_radius
-from spagraph.verify import verify_equivalence
+from spagraph.verify import verify_equivalence, vertex_walk
 
 N = 100_000
 SEEDS = (1, 2, 3, 4, 5)
@@ -242,6 +242,19 @@ def test_c09_property_suites(grown):
     blob = graph_io.serialize_graph(full)
     assert graph_io.serialize_graph(graph_io.parse_graph(blob)) == blob
     announce(9, "property-suites", True)
+
+
+def test_vertex_walk_spot_check(grown):
+    # whole-graph equivalence stops at n = 2000; the per-vertex oracle
+    # checks the grid walk at full scale, where degrees run into thousands
+    graph, _ = grown[0]
+    by_degree = np.argsort(graph.in_degree)[-10:][::-1]
+    picked = np.random.default_rng(0).integers(1, N + 1, size=30)
+    for v in [*by_degree.tolist(), *picked.tolist(), 1, 2, N - 1, N]:
+        want = graph.in_neighbors(v)
+        assert np.array_equal(vertex_walk(graph.params, graph.positions, v), want), (
+            f"vertex {v} (in-degree {want.size}) differs from its exact walk"
+        )
 
 
 def test_c10_performance(grown):

@@ -490,13 +490,23 @@ def test_bad_header_parameter_exits_2_and_writes_nothing(tmp_path, capsys, old, 
     assert os.listdir(out) == []
 
 
-def test_negative_top_exits_1_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("bad,message,good", [
+    (["--top", "-5"], "--top must be >= 0", ["--top", "0"]),
+    (["--delta", "0"], "--delta must be in (0, 1/2)", ["--delta", "0.2"]),
+    (["--delta", "0.5"], "--delta must be in (0, 1/2)", ["--delta", "0.49"]),
+    (["--delta", "nan"], "--delta must be in (0, 1/2)", ["--delta", "0.1"]),
+    (["--d-min", "0"], "--d-min must be >= 1", ["--d-min", "1"]),
+    (["--omega-mode=-1"], "omega must be finite and > 0", ["--omega-mode=2.5"]),
+    (["--omega-mode=abc"], "--omega-mode must be", ["--omega-mode=logloglog"]),
+], ids=["top", "delta=0", "delta=0.5", "delta=nan", "d-min", "omega=-1", "omega=abc"])
+def test_bad_stats_flag_exits_1_before_writing(tmp_path, capsys, bad, message, good):
     src = str(tmp_path)
     run(["generate", *ARGS, "--seed", "3", "--out", src])
     path = os.path.join(src, "spa_n400_p0.7_seed3.tsv")
     out = tmp_path / "out"
-    assert run(["stats", path, "--out", str(out), "--top", "-5"]) == 1
-    assert "--top must be >= 0" in capsys.readouterr().err
+    assert run(["stats", path, "--out", str(out), *bad]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
-    assert run(["stats", path, "--out", str(out), "--top", "0"]) == 0
-    assert _trajectory_vertices(str(out), "spa_n400_p0.7_seed3") == []
+    assert run(["stats", path, "--out", str(out), *good]) == 0
+    if good == ["--top", "0"]:
+        assert _trajectory_vertices(str(out), "spa_n400_p0.7_seed3") == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spagraph import generator
 from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import (
     GrownGraph,
@@ -12,6 +13,7 @@ from spagraph.generator import (
     _DRAW,
     _StaticGrid,
     _draw_positions,
+    _gather,
     generate,
     generate_naive,
     sphere_volume,
@@ -212,6 +214,9 @@ ORACLE_GRID = [
     make(500, seed=7, p=1.0, a1=0.5, a2=2.0, dimension=3, norm=Norm.L2),
     make(400, seed=8, p=0.3, a1=1.5, a2=40.0, norm=Norm.L2),
     make(200, seed=9, p=0.5, a1=1.0, a2=0.5, dimension=7),
+    # the largest dimensions that still use the grid (3^6 cells = _MAX_CELLS)
+    make(500, seed=10, dimension=4, norm=Norm.L2),
+    make(500, seed=11, dimension=6),
 ]
 
 
@@ -284,6 +289,50 @@ def test_static_grid_runs_hold_every_covered_step_at_every_level(
             window = np.arange(s[i], e[i] + 1)
             covered = window[needed_volume(positions[window], centers[i], norm) <= volumes[i]]
             assert np.isin(covered, got).all(), f"level {level} misses steps"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    dimension=st.integers(1, 3),
+    norm=st.sampled_from(list(Norm)),
+    a2=st.floats(0.01, 10.0),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_gather_takes_a_maximal_prefix_of_complete_rows(n, dimension, norm, a2, rows, seed):
+    cap = 64
+    rng = np.random.default_rng(seed)
+    params = make(n, seed=seed, a2=a2, dimension=dimension, norm=norm)
+    positions = _draw_positions(params, CounterStream(seed))
+    grid = _StaticGrid(positions, params)
+    u = np.sort(rng.choice(np.arange(1, n), size=min(rows, n - 1), replace=False))
+    s = rng.integers(u + 1, n + 1)
+    e = np.minimum(2 * s, n)
+    bound = rng.integers(0, 20, size=u.size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "MAX_PAIRS", cap)
+        take, owners, steps = _gather(grid, u, s, e, bound, params)
+    assert 1 <= take <= u.size
+    assert owners.size == steps.size and ((owners >= 0) & (owners < take)).all()
+    assert owners.size <= cap or take == 1
+    sizes = np.zeros(u.size, dtype=np.int64)
+    for i in range(u.size):
+        # every row's steps, whether or not the cap lets the row in
+        rest = _gather(grid, u[i:i + 1], s[i:i + 1], e[i:i + 1], bound[i:i + 1], params)[2]
+        sizes[i] = rest.size
+        if i >= take:
+            continue
+        got = steps[owners == i]
+        assert np.array_equal(np.sort(got), np.sort(rest))
+        assert np.unique(got).size == got.size
+        assert ((got >= s[i]) & (got <= e[i])).all()
+        window = np.arange(s[i], e[i] + 1)
+        q = needed_volume(positions[[u[i]]], positions[window], norm)
+        covered = window[q <= sphere_volume(bound[i], float(s[i] - 1), params)]
+        assert np.isin(covered, got).all()
+    # maximal: one more row would pass the cap
+    assert take == u.size or sizes[: take + 1].sum() > cap
 
 
 def test_index_factory_runs_the_step_centric_walk():

@@ -6,9 +6,10 @@ import pytest
 
 from spagraph import verify
 from spagraph.errors import UsageError
-from spagraph.generator import GrownGraph, ModelParams, generate
+from spagraph.generator import GrownGraph, ModelParams, generate, generate_naive
+from spagraph.geometry import Norm
 from spagraph.spatial_index import SphereIndex
-from spagraph.verify import first_divergent_step, verify_equivalence
+from spagraph.verify import first_divergent_step, verify_equivalence, vertex_walk
 
 PARAMS = dict(p=0.7, a1=1.0, a2=30 / 7)
 
@@ -137,3 +138,17 @@ def test_first_divergent_step_without_positions():
     placed = GrownGraph.from_edges(params, [(2, 1), (3, 1)], np.full((4, 2), 0.5))
     assert first_divergent_step(graph, placed) == (1, "positions missing in one run")
     assert first_divergent_step(placed, graph) == (1, "positions missing in one run")
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(n=1000, seed=3, **PARAMS),
+    ModelParams(n=700, seed=4, dimension=3, norm=Norm.L2, **PARAMS),
+    # about 100 spheres cover each step, and nine in ten of their coins are tails
+    ModelParams(n=600, seed=5, p=0.1, a1=1.0, a2=90.0, dimension=1),
+    # every covered step links, so degrees pass the bound again and again
+    ModelParams(n=400, seed=6, p=1.0, a1=0.9, a2=1.0, norm=Norm.L2),
+], ids=["m2-linf", "m3-l2", "m1-low-p", "p1"])
+def test_vertex_walk_equals_naive_in_neighbors_of_every_vertex(params):
+    graph = generate_naive(params)
+    for v in range(1, params.n + 1):
+        assert np.array_equal(vertex_walk(params, graph.positions, v), graph.in_neighbors(v)), v
