@@ -15,7 +15,7 @@ params = ModelParams(n=30_000, p=0.7, a1=1.0, a2=30 / 7, seed=11)
 graph = generate(params)
 report = compute_report(graph, SplitPolicy(mode="half"))
 
-gap = np.abs(report.c_directed - (report.c_old + report.c_new)).max()
+gap = np.abs(report.directed.values - (report.old.values + report.new.values)).max()
 print(f"exact decomposition: max |c - (c_old + c_new)| = {gap:.2e}")
 
 old_curve = banded_curve_from_report(report, "old", delta=0.1)

@@ -25,7 +25,7 @@ from .errors import (
 from .geometry import Norm, radius_to_volume, torus_distance, volume_to_radius
 from .generator import GrownGraph, ModelParams, generate, generate_naive, sphere_volume
 from .spatial_index import SphereIndex
-from .clustering import ClusteringReport, SplitPolicy, compute_report
+from .clustering import ClusteringReport, Coefficients, SplitPolicy, compute_report
 from .stats import (
     DegreeCensus,
     ExponentFit,
@@ -48,7 +48,7 @@ __all__ = [
     "Norm", "torus_distance", "volume_to_radius", "radius_to_volume",
     "ModelParams", "GrownGraph", "generate", "generate_naive", "sphere_volume",
     "SphereIndex",
-    "SplitPolicy", "ClusteringReport", "compute_report",
+    "SplitPolicy", "ClusteringReport", "Coefficients", "compute_report",
     "TheoryConstants", "DegreeCensus", "ExponentFit", "TrajectoryCheck",
     "theory_constants", "degree_census", "ball_census", "ball_centers_grid",
     "powerlaw_exponent", "trajectory_check", "curve_slope", "fixed_slope_fit",

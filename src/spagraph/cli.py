@@ -189,29 +189,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _curve_rows(report, delta):
-    rows = []
-    for variant in clustering.VARIANTS:
-        for d, (count, mean) in sorted(
-            clustering.curve_from_report(report, variant).items()
-        ):
-            rows.append((variant, d, count, repr(mean)))
-    for variant in clustering.VARIANTS:
-        banded = clustering.banded_curve_from_report(report, variant, delta)
-        for d, (count, mean) in sorted(banded.items()):
-            rows.append((variant + "_band", repr(d), count, repr(mean)))
-    return rows
-
-
-def _pool_curves(curves: list[dict]) -> dict:
-    pooled: dict = {}
-    for curve in curves:
-        for d, (count, mean) in curve.items():
-            have_count, have_sum = pooled.get(d, (0, 0.0))
-            pooled[d] = (have_count + count, have_sum + count * mean)
-    return {d: (c, s / c) for d, (c, s) in pooled.items() if c > 0}
-
-
 def _report_graph(task) -> dict:
     """Analyse one graph file and write its five CSVs.
 
@@ -233,7 +210,16 @@ def _report_graph(task) -> dict:
     def write(kind, columns, rows):
         graph_io.write_csv(os.path.join(out, f"{kind}_{stem}.csv"), columns, rows)
 
-    write("curves", graph_io.CURVE_COLUMNS, _curve_rows(report, delta))
+    exact = {v: clustering.curve_from_report(report, v) for v in clustering.VARIANTS}
+    curves = {**exact, **{
+        v + "_band": clustering.banded_curve_from_report(report, v, delta)
+        for v in clustering.VARIANTS
+    }}
+    # csv writes a float band center d as str(d), which is repr(d)
+    write("curves", graph_io.CURVE_COLUMNS, (
+        (variant, d, count, repr(mean))
+        for variant, curve in curves.items() for d, (count, mean) in sorted(curve.items())
+    ))
     write("census", graph_io.CENSUS_COLUMNS, (
         (i, int(count), repr(float(count) / census.total),
          repr(float(consts.c[i])) if i < consts.c.size else "")
@@ -248,12 +234,13 @@ def _report_graph(task) -> dict:
         (c.vertex, c.final_degree, repr(c.onset_time), repr(c.ratio_min),
          repr(c.ratio_max), int(c.vacuous)) for c in checks
     ])
+    records = [(v, report.variant(v)) for v in clustering.VARIANTS]
     write("scatter", graph_io.SCATTER_COLUMNS, (
-        (variant, int(degree), repr(value))
-        for variant in clustering.VARIANTS
-        for degree, value in clustering.scatter_from_report(report, variant).tolist()
+        (variant, degree, repr(value))
+        for variant, record in records
+        for degree, value in zip(record.degree.tolist(), record.values.tolist())
     ))
-    return {v: clustering.curve_from_report(report, v) for v in clustering.VARIANTS}
+    return exact
 
 
 def cmd_stats(args) -> int:
@@ -280,7 +267,8 @@ def cmd_stats(args) -> int:
     pooled_rows = [
         (variant, d, count, repr(mean))
         for variant in clustering.VARIANTS
-        for d, (count, mean) in sorted(_pool_curves([c[variant] for c in curves]).items())
+        for d, (count, mean) in sorted(
+            clustering.pool_curves([c[variant] for c in curves]).items())
     ]
     graph_io.write_csv(
         os.path.join(args.out, "curves_pooled.csv"), graph_io.CURVE_COLUMNS, pooled_rows
@@ -322,7 +310,7 @@ def cmd_sweep(args) -> int:
             for variant in curves:
                 curves[variant].append(clustering.curve_from_report(report, variant))
         for variant, per_replica in curves.items():
-            for d, (count, mean) in sorted(_pool_curves(per_replica).items()):
+            for d, (count, mean) in sorted(clustering.pool_curves(per_replica).items()):
                 rows.append((variant, repr(model.p), d, count, repr(mean)))
     graph_io.write_csv(
         os.path.join(args.out, "sweep.csv"),

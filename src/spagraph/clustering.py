@@ -159,21 +159,36 @@ def _pair_denominator(degree: np.ndarray) -> np.ndarray:
     return degree * (degree - 1) // 2
 
 
-@dataclass
-class ClusteringReport:
-    """Per-vertex coefficients for every eligible vertex, plus triangle and wedge totals."""
+@dataclass(frozen=True)
+class Coefficients:
+    """One variant's coefficient at every vertex where it is defined, by ascending id.
 
-    ids_directed: np.ndarray       # vertices with deg^- >= 2
-    in_degrees: np.ndarray
-    c_directed: np.ndarray
-    c_old: np.ndarray
-    c_new: np.ndarray
-    ids_undirected: np.ndarray     # vertices with total degree >= 2
-    degrees_undirected: np.ndarray
-    in_degrees_undirected: np.ndarray
-    c_undirected: np.ndarray
+    `degree` is the degree exact curves bin by (in-degree, or total
+    degree for the undirected variant); `in_degree` is the degree banded
+    curves use for every variant.
+    """
+
+    ids: np.ndarray
+    degree: np.ndarray
+    in_degree: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class ClusteringReport:
+    """One `Coefficients` record per variant, plus triangle and wedge totals."""
+
+    directed: Coefficients     # vertices with deg^- >= 2
+    undirected: Coefficients   # vertices with total degree >= 2
+    old: Coefficients
+    new: Coefficients
     triangle_numerators_sum: int
     wedge_count: int
+
+    def variant(self, name: str) -> Coefficients:
+        if name not in VARIANTS:
+            raise UsageError(f"unknown variant {name!r}; expected one of {VARIANTS}")
+        return getattr(self, name)
 
     @property
     def global_clustering(self) -> float:
@@ -188,70 +203,59 @@ def compute_report(
     """All per-vertex coefficients in one vectorized pass over the graph."""
     t_hat = split_times(graph, policy)
     directed_num, old_num, undirected_num = _triangle_counts(graph, t_hat)
-
     in_deg = graph.in_degree
     tot_deg = in_deg + graph.out_degree
 
-    dir_mask = in_deg >= 2
-    dir_mask[0] = False
-    ids_d = np.nonzero(dir_mask)[0]
-    pairs_d = _pair_denominator(in_deg[ids_d]).astype(float)
-    c_directed = directed_num[ids_d] / pairs_d
-    c_old = old_num[ids_d] / pairs_d
-    c_new = (directed_num[ids_d] - old_num[ids_d]) / pairs_d
+    def records(degree, *numerators):
+        """A record per numerator array, over the vertices of `degree` >= 2."""
+        ids = np.flatnonzero(degree[1:] >= 2) + 1
+        binned, banded = degree[ids], in_deg[ids]
+        pairs = _pair_denominator(binned).astype(float)
+        return [Coefficients(ids, binned, banded, num[ids] / pairs) for num in numerators]
 
-    und_mask = tot_deg >= 2
-    und_mask[0] = False
-    ids_u = np.nonzero(und_mask)[0]
-    pairs_u = _pair_denominator(tot_deg[ids_u]).astype(float)
-    c_undirected = undirected_num[ids_u] / pairs_u
-
-    wedges = int(_pair_denominator(tot_deg[1:]).sum())
+    directed, old, new = records(in_deg, directed_num, old_num, directed_num - old_num)
+    (undirected,) = records(tot_deg, undirected_num)
     return ClusteringReport(
-        ids_directed=ids_d,
-        in_degrees=in_deg[ids_d],
-        c_directed=c_directed,
-        c_old=c_old,
-        c_new=c_new,
-        ids_undirected=ids_u,
-        degrees_undirected=tot_deg[ids_u],
-        in_degrees_undirected=in_deg[ids_u],
-        c_undirected=c_undirected,
+        directed=directed,
+        undirected=undirected,
+        old=old,
+        new=new,
         triangle_numerators_sum=int(undirected_num.sum()),
-        wedge_count=wedges,
+        wedge_count=int(_pair_denominator(tot_deg[1:]).sum()),
     )
-
-
-def _variant_values(report: ClusteringReport, variant: str):
-    """(ids, degree used for exact binning, values) for one variant."""
-    if variant == "directed":
-        return report.ids_directed, report.in_degrees, report.c_directed
-    if variant == "old":
-        return report.ids_directed, report.in_degrees, report.c_old
-    if variant == "new":
-        return report.ids_directed, report.in_degrees, report.c_new
-    if variant == "undirected":
-        return report.ids_undirected, report.degrees_undirected, report.c_undirected
-    raise UsageError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 def curve_from_report(report: ClusteringReport, variant: str) -> dict[int, tuple[int, float]]:
     """Exact-degree curve: degree -> (vertex count, mean coefficient)."""
-    _, degrees, values = _variant_values(report, variant)
-    if degrees.size == 0:
+    record = report.variant(variant)
+    if record.degree.size == 0:
         return {}
-    counts = np.bincount(degrees)
-    sums = np.bincount(degrees, weights=values)
+    counts = np.bincount(record.degree)
+    sums = np.bincount(record.degree, weights=record.values)
     present = np.nonzero(counts)[0]
     return {int(d): (int(counts[d]), float(sums[d] / counts[d])) for d in present}
 
 
-def band_grid(max_degree: int, ratio: float = 1.1, start: float = 2.0) -> np.ndarray:
-    """Geometric grid of band centers covering [start, max_degree]."""
-    if max_degree < start:
+def pool_curves(curves) -> dict:
+    """Curves of several graphs merged per key: d -> (total count, count-weighted mean)."""
+    pooled: dict = {}
+    for curve in curves:
+        for d, (count, mean) in curve.items():
+            have_count, have_sum = pooled.get(d, (0, 0.0))
+            pooled[d] = (have_count + count, have_sum + count * mean)
+    return {d: (count, total / count) for d, (count, total) in pooled.items()}
+
+
+_BAND_RATIO = 1.1   # ratio of consecutive band centers
+_BAND_START = 2.0   # first band center, the least degree with a coefficient
+
+
+def band_grid(max_degree: int) -> np.ndarray:
+    """Geometric grid of band centers covering [2, max_degree]."""
+    if max_degree < _BAND_START:
         return np.empty(0)
-    count = int(math.floor(math.log(max_degree / start) / math.log(ratio))) + 1
-    return start * ratio ** np.arange(count)
+    count = int(math.floor(math.log(max_degree / _BAND_START) / math.log(_BAND_RATIO))) + 1
+    return _BAND_START * _BAND_RATIO ** np.arange(count)
 
 
 def banded_curve_from_report(
@@ -266,15 +270,12 @@ def banded_curve_from_report(
     """
     if not 0.0 < delta < 0.5:
         raise ParameterError(f"delta must be in (0, 1/2), got {delta}")
-    ids, _, values = _variant_values(report, variant)
-    if ids.size == 0:
+    record = report.variant(variant)
+    if record.ids.size == 0:
         return {}
-    in_degrees = (
-        report.in_degrees_undirected if variant == "undirected" else report.in_degrees
-    )
-    order = np.argsort(in_degrees, kind="stable")
-    sorted_deg = in_degrees[order]
-    prefix = np.concatenate(([0.0], np.cumsum(values[order])))
+    order = np.argsort(record.in_degree, kind="stable")
+    sorted_deg = record.in_degree[order]
+    prefix = np.concatenate(([0.0], np.cumsum(record.values[order])))
     curve: dict[float, tuple[int, float]] = {}
     for d in band_grid(int(sorted_deg[-1])):
         lo = np.searchsorted(sorted_deg, (1.0 - delta) * d, side="left")
@@ -282,9 +283,3 @@ def banded_curve_from_report(
         if hi > lo:
             curve[float(d)] = (int(hi - lo), float((prefix[hi] - prefix[lo]) / (hi - lo)))
     return curve
-
-
-def scatter_from_report(report: ClusteringReport, variant: str) -> np.ndarray:
-    """(degree, coefficient) per eligible vertex, as a (k, 2) float array."""
-    _, degrees, values = _variant_values(report, variant)
-    return np.column_stack((degrees.astype(float), values))

@@ -90,31 +90,37 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def serialize_graph(graph: GrownGraph, include_positions: bool = True) -> bytes:
+def _write_graph(handle, graph: GrownGraph, include_positions: bool) -> None:
+    """Write the graph file's bytes to `handle`, a batch of lines at a time."""
     p = graph.params
     header = [HEADER] + [f"{key}={_format_value(getattr(p, key))}" for key in _PARAM_TYPES]
-    parts = ["\n".join(header + ["%edges\n"]).encode()]
+    handle.write("\n".join(header + ["%edges\n"]).encode())
     sources, targets = graph.edge_sources(), graph.out_targets
     for lo in range(0, targets.size, _BATCH):
         pairs = zip(sources[lo : lo + _BATCH].tolist(), targets[lo : lo + _BATCH].tolist())
-        parts.append("".join([f"{v}\t{u}\n" for v, u in pairs]).encode())
+        handle.write("".join([f"{v}\t{u}\n" for v, u in pairs]).encode())
     if include_positions and graph.positions is not None:
-        parts.append(b"%positions\n")
+        handle.write(b"%positions\n")
         row = "%d" + "\t%r" * p.dimension + "\n"
         for lo in range(1, graph.n + 1, _BATCH):
             coords = graph.positions[lo : lo + _BATCH].tolist()
-            parts.append("".join([row % (v, *c) for v, c in enumerate(coords, lo)]).encode())
-    return b"".join(parts)
+            handle.write("".join([row % (v, *c) for v, c in enumerate(coords, lo)]).encode())
+
+
+def serialize_graph(graph: GrownGraph, include_positions: bool = True) -> bytes:
+    buffer = io.BytesIO()
+    _write_graph(buffer, graph, include_positions)
+    return buffer.getvalue()
 
 
 def write_graph(graph: GrownGraph, path: str, include_positions: bool = True) -> None:
-    data = serialize_graph(graph, include_positions)
-    if path.endswith(".gz"):
-        buffer = io.BytesIO()
-        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as zipped:
-            zipped.write(data)
-        data = buffer.getvalue()
-    atomic_write_bytes(path, data)
+    """Stream the graph file to `path`; a `.gz` path is gzipped with a zeroed mtime and no name."""
+    with _atomic_file(path) as handle:
+        if path.endswith(".gz"):
+            with gzip.GzipFile(filename="", fileobj=handle, mode="wb", mtime=0) as zipped:
+                _write_graph(zipped, graph, include_positions)
+        else:
+            _write_graph(handle, graph, include_positions)
 
 
 def _parse_params(fields: dict, offset: int) -> ModelParams:

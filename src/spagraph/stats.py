@@ -172,7 +172,7 @@ class TrajectoryCheck:
     onset_time: float       # T_v = n (omega log n / k)^(1 / (p a1)), clamped
     ratio_min: float
     ratio_max: float
-    vacuous: bool           # final degree below omega log n: nothing to check
+    vacuous: bool           # final degree 0 or below omega log n: nothing to check
 
 
 def ratio_extremes(times, values, k: float, n: int, exponent: float, t_min: float = 1.0):
@@ -201,7 +201,8 @@ def trajectory_check(graph: GrownGraph, vertex: int, omega: float | None = None)
     omega = default_omega(n) if omega is None else omega
     k = int(graph.in_degree[vertex])
     threshold = omega * math.log(n)
-    if k < threshold or params.p * params.a1 == 0:
+    # k = 0 is vacuous even when the threshold is 0 (n = 1): the onset divides by k
+    if k == 0 or k < threshold or params.p * params.a1 == 0:
         return TrajectoryCheck(vertex, k, math.nan, math.nan, math.nan, vacuous=True)
     exponent = params.p * params.a1
     onset = n * (threshold / k) ** (1.0 / exponent)

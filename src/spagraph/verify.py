@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import SplitPolicy, compute_report, split_times
+from .clustering import VARIANTS, SplitPolicy, compute_report, split_times
 from .errors import UsageError
 from .generator import GrownGraph, ModelParams, generate, generate_naive, sphere_volume
 from .geometry import needed_volume
@@ -120,8 +120,7 @@ def brute_force_clustering(graph: GrownGraph, t_hat: np.ndarray) -> dict:
     """Exhaustive pair enumeration; the oracle `compute_report` is held to.
 
     `t_hat` holds the id-indexed split times (see `split_times`). Returns
-    {v: (c_directed, c_old, c_new, c_undirected)} for every vertex, with
-    None where a coefficient is undefined.
+    {variant: {v: c}} over the vertices where each variant is defined.
 
     Every pair of v's in-neighbours (and, for the undirected coefficient,
     of its in- and out-neighbours) is looked up in a dense bool adjacency
@@ -131,41 +130,38 @@ def brute_force_clustering(graph: GrownGraph, t_hat: np.ndarray) -> dict:
     """
     adj = np.zeros((graph.n + 1, graph.n + 1), dtype=bool)
     adj[graph.edge_sources(), graph.out_targets] = True
-    result = {}
+    result = {variant: {} for variant in VARIANTS}
     for v in range(1, graph.n + 1):
         incoming = graph.in_neighbors(v)
-        c_directed = c_old = c_new = None
         if incoming.size >= 2:
             pairs = math.comb(incoming.size, 2)
             hits = adj[np.ix_(incoming, incoming)]   # hits[i, j]: edge incoming[i] -> incoming[j]
             total = int(np.count_nonzero(hits))
             old = int(np.count_nonzero(hits[:, incoming <= t_hat[v]]))
-            c_directed, c_old, c_new = total / pairs, old / pairs, (total - old) / pairs
+            result["directed"][v] = total / pairs
+            result["old"][v] = old / pairs
+            result["new"][v] = (total - old) / pairs
         neighborhood = np.union1d(incoming, graph.out_neighbors(v))
-        c_undirected = None
         if neighborhood.size >= 2:
             hits = adj[np.ix_(neighborhood, neighborhood)]
             count = int(np.count_nonzero(np.triu(hits | hits.T, 1)))
-            c_undirected = count / math.comb(neighborhood.size, 2)
-        result[v] = (c_directed, c_old, c_new, c_undirected)
+            result["undirected"][v] = count / math.comb(neighborhood.size, 2)
     return result
 
 
 def _clustering_mismatch(graph: GrownGraph) -> str | None:
+    """The first variant and vertex where `compute_report` and the oracle disagree."""
     policy = SplitPolicy(mode="half")
     report = compute_report(graph, policy)
     oracle = brute_force_clustering(graph, split_times(graph, policy))
-    directed = {int(v): (c, o, w) for v, c, o, w in zip(
-        report.ids_directed, report.c_directed, report.c_old, report.c_new)}
-    undirected = {int(v): c for v, c in zip(report.ids_undirected, report.c_undirected)}
-    for v, (c_directed, c_old, c_new, c_undirected) in oracle.items():
-        if c_directed is not None:
-            if directed.get(v) != (c_directed, c_old, c_new):
-                return f"directed clustering differs at vertex {v}"
-        elif v in directed:
-            return f"vertex {v} reported despite in-degree < 2"
-        if c_undirected is not None and undirected.get(v) != c_undirected:
-            return f"undirected clustering differs at vertex {v}"
+    for variant in VARIANTS:
+        record = report.variant(variant)
+        got, want = dict(zip(record.ids.tolist(), record.values.tolist())), oracle[variant]
+        if got != want:
+            v = min(v for v in got.keys() | want.keys() if got.get(v) != want.get(v))
+            if v not in want:
+                return f"{variant} clustering reported at vertex {v}, where it is undefined"
+            return f"{variant} clustering differs at vertex {v}"
     return None
 
 

@@ -125,13 +125,7 @@ def test_c04_in_degree_exponent(pooled_census):
 
 
 def _pooled_banded(reports, variant):
-    curves = [cl.banded_curve_from_report(r, variant, delta=0.1) for r in reports]
-    pooled: dict = {}
-    for curve in curves:
-        for d, (count, mean) in curve.items():
-            have_count, have_sum = pooled.get(d, (0, 0.0))
-            pooled[d] = (have_count + count, have_sum + count * mean)
-    return {d: (c, s / c) for d, (c, s) in pooled.items()}
+    return cl.pool_curves([cl.banded_curve_from_report(r, variant, delta=0.1) for r in reports])
 
 
 @pytest.mark.xfail(
@@ -163,7 +157,8 @@ def test_c05_clustering_decay(half_reports):
 def test_c06_decomposition_identity(half_reports, log_reports):
     worst = 0.0
     for report in (*half_reports, *log_reports):
-        gap = float(np.abs(report.c_directed - (report.c_old + report.c_new)).max())
+        split = report.old.values + report.new.values
+        gap = float(np.abs(report.directed.values - split).max())
         worst = max(worst, gap)
     ok = worst <= 1e-12
     announce(6, "old-new-decomposition", ok, f"(worst |c - (c_old + c_new)| = {worst:.2e})")

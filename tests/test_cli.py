@@ -6,7 +6,7 @@ import pytest
 
 from spagraph import cli
 from spagraph.cli import main
-from spagraph.clustering import compute_report, scatter_from_report
+from spagraph.clustering import compute_report
 from spagraph.errors import ParameterError
 from spagraph.generator import GrownGraph, ModelParams
 from spagraph.graph_io import read_graph, write_graph
@@ -117,9 +117,10 @@ def test_stats_emits_all_reports(tmp_path):
     with open(os.path.join(reports, f"scatter_{stem}.csv")) as handle:
         scatter = [row for row in csv.reader(handle) if row[0] in ("directed", "undirected")]
     assert scatter == [
-        [variant, str(int(degree)), repr(float(value))]
+        [variant, str(degree), repr(value)]
         for variant in ("directed", "undirected")
-        for degree, value in scatter_from_report(report, variant)
+        for degree, value in zip(report.variant(variant).degree.tolist(),
+                                 report.variant(variant).values.tolist())
     ]
 
 
@@ -418,6 +419,18 @@ def test_top_at_least_n_never_selects_slot_zero(tmp_path, command):
         chosen = _trajectory_vertices(out, "hand")
         assert sorted(chosen) == list(range(1, 8))
         assert chosen[:2] == [1, 2]
+
+
+def test_stats_on_one_vertex_graph_is_vacuous(tmp_path):
+    out = str(tmp_path)
+    assert run(["generate", "--n", "1", "--out", out]) == 0
+    reports = str(tmp_path / "reports")
+    assert run(["stats", os.path.join(out, "spa_n1_p0.7_seed0.tsv"), "--out", reports]) == 0
+    with open(os.path.join(reports, "trajectories_spa_n1_p0.7_seed0.csv")) as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["vertex"], row["final_degree"], row["vacuous"]) for row in rows] == [
+        ("1", "0", "1")
+    ]
 
 
 def test_top_below_n_keeps_argsort_choice_and_order(tmp_path):

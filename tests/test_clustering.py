@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spagraph import clustering as cl
-from spagraph.errors import ParameterError
+from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import GrownGraph, ModelParams, generate
 from spagraph.verify import brute_force_clustering
 
@@ -19,25 +19,19 @@ def graph_from(n, edges):
 
 
 def report_coefficients(graph, policy=cl.SplitPolicy()):
-    """{v: (c_directed, c_old, c_new, c_undirected)} from compute_report, None where undefined."""
+    """{variant: {v: c}} from compute_report, over the vertices where each is defined."""
     report = cl.compute_report(graph, policy)
-    directed = {
-        v: (c, o, w)
-        for v, c, o, w in zip(report.ids_directed.tolist(), report.c_directed,
-                              report.c_old, report.c_new)
-    }
-    undirected = dict(zip(report.ids_undirected.tolist(), report.c_undirected))
     return {
-        v: (*directed.get(v, (None, None, None)), undirected.get(v))
-        for v in range(1, graph.n + 1)
+        variant: dict(zip(report.variant(variant).ids.tolist(), report.variant(variant).values))
+        for variant in cl.VARIANTS
     }
 
 
 def coefficients(graph, v, policy=cl.SplitPolicy()):
-    """v's coefficients from compute_report, checked against the oracle first."""
+    """{variant: c} at v from compute_report, None where undefined; checked against the oracle."""
     got = report_coefficients(graph, policy)
     assert got == brute_force_clustering(graph, cl.split_times(graph, policy))
-    return got[v]
+    return {variant: values.get(v) for variant, values in got.items()}
 
 
 @pytest.fixture(scope="module")
@@ -48,41 +42,40 @@ def grown():
 def test_single_pair_with_edge():
     # v=1 has in-neighbors {2, 3} and 3 -> 2 exists
     g = graph_from(3, [(2, 1), (3, 1), (3, 2)])
-    assert coefficients(g, 1)[0] == 1.0
+    assert coefficients(g, 1)["directed"] == 1.0
 
 
 def test_single_pair_without_edge():
     g = graph_from(3, [(2, 1), (3, 1)])
-    assert coefficients(g, 1)[0] == 0.0
+    assert coefficients(g, 1)["directed"] == 0.0
 
 
 def test_four_in_neighbors_three_edges():
     # hub 1 with in-neighbors {2,3,4,5}; 3 edges among them -> 3 / C(4,2)
     edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
     g = graph_from(7, edges)
-    assert coefficients(g, 1)[0] == 0.5
+    assert coefficients(g, 1)["directed"] == 0.5
 
 
 def test_low_degree_undefined():
     g = graph_from(3, [(2, 1)])
-    assert coefficients(g, 1)[0] is None
-    assert coefficients(g, 3)[3] is None
+    assert coefficients(g, 1)["directed"] is None
+    assert coefficients(g, 3)["undirected"] is None
 
 
 def test_undirected_triangle_and_star():
     g = graph_from(3, [(2, 1), (3, 1), (3, 2)])
     for v in (1, 2, 3):
-        assert coefficients(g, v)[3] == 1.0
+        assert coefficients(g, v)["undirected"] == 1.0
     star = graph_from(4, [(2, 1), (3, 1), (4, 1)])
-    assert coefficients(star, 1)[3] == 0.0
+    assert coefficients(star, 1)["undirected"] == 0.0
 
 
 def test_zero_out_degree_vertices_equal_views(grown):
-    report = cl.compute_report(grown)
-    directed = dict(zip(report.ids_directed.tolist(), report.c_directed))
-    undirected = dict(zip(report.ids_undirected.tolist(), report.c_undirected))
+    got = report_coefficients(grown)
+    directed, undirected = got["directed"], got["undirected"]
     checked = 0
-    for v in report.ids_directed.tolist():
+    for v in directed:
         if grown.out_degree[v] == 0:
             assert undirected[v] >= directed[v]
             assert undirected[v] == directed[v]
@@ -102,10 +95,10 @@ def test_old_new_handcrafted_split():
     g = graph_from(9, edges)
     policy = cl.SplitPolicy(mode="half")
     assert cl.split_times(g, policy)[1] == 5  # threshold 3, 4th neighbor is vertex 5
-    c_directed, c_old, c_new, _ = coefficients(g, 1, policy)
-    assert c_new == 1 / math.comb(6, 2)
-    assert c_old == 0.0
-    assert c_directed == c_old + c_new
+    c = coefficients(g, 1, policy)
+    assert c["new"] == 1 / math.comb(6, 2)
+    assert c["old"] == 0.0
+    assert c["directed"] == c["old"] + c["new"]
 
 
 def test_split_threshold_never_reached_makes_everything_old():
@@ -113,9 +106,9 @@ def test_split_threshold_never_reached_makes_everything_old():
     g = graph_from(3, edges)
     policy = cl.SplitPolicy(mode="log", omega=100.0)  # unreachable threshold
     assert cl.split_times(g, policy)[1] == g.n
-    c_directed, c_old, c_new, _ = coefficients(g, 1, policy)
-    assert c_new == 0.0
-    assert c_old == c_directed
+    c = coefficients(g, 1, policy)
+    assert c["new"] == 0.0
+    assert c["old"] == c["directed"]
 
 
 @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
@@ -134,13 +127,14 @@ def test_half_final_threshold_arithmetic():
 def test_decomposition_identity_both_modes(grown):
     for policy in (cl.SplitPolicy(mode="log"), cl.SplitPolicy(mode="half")):
         report = cl.compute_report(grown, policy)
-        gap = np.abs(report.c_directed - (report.c_old + report.c_new))
+        gap = np.abs(report.directed.values - (report.old.values + report.new.values))
         assert gap.max() <= 1e-12
 
 
 def test_every_coefficient_in_unit_interval(grown):
     report = cl.compute_report(grown, cl.SplitPolicy(mode="half"))
-    for values in (report.c_directed, report.c_old, report.c_new, report.c_undirected):
+    for variant in cl.VARIANTS:
+        values = report.variant(variant).values
         assert values.min() >= 0.0
         assert values.max() <= 1.0
     assert 0.0 <= report.global_clustering <= 1.0
@@ -150,7 +144,7 @@ def test_vectorized_matches_brute_force(grown):
     policy = cl.SplitPolicy(mode="half")
     oracle = brute_force_clustering(grown, cl.split_times(grown, policy))
     assert report_coefficients(grown, policy) == oracle
-    assert sum(c[0] is not None for c in oracle.values()) > 100
+    assert len(oracle["directed"]) > 100
 
 
 @st.composite
@@ -238,14 +232,14 @@ def test_compute_report_memory_stays_within_edge_budget():
 def test_adding_neighbor_edge_increases_coefficient():
     sparse = graph_from(4, [(2, 1), (3, 1), (4, 1), (4, 3)])
     denser = graph_from(4, [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)])
-    assert coefficients(denser, 1)[0] > coefficients(sparse, 1)[0]
+    assert coefficients(denser, 1)["directed"] > coefficients(sparse, 1)["directed"]
 
 
 def test_exact_curve_binning():
     edges = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 4), (6, 4), (7, 4), (8, 7)]
     g = graph_from(8, edges)
     curve = cl.curve_from_report(cl.compute_report(g), "directed")
-    assert curve[3] == (2, (coefficients(g, 1)[0] + coefficients(g, 4)[0]) / 2)
+    assert curve[3] == (2, (coefficients(g, 1)["directed"] + coefficients(g, 4)["directed"]) / 2)
     assert 2 not in curve  # no vertex of in-degree exactly 2
 
 
@@ -253,7 +247,7 @@ def test_curves_match_independent_recomputation(grown):
     report = cl.compute_report(grown)
     curve = cl.curve_from_report(report, "directed")
     values = {}
-    for v, d, c in zip(report.ids_directed, report.in_degrees, report.c_directed):
+    for d, c in zip(report.directed.degree, report.directed.values):
         values.setdefault(int(d), []).append(c)
     for d, (count, mean) in curve.items():
         assert count == len(values[d])
@@ -273,11 +267,10 @@ def test_banded_curve_brute_force(grown):
     report = cl.compute_report(grown)
     banded = cl.banded_curve_from_report(report, "directed", delta)
     for d, (count, mean) in list(banded.items())[::7]:
-        members = (report.in_degrees >= (1 - delta) * d) & (
-            report.in_degrees <= (1 + delta) * d
-        )
+        in_degree = report.directed.in_degree
+        members = (in_degree >= (1 - delta) * d) & (in_degree <= (1 + delta) * d)
         assert count == members.sum()
-        assert mean == pytest.approx(report.c_directed[members].mean(), rel=1e-12)
+        assert mean == pytest.approx(report.directed.values[members].mean(), rel=1e-12)
 
 
 def test_banded_curve_delta_domain(grown):
@@ -288,12 +281,30 @@ def test_banded_curve_delta_domain(grown):
 
 
 def test_scatter_export(grown):
-    report = cl.compute_report(grown)
-    scatter = cl.scatter_from_report(report, "directed")
-    assert scatter.shape == (report.ids_directed.size, 2)
-    degree_two_perfect = scatter[(scatter[:, 0] == 2) & (scatter[:, 1] == 1.0)]
+    """The scatter's (degree, c) pairs are a record's `degree` and `values`, row for row."""
+    record = cl.compute_report(grown).directed
+    assert record.ids.shape == record.degree.shape == record.values.shape
     # vertices of in-degree 2 whose neighbors are joined appear as (2, 1.0)
-    assert degree_two_perfect.size > 0
+    assert ((record.degree == 2) & (record.values == 1.0)).any()
+
+
+def test_records_bin_and_band_by_their_variants_degree(grown):
+    report = cl.compute_report(grown)
+    total = grown.in_degree + grown.out_degree
+    for variant in cl.VARIANTS:
+        record = report.variant(variant)
+        binning = total if variant == "undirected" else grown.in_degree
+        assert np.array_equal(record.ids, np.flatnonzero(binning[1:] >= 2) + 1)
+        assert np.array_equal(record.degree, binning[record.ids])
+        assert np.array_equal(record.in_degree, grown.in_degree[record.ids])
+
+
+def test_unknown_variant_is_a_usage_error(grown):
+    report = cl.compute_report(grown)
+    with pytest.raises(UsageError, match="unknown variant 'triangles'"):
+        report.variant("triangles")
+    with pytest.raises(UsageError, match="unknown variant"):
+        cl.curve_from_report(report, "triangles")
 
 
 def test_global_clustering_small_cases():

@@ -1,15 +1,22 @@
-"""The demos and the benchmark import only names that spagraph has.
+"""The demos run to completion, and they and the benchmark import only names spagraph has.
 
-Nothing is executed: each file is parsed and its `spagraph` imports are
-resolved, so deleting a name they use fails here first.
+Each demo runs in its own subprocess, so a renamed attribute fails here as
+well as a deleted import. The benchmark is only parsed: each file's
+`spagraph` imports are resolved.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+DEMOS = sorted(ROOT.glob("demos/*.py"))
+SOURCES = DEMOS + sorted(ROOT.glob("perfbench/*.py"))
 
 
 def test_demo_imports_exist():
@@ -27,3 +34,13 @@ def test_demo_imports_exist():
                 for alias in node.names:
                     if alias.name.split(".")[0] == "spagraph":
                         importlib.import_module(alias.name)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    # files a demo writes (into the working or the temp directory) land in tmp_path
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path),
+           "SPA_JOBS": "1"}
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -89,27 +89,47 @@ def test_default_generator_is_looked_up_at_call_time(monkeypatch):
     assert not report.passed
 
 
-@pytest.mark.parametrize("field", ["c_old", "c_undirected"])
-def test_wrong_clustering_fails_and_names_vertex(monkeypatch, field):
+UNDEFINED = 236   # total degree below 2 in the n = 300, seed 0 graph: no undirected coefficient
+
+
+@pytest.mark.parametrize("variant, added, message", [
+    pytest.param("old", False, "old clustering differs at vertex {}", id="c_old"),
+    pytest.param("undirected", False, "undirected clustering differs at vertex {}",
+                 id="c_undirected"),
+    pytest.param("undirected", True,
+                 "undirected clustering reported at vertex {}, where it is undefined",
+                 id="undirected_where_undefined"),
+])
+def test_wrong_clustering_fails_and_names_vertex(monkeypatch, variant, added, message):
     real = verify.compute_report
     broken = {}
 
     def perturbed(graph, policy):
         report = real(graph, policy)
-        values = getattr(report, field).copy()
-        i = values.size // 2
-        values[i] += 1e-12
-        ids = report.ids_undirected if field == "c_undirected" else report.ids_directed
-        broken["vertex"] = int(ids[i])
-        return replace(report, **{field: values})
+        record = report.variant(variant)
+        if added:   # a coefficient at a vertex where the variant is undefined
+            v = UNDEFINED
+            assert graph.in_degree[v] + graph.out_degree[v] < 2
+            i = int(np.searchsorted(record.ids, v))
+            record = replace(
+                record, ids=np.insert(record.ids, i, v),
+                degree=np.insert(record.degree, i, 2),
+                in_degree=np.insert(record.in_degree, i, graph.in_degree[v]),
+                values=np.insert(record.values, i, 0.0),
+            )
+        else:   # a wrong coefficient at a vertex where it is defined
+            i = record.values.size // 2
+            v = int(record.ids[i])
+            values = record.values.copy()
+            values[i] += 1e-12
+            record = replace(record, values=values)
+        broken["vertex"] = v
+        return replace(report, **{variant: record})
 
     monkeypatch.setattr(verify, "compute_report", perturbed)
     report = verify_equivalence(ModelParams(n=300, seed=0, **PARAMS), seeds=[0])
-    kind = "undirected" if field == "c_undirected" else "directed"
     assert not report.passed
-    assert report.results[0].detail == (
-        f"{kind} clustering differs at vertex {broken['vertex']}"
-    )
+    assert report.results[0].detail == message.format(broken["vertex"])
 
 
 def test_first_divergent_step_names_the_step():
