@@ -31,11 +31,11 @@ class SphereIndex:
         # slots never inserted keep NaN centers, which no ball contains
         self._positions = np.full((capacity + 1, m), np.nan)
         self._weights = np.zeros(capacity + 1)
-        self._present = np.zeros(capacity + 1, dtype=bool)
+        self._present = bytearray(capacity + 1)
         self._end = 1   # one past the largest inserted id
 
     def __contains__(self, vertex_id: int) -> bool:
-        return 0 < vertex_id <= self.capacity and bool(self._present[vertex_id])
+        return 0 < vertex_id <= self.capacity and self._present[vertex_id] == 1
 
     def insert(self, vertex_id: int, position, weight: float) -> None:
         """Add a vertex whose sphere has volume min(weight / t, 1) at time t."""
@@ -45,7 +45,7 @@ class SphereIndex:
             raise UsageError(f"vertex id {vertex_id} outside capacity {self.capacity}")
         self._positions[vertex_id] = position
         self._weights[vertex_id] = weight
-        self._present[vertex_id] = True
+        self._present[vertex_id] = 1
         self._end = max(self._end, vertex_id + 1)
 
     def update_weight(self, vertex_id: int, weight: float) -> None:

@@ -38,9 +38,11 @@ def test_demo_imports_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    # files a demo writes (into the working or the temp directory) land in tmp_path
+    # files a demo writes (into the working or the temp directory) land in
+    # tmp_path, and none may be left there
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path),
            "SPA_JOBS": "1"}
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert not sorted(tmp_path.iterdir()), "the demo left files behind"

@@ -348,6 +348,23 @@ def test_index_factory_runs_the_step_centric_walk():
     assert inserted == list(range(1, 801))
 
 
+def test_step_centric_weights_are_the_model_weights():
+    # 0.3 has no exact binary form, so a weight evaluated any other way
+    # (k * 3 / 10 + a2, or in float32) differs from a1 * k + a2 somewhere
+    weights = {}
+
+    class RecordingIndex(SphereIndex):
+        def update_weight(self, vertex_id, weight):
+            weights.setdefault(vertex_id, []).append(weight)
+            super().update_weight(vertex_id, weight)
+
+    a1, a2 = 0.3, 30 / 7
+    graph = generate(make(800, seed=14, a1=a1, a2=a2), index_factory=RecordingIndex)
+    assert sorted(weights) == np.flatnonzero(graph.in_degree).tolist()
+    for v, seen in weights.items():
+        assert seen == [a1 * k + a2 for k in range(1, graph.in_degree[v] + 1)], v
+
+
 @pytest.mark.parametrize("short", [1, 2, 3, 63, 64, 65, 511, 512, 513, 1000])
 def test_shorter_run_is_exact_prefix(short):
     # windows end at 2s clipped to n; the clip must not change earlier steps

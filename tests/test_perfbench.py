@@ -54,6 +54,13 @@ def test_analyze_passes_every_check(tmp_path):
     assert_all_pass(checks)
 
 
+def test_verify_passes_every_check(tmp_path):
+    # untraced, as the timed benchmark runs it
+    checks = worker("run", "verify", work_dir=tmp_path)["checks"]
+    assert {name for name, _, _ in checks} == {f"verify.seed{seed}" for seed in range(5)}
+    assert_all_pass(checks)
+
+
 def test_traced_verify_passes_every_check(tmp_path):
     # tracing installs a wrapper on every name the benchmark wraps, so a
     # dropped or renamed one fails here

@@ -39,6 +39,19 @@ def test_unknown_update_rejected():
         index.update_weight(5, 1.0)
 
 
+@pytest.mark.parametrize("vertex_id", [0, -1, 11])
+def test_ids_outside_capacity_rejected(vertex_id):
+    index = SphereIndex(2, Norm.LINF, 10)
+    index.insert(10, [0.5, 0.5], 1.0)   # the last slot, where id -1 would land if it wrapped
+    assert 10 in index
+    assert vertex_id not in index
+    with pytest.raises(UsageError):
+        index.insert(vertex_id, [0.5, 0.5], 1.0)
+    with pytest.raises(UsageError):
+        index.update_weight(vertex_id, 2.0)
+    assert index.covering_spheres([0.5, 0.5], 1).tolist() == [10]
+
+
 def test_boundary_inclusion_closed_ball():
     # volume 0.25 -> Linf radius exactly 0.25; the boundary point is inside
     index = SphereIndex(2, Norm.LINF, 10)

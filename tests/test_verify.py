@@ -1,15 +1,25 @@
 import functools
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spagraph import verify
+from spagraph.clustering import VARIANTS, SplitPolicy, split_times
 from spagraph.errors import UsageError
 from spagraph.generator import GrownGraph, ModelParams, generate, generate_naive
 from spagraph.geometry import Norm
 from spagraph.spatial_index import SphereIndex
-from spagraph.verify import first_divergent_step, verify_equivalence, vertex_walk
+from spagraph.verify import (
+    brute_force_clustering,
+    first_divergent_step,
+    verify_equivalence,
+    vertex_walk,
+)
 
 PARAMS = dict(p=0.7, a1=1.0, a2=30 / 7)
 
@@ -172,3 +182,47 @@ def test_vertex_walk_equals_naive_in_neighbors_of_every_vertex(params):
     graph = generate_naive(params)
     for v in range(1, params.n + 1):
         assert np.array_equal(vertex_walk(params, graph.positions, v), graph.in_neighbors(v)), v
+
+
+@st.composite
+def birth_ordered_edges(draw):
+    """(n, edges) on up to 25 vertices; vertex 2 always has an in- and an out-neighbour."""
+    n = draw(st.integers(3, 25))
+    pairs = [(s, u) for s in range(2, n + 1) for u in range(1, s)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, k in zip(pairs, keep) if k or pair in ((2, 1), (3, 2))]
+
+
+def dict_of_sets_clustering(n, edges, t_hat):
+    """{variant: {v: c}} counted pair by pair over Python sets."""
+    out = {v: set() for v in range(1, n + 1)}
+    into = {v: set() for v in range(1, n + 1)}
+    for source, target in edges:
+        out[source].add(target)
+        into[target].add(source)
+    result = {variant: {} for variant in VARIANTS}
+    for v in range(1, n + 1):
+        d = len(into[v])
+        if d >= 2:
+            # each edge y -> z between two in-neighbours; it is old when z arrived by t_hat[v]
+            linked = [(y, z) for y in into[v] for z in into[v] if z in out[y]]
+            old = sum(1 for _, z in linked if z <= t_hat[v])
+            result["directed"][v] = len(linked) / math.comb(d, 2)
+            result["old"][v] = old / math.comb(d, 2)
+            result["new"][v] = (len(linked) - old) / math.comb(d, 2)
+        around = into[v] | out[v]
+        if len(around) >= 2:
+            pairs = itertools.combinations(around, 2)
+            count = sum(1 for y, z in pairs if z in out[y] or y in out[z])
+            result["undirected"][v] = count / math.comb(len(around), 2)
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=birth_ordered_edges(), mode=st.sampled_from(["half", "log"]))
+def test_brute_force_clustering_equals_a_count_over_sets(case, mode):
+    n, edges = case
+    graph = GrownGraph.from_edges(ModelParams(n=n, seed=0, **PARAMS), edges)
+    assert graph.in_degree[2] > 0 and graph.out_degree[2] > 0
+    t_hat = split_times(graph, SplitPolicy(mode))
+    assert brute_force_clustering(graph, t_hat) == dict_of_sets_clustering(n, edges, t_hat)
