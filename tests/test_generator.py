@@ -22,6 +22,7 @@ from spagraph.geometry import Norm, needed_volume
 from spagraph.graph_io import serialize_graph
 from spagraph.rng import CounterStream
 from spagraph.spatial_index import SphereIndex
+from spagraph.verify import vertex_walk
 
 DEFAULTS = dict(p=0.7, a1=1.0, a2=30 / 7, dimension=2, norm=Norm.LINF)
 
@@ -363,6 +364,19 @@ def test_step_centric_weights_are_the_model_weights():
     assert sorted(weights) == np.flatnonzero(graph.in_degree).tolist()
     for v, seen in weights.items():
         assert seen == [a1 * k + a2 for k in range(1, graph.in_degree[v] + 1)], v
+
+
+def test_a_step_on_the_sphere_boundary_is_covered(monkeypatch):
+    # 1-D L-inf: x_2 and x_3 lie 0.25 from x_1, so Q = 0.5, exactly vertex 1's
+    # volume at degree 0 and t = 2, (0.5 * 0 + 0.5) / 1, and at degree 1 and
+    # t = 3, (0.5 * 1 + 0.5) / 2; the spheres are closed, so both steps link
+    positions = np.array([[np.nan], [0.0], [0.25], [0.75]])
+    monkeypatch.setattr(generator, "_draw_positions", lambda params, stream: positions.copy())
+    params = make(3, p=1.0, a1=0.5, a2=0.5, dimension=1)
+    for graph in (generate(params), generate_naive(params)):
+        assert list(graph.iter_edges()) == [(2, 1), (3, 1)]
+    assert vertex_walk(params, positions, 1).tolist() == [2, 3]
+    assert vertex_walk(params, positions, 2).tolist() == []
 
 
 @pytest.mark.parametrize("short", [1, 2, 3, 63, 64, 65, 511, 512, 513, 1000])

@@ -170,6 +170,17 @@ def test_first_divergent_step_without_positions():
     assert first_divergent_step(placed, graph) == (1, "positions missing in one run")
 
 
+@pytest.mark.parametrize("fast_n, reference_n", [(300, 200), (200, 300)])
+def test_runs_of_different_n_diverge_after_the_shorter(fast_n, reference_n):
+    params = ModelParams(n=reference_n, seed=0, **PARAMS)
+    detail = f"run under test has n = {fast_n}, reference n = {reference_n}"
+    fast = generate(replace(params, n=fast_n))
+    assert first_divergent_step(fast, generate(params)) == (201, detail)
+    report = verify_equivalence(params, seeds=[0],
+                                generator=lambda seeded: generate(replace(seeded, n=fast_n)))
+    assert report.summary() == f"seed 0: MISMATCH at step 201: {detail}"
+
+
 @pytest.mark.parametrize("params", [
     ModelParams(n=1000, seed=3, **PARAMS),
     ModelParams(n=700, seed=4, dimension=3, norm=Norm.L2, **PARAMS),
