@@ -23,7 +23,9 @@ from .errors import (
     VerificationError,
 )
 from .geometry import Norm, radius_to_volume, torus_distance, volume_to_radius
-from .generator import GrownGraph, ModelParams, generate, generate_naive, sphere_volume
+from .generator import (
+    GrownGraph, ModelParams, generate, generate_many, generate_naive, sphere_volume,
+)
 from .spatial_index import SphereIndex
 from .clustering import ClusteringReport, Coefficients, SplitPolicy, compute_report
 from .stats import (
@@ -46,7 +48,7 @@ __all__ = [
     "__version__",
     "SpaError", "ParameterError", "UsageError", "ParseError", "VerificationError",
     "Norm", "torus_distance", "volume_to_radius", "radius_to_volume",
-    "ModelParams", "GrownGraph", "generate", "generate_naive", "sphere_volume",
+    "ModelParams", "GrownGraph", "generate", "generate_many", "generate_naive", "sphere_volume",
     "SphereIndex",
     "SplitPolicy", "ClusteringReport", "Coefficients", "compute_report",
     "TheoryConstants", "DegreeCensus", "ExponentFit", "TrajectoryCheck",

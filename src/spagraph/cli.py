@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from ._version import __version__
 from . import clustering, graph_io, stats
 from .errors import ParameterError, ParseError, SpaError, UsageError, VerificationError
-from .generator import ModelParams, generate
+from .generator import ModelParams, generate, generate_many
 from .geometry import Norm
 from .verify import verify_equivalence
 
@@ -49,6 +48,9 @@ def _map(fn, tasks) -> list:
     """fn over tasks, in SPA_JOBS worker processes when there is more than one task."""
     jobs = _jobs()
     if jobs > 1 and len(tasks) > 1:
+        # imported here: it is a third of `import spagraph.cli`, and only SPA_JOBS > 1 needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
@@ -301,17 +303,22 @@ def cmd_sweep(args) -> int:
     seeds = _seed_list(args)
     models = _sweep_models(args)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for model in models:
-        curves = {"directed": [], "undirected": []}
-        for seed in seeds:
-            graph = generate(replace(model, seed=seed))
+    # per model, per variant: one curve per replica, in seed order
+    curves = [{"directed": [], "undirected": []} for _ in models]
+    for seed in seeds:
+        # one walk grows every p of this seed; each graph is analysed and let go in turn
+        graphs = generate_many([replace(model, seed=seed) for model in models])
+        for per_variant, graph in zip(curves, graphs):
             report = clustering.compute_report(graph)
-            for variant in curves:
-                curves[variant].append(clustering.curve_from_report(report, variant))
-        for variant, per_replica in curves.items():
-            for d, (count, mean) in sorted(clustering.pool_curves(per_replica).items()):
-                rows.append((variant, repr(model.p), d, count, repr(mean)))
+            for variant, per_replica in per_variant.items():
+                per_replica.append(clustering.curve_from_report(report, variant))
+            del graph, report
+    rows = [
+        (variant, repr(model.p), d, count, repr(mean))
+        for model, per_variant in zip(models, curves)
+        for variant, per_replica in per_variant.items()
+        for d, (count, mean) in sorted(clustering.pool_curves(per_replica).items())
+    ]
     graph_io.write_csv(
         os.path.join(args.out, "sweep.csv"),
         ("variant", "p", "d", "count", "mean_c"), rows,

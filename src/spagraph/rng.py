@@ -10,8 +10,10 @@ local to the (step, vertex) pair that caused it.
 The stream function is the keyed BLAKE2b PRF from hashlib (RFC 7693),
 which is stable across platforms and Python versions. Its little-endian
 word w gives the exact float (w >> 11) * 2^-53; `uniforms` draws many in
-one loop, and `heads(p)` tests w < ceil(p * 2^53) << 11, which equals
-that float < p for every p in [0, 1] without computing a float.
+one loop. A coin word w is heads at p when w >> 11 < coin_cut(p) =
+ceil(p * 2^53), which equals that float < p for every p in [0, 1] without
+computing a float, and keeps the cut within a uint64 even at p = 1 (where
+cut << 11 would be 2^64).
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ LANE_COIN = 1
 
 _TO_UNIT = 2.0 ** -53
 _PACK = struct.Struct("<QQQ").pack
+
+
+def coin_cut(p: float) -> int:
+    """ceil(p * 2^53): the coin word w is heads at p iff w >> 11 < coin_cut(p)."""
+    return math.ceil(p * 2.0 ** 53)
 
 
 class CounterStream:
@@ -52,15 +59,23 @@ class CounterStream:
             digests.append(state.digest())
         return (np.frombuffer(b"".join(digests), "<u8") >> 11) * _TO_UNIT
 
-    def heads(self, p: float):
-        """The coin test `uniforms(LANE_COIN, [t], [u])[0] < p` as a function of (t, u)."""
-        threshold = math.ceil(p * 2.0 ** 53) << 11
+    def coin_words(self):
+        """The coin lane's 64-bit word at counter u of step t, as a function of (t, u)."""
         copy, from_bytes = self._keyed.copy, int.from_bytes
 
-        def heads(t: int, u: int) -> bool:
+        def word(t: int, u: int) -> int:
             state = copy()
             state.update(_PACK(LANE_COIN, t, u))
-            return from_bytes(state.digest(), "little") < threshold
+            return from_bytes(state.digest(), "little")
+
+        return word
+
+    def heads(self, p: float):
+        """The coin test `uniforms(LANE_COIN, [t], [u])[0] < p` as a function of (t, u)."""
+        cut, word = coin_cut(p), self.coin_words()
+
+        def heads(t: int, u: int) -> bool:
+            return word(t, u) >> 11 < cut
 
         return heads
 

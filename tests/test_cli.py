@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +190,17 @@ def test_sweep_formula_and_output(tmp_path):
         rows = list(csv.DictReader(handle))
     assert {row["variant"] for row in rows} == {"directed", "undirected"}
     assert all(row["p"] == "0.5" for row in rows)
+
+
+def test_multi_p_sweep_digest(tmp_path):
+    # pinned before the p values shared one walk: row order and replica pooling stay put
+    out = str(tmp_path)
+    assert run([
+        "sweep", "--p-list", "0.1,0.5,0.9", "--n", "300", "--replicas", "2", "--out", out,
+    ]) == 0
+    with open(os.path.join(out, "sweep.csv"), "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    assert digest == "301a66b56d4dffb7f4557590d2c1b3300ae6b06745e26873cd8ae19c93d6695e"
 
 
 def test_generate_from_config_file(tmp_path):
@@ -384,6 +398,15 @@ def test_jobs_rejects_bad_values(monkeypatch, value):
     monkeypatch.setenv("SPA_JOBS", value)
     with pytest.raises(ParameterError, match="SPA_JOBS"):
         cli._jobs()
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # only SPA_JOBS > 1 needs them, and the import would land in every command's run time
+    code = "import sys, spagraph.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_jobs_default_and_cap(monkeypatch):

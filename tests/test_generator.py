@@ -1,8 +1,9 @@
+import array
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spagraph import generator
@@ -11,16 +12,18 @@ from spagraph.generator import (
     GrownGraph,
     ModelParams,
     _DRAW,
+    _CoinTable,
     _StaticGrid,
     _draw_positions,
     _gather,
     generate,
+    generate_many,
     generate_naive,
     sphere_volume,
 )
 from spagraph.geometry import Norm, needed_volume
 from spagraph.graph_io import serialize_graph
-from spagraph.rng import CounterStream
+from spagraph.rng import CounterStream, coin_cut
 from spagraph.spatial_index import SphereIndex
 from spagraph.verify import vertex_walk
 
@@ -387,3 +390,78 @@ def test_shorter_run_is_exact_prefix(short):
     assert np.array_equal(part.positions[1:], long.positions[1 : short + 1])
     assert np.array_equal(part.out_ptr, long.out_ptr[: short + 2])
     assert np.array_equal(part.out_targets, long.out_targets[: long.out_ptr[short + 1]])
+
+
+# -- one walk for many models -------------------------------------------------
+
+_P = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+_A2 = st.sampled_from([0.5, 30 / 7, 90.0]) | st.floats(0.01, 100.0)   # repeats are likely
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 1100),
+    dimension=st.integers(1, 3),
+    norm=st.sampled_from(list(Norm)),
+    seed=st.integers(0, 2 ** 64 - 1),
+    points=st.lists(st.tuples(_P, st.floats(0.05, 0.95), _A2), min_size=1, max_size=4),
+)
+# p = 0 and p = 1, an unsorted p-list, and a repeated a2, over two vertex blocks
+@example(n=1100, dimension=2, norm=Norm.LINF, seed=0,
+         points=[(0.5, 0.9, 1.0), (1.0, 0.9, 4.0), (0.0, 0.9, 4.0), (0.1, 0.9, 90.0)])
+@example(n=700, dimension=1, norm=Norm.L2, seed=5, points=[(0.9, 1.0, 10 / 9), (0.1, 1.0, 90.0)])
+def test_generate_many_serializes_like_separate_runs(n, dimension, norm, seed, points):
+    models = [make(n, seed=seed, p=p, a1=a1, a2=a2, dimension=dimension, norm=norm)
+              for p, a1, a2 in points]
+    got = [serialize_graph(graph) for graph in generate_many(models)]
+    assert got == [serialize_graph(generate(model)) for model in models]
+
+
+def test_generate_many_rejects_an_empty_or_mixed_list():
+    with pytest.raises(UsageError):
+        generate_many([])
+    base = make(50, seed=3)
+    for other in (make(51, seed=3), make(50, seed=3, dimension=3),
+                  make(50, seed=3, norm=Norm.L2), make(50, seed=4)):
+        with pytest.raises(UsageError, match="must share"):
+            generate_many([base, other])
+
+
+def test_generate_many_hashes_fewer_words(monkeypatch):
+    hashed = [0]
+    coin_words = CounterStream.coin_words
+
+    def counted(stream):
+        word = coin_words(stream)
+
+        def count(t, u):
+            hashed[0] += 1
+            return word(t, u)
+
+        return count
+
+    monkeypatch.setattr(CounterStream, "coin_words", counted)
+    models = [make(500, seed=9, p=p, a2=10 * (1 - p) / p) for p in (0.1, 0.5, 0.9)]
+    separate = [generate(model) for model in models]
+    separate_words, hashed[0] = hashed[0], 0
+    shared = list(generate_many(models))
+    assert 0 < hashed[0] < separate_words
+    for a, b in zip(shared, separate):
+        assert_same_graph(a, b)
+
+
+def test_coin_table_matches_heads_at_every_cut():
+    # p = 1 makes ceil(p * 2^53) << 11 = 2^64, past a uint64; the table shifts the word instead
+    stream = CounterStream(21)
+    word, n1 = stream.coin_words(), 1001
+    pairs = [(t, u) for t in range(2, 60) for u in range(1, t)]
+    keys = array.array("q", [t * n1 + u for t, u in pairs])
+    words = array.array("Q", [word(t, u) for t, u in pairs])
+    table = _CoinTable()
+    table.add(keys[::2], words[::2])
+    table.add(keys[1::2], words[1::2])
+    coins = [(w >> 11) * 2.0 ** -53 for w in words]
+    for p in (0.0, 1.0, 0.5, coins[0], np.nextafter(coins[0], 2), max(coins), min(coins)):
+        heads = stream.heads(p)
+        got = table.known(np.array(keys[::-1] + array.array("q", [n1 * 60 + 1])), coin_cut(p))
+        assert got == [int(heads(t, u)) for t, u in pairs[::-1]] + [-1]
