@@ -25,7 +25,7 @@ for v in top:
           f"position {np.round(graph.positions[v], 3)}")
 
 # edges always point from the younger vertex to the older one
-v, u = next(graph.iter_edges())
+v, u = int(graph.edge_sources()[0]), int(graph.out_targets[0])
 print(f"\nfirst edge: {v} -> {u} (source born later than target)")
 
 # the naive O(n^2) generator replays the identical randomness

@@ -1,6 +1,6 @@
 """Spatial preferential attachment graphs: generation and theory checks.
 
-geometry       torus metric, ball volume/radius conversions
+geometry       wrapped separations and the membership test `needed_volume`
 spatial_index  linear-scan sphere-of-influence coverage queries (naive oracle)
 rng            counter-based uniform streams (reproducibility contract)
 generator      the growth process: vertex-centric walk and naive reference
@@ -22,7 +22,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .geometry import Norm, radius_to_volume, torus_distance, volume_to_radius
+from .geometry import Norm
 from .generator import (
     GrownGraph, ModelParams, generate, generate_many, generate_naive, sphere_volume,
 )
@@ -47,7 +47,7 @@ from .verify import VerifyReport, verify_equivalence
 __all__ = [
     "__version__",
     "SpaError", "ParameterError", "UsageError", "ParseError", "VerificationError",
-    "Norm", "torus_distance", "volume_to_radius", "radius_to_volume",
+    "Norm",
     "ModelParams", "GrownGraph", "generate", "generate_many", "generate_naive", "sphere_volume",
     "SphereIndex",
     "SplitPolicy", "ClusteringReport", "Coefficients", "compute_report",

@@ -71,15 +71,18 @@ def _model_from_args(args) -> ModelParams:
 
 
 def _seed_list(args) -> list[int]:
-    """Replica seeds: --seeds if given, else --replicas of them counting up from --seed.
+    """Replica seeds: --seeds if given, else --replicas (default 1) counting up from --seed.
 
-    --replicas must be >= 1, and --seeds a non-empty list of integers with
-    no repeats.
+    --replicas must be >= 1, --seeds a non-empty list of integers with no
+    repeats, and at most one of them may be given.
     """
-    if args.replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {args.replicas}")
+    replicas = 1 if args.replicas is None else args.replicas
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
     if args.seeds is None:
-        return [args.seed + i for i in range(args.replicas)]
+        return [args.seed + i for i in range(replicas)]
+    if args.replicas is not None:
+        raise ParameterError("give --seeds or --replicas, not both")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
@@ -279,7 +282,7 @@ def cmd_stats(args) -> int:
 
 
 def _sweep_models(args) -> list[ModelParams]:
-    """One model per --p-list entry, every entry checked before any graph is grown."""
+    """One model per --p-list entry, none repeated, all checked before any graph is grown."""
     models = []
     for text in args.p_list.split(","):
         if not text.strip():
@@ -290,6 +293,8 @@ def _sweep_models(args) -> list[ModelParams]:
             raise ParameterError(f"--p-list entries must be numbers, got {text!r}") from None
         if not 0.0 < p < 1.0:
             raise ParameterError(f"sweep p values must be in (0, 1), got {p}")
+        if any(model.p == p for model in models):
+            raise ParameterError(f"--p-list repeats p = {p}")
         models.append(ModelParams(
             n=args.n, p=p, a1=args.a1, a2=10.0 * (1.0 - p) / p, dimension=args.dim,
             norm=Norm.parse(args.norm), seed=args.seed,
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="grow graphs and write them to disk")
     _add_model_flags(gen)
-    gen.add_argument("--replicas", type=int, default=1)
+    gen.add_argument("--replicas", type=int, help="replica count (default 1)")
     gen.add_argument("--seeds", help="comma-separated explicit seeds")
     gen.add_argument("--out", default=".", help="output directory")
     gen.add_argument("--no-positions", action="store_true")
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="vertex-centric vs naive equivalence on a small run")
     _add_model_flags(ver, n_default=2000)
-    ver.add_argument("--replicas", type=int, default=1)
+    ver.add_argument("--replicas", type=int, help="replica count (default 1)")
     ver.add_argument("--seeds", help="comma-separated explicit seeds")
     ver.set_defaults(func=cmd_verify)
 

@@ -156,12 +156,6 @@ class GrownGraph:
         """Source of every edge, aligned with `out_targets` (generation order)."""
         return np.repeat(np.arange(1, self.n + 1, dtype=np.int64), self.out_degree[1:])
 
-    def iter_edges(self):
-        """Yield (source, target) pairs in generation order."""
-        for v in range(1, self.n + 1):
-            for u in self.out_neighbors(v):
-                yield v, int(u)
-
     @classmethod
     def from_edges(cls, params: ModelParams, edges, positions=None) -> "GrownGraph":
         """Build a graph from an explicit edge list (tests, file parsing).

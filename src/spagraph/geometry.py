@@ -1,8 +1,8 @@
-"""Torus geometry: wrapped distances and ball volume/radius conversions.
+"""Torus geometry: wrapped separations and the ball volume that holds a point.
 
 All positions live on the unit hypercube [0,1)^m with periodic boundaries.
-Distances come from either the L2 or the L-infinity norm applied to the
-per-coordinate wrapped separations.
+A ball is measured in either the L2 or the L-infinity norm of the
+per-coordinate wrapped separations, and is named by its nominal volume.
 """
 
 from __future__ import annotations
@@ -44,22 +44,6 @@ def torus_diffs(x, y) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
-def torus_distance(x, y, norm: Norm = Norm.LINF):
-    """Torus metric between points (or arrays of points) on [0,1)^m.
-
-    Equals the minimum of ||x - y + u|| over all integer shift vectors
-    u in {-1,0,1}^m; computed coordinate-wise, which is exactly equivalent.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1] != y.shape[-1]:
-        raise UsageError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
-    d = torus_diffs(x, y)
-    if norm is Norm.LINF:
-        return _column_max(d)
-    return np.sqrt((d * d).sum(axis=-1))
-
-
 def _column_max(d: np.ndarray):
     """`d.max(axis=-1)` as a running np.maximum over the m columns.
 
@@ -73,28 +57,17 @@ def _column_max(d: np.ndarray):
     return out
 
 
-def volume_to_radius(v: float, m: int, norm: Norm) -> float:
-    """Radius of the m-ball of volume v (ignoring torus wraparound)."""
-    if not 0.0 < v <= 1.0:
-        raise ParameterError(f"volume must be in (0, 1], got {v}")
-    return float((v / unit_ball_volume(m, norm)) ** (1.0 / m))
-
-
-def radius_to_volume(r: float, m: int, norm: Norm) -> float:
-    """Nominal volume of the radius-r m-ball, capped at 1."""
-    if r < 0:
-        raise ParameterError(f"radius must be >= 0, got {r}")
-    return float(min(unit_ball_volume(m, norm) * r ** m, 1.0))
-
-
 def needed_volume(centers, x, norm: Norm) -> np.ndarray:
     """Smallest nominal ball volume at each center whose closed ball holds x.
 
     `centers` is (k, m) (or (m,)); `x` is (m,) or, for pairwise use, the
-    same shape as `centers`. Only correctly-rounded float operations are
-    used, and every membership decision in the package (linear-scan index,
-    vertex-centric generator, test oracles) compares this one
-    expression against a volume, so they all see bit-identical decisions.
+    same shape as `centers`. The result is symmetric in its two points bit
+    for bit. Every membership decision in the package compares this one
+    expression against a volume: `SphereIndex` (through `ball_contains`),
+    the generator's vertex-centric walk, `verify.vertex_walk` and
+    `stats.ball_census`. All of them pass arrays, so they see bit-identical
+    decisions; with two (m,) points numpy's scalar `**` calls libm's `pow`,
+    which can round a power differently from the array `**`.
     """
     centers = np.asarray(centers, dtype=float)
     x = np.asarray(x, dtype=float)

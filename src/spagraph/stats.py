@@ -66,7 +66,6 @@ def theory_constants(params: ModelParams, i_max: int = 50) -> TheoryConstants:
 class DegreeCensus:
     """Vertex counts by in-degree at a fixed time."""
 
-    t: int
     counts: np.ndarray      # counts[i] = number of vertices of in-degree i
 
     @property
@@ -95,7 +94,7 @@ def degree_census(graph: GrownGraph, t: int | None = None) -> DegreeCensus:
     """Count vertices by in-degree, at the final time or any earlier t."""
     t = graph.n if t is None else t
     degrees = _in_degrees_at(graph, t)
-    return DegreeCensus(t=t, counts=np.bincount(degrees[1 : t + 1]))
+    return DegreeCensus(counts=np.bincount(degrees[1 : t + 1]))
 
 
 def ball_centers_grid(m: int, per_axis: int = 3) -> np.ndarray:

@@ -110,7 +110,7 @@ def vertex_walk(params: ModelParams, positions: np.ndarray, v: int) -> np.ndarra
     while s <= n:
         bound = 2 * len(arrivals) + 16
         steps = np.arange(s, min(2 * s, n) + 1)
-        # the torus distance is symmetric bit for bit, so v may sit on either side
+        # needed_volume is symmetric bit for bit, so v may sit on either side
         q = needed_volume(positions[steps], positions[v], params.norm)
         tm1 = (steps - 1).astype(float)
         near = q <= sphere_volume(bound, tm1, params)

@@ -7,6 +7,7 @@ evidence is in each marker's reason and in the failure output); they run
 at full strength so an unexpected pass would be flagged.
 """
 
+import itertools
 import math
 import time
 
@@ -15,8 +16,8 @@ import pytest
 
 from spagraph import clustering as cl
 from spagraph import graph_io, stats
-from spagraph.generator import ModelParams, generate
-from spagraph.geometry import Norm, radius_to_volume, torus_distance, volume_to_radius
+from spagraph.generator import ModelParams, _StaticGrid, generate
+from spagraph.geometry import Norm, needed_volume, torus_diffs, unit_ball_volume
 from spagraph.verify import verify_equivalence, vertex_walk
 
 N = 100_000
@@ -66,7 +67,7 @@ def pooled_census(grown):
         if c.size > counts.size:
             counts = np.pad(counts, (0, c.size - counts.size))
         counts[: c.size] += c
-    return stats.DegreeCensus(t=N * len(SEEDS), counts=counts)
+    return stats.DegreeCensus(counts=counts)
 
 
 def test_c01_oracle_equivalence():
@@ -210,20 +211,34 @@ def test_c08_ball_census(grown):
 
 def test_c09_property_suites(grown):
     rng = np.random.default_rng(0)
-    triples = rng.random((100_000, 3, 2))
-    x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
-    for norm in Norm:
-        assert np.all(torus_distance(x, x, norm) == 0.0)
-        assert np.array_equal(torus_distance(x, y, norm), torus_distance(y, x, norm))
-        assert np.all(
-            torus_distance(x, z, norm)
-            <= torus_distance(x, y, norm) + torus_distance(y, z, norm) + 1e-12
-        )
-    for norm in Norm:
-        for m in (1, 2, 3):
-            for v in np.concatenate((rng.random(200) * 0.999 + 1e-9, [1.0])):
-                r = volume_to_radius(float(v), m, norm)
-                assert radius_to_volume(r, m, norm) == pytest.approx(float(v), rel=1e-12)
+    for m, norm in itertools.product((1, 2, 3), Norm):
+        unit = unit_ball_volume(m, norm)
+
+        def distance(a, b):
+            return (needed_volume(a, b, norm) / unit) ** (1.0 / m)
+
+        # needed_volume is the volume of a metric ball
+        x, y, z = rng.random((3, 100_000, m))
+        assert np.all(needed_volume(x, x, norm) == 0.0)
+        assert np.array_equal(needed_volume(x, y, norm), needed_volume(y, x, norm))
+        assert np.all(distance(x, z) <= distance(x, y) + distance(y, z) + 1e-12)
+        # the grid's boxes hold their balls: needed_volume <= v puts a point
+        # within radii(v) of the center in every wrapped coordinate
+        params = ModelParams(n=1, p=0.7, a1=1.0, a2=1.0, dimension=m, norm=norm)
+        grid = _StaticGrid(np.full((2, m), 0.5), params)
+        volumes = 10.0 ** rng.uniform(-6, 0, size=x.shape[0])
+        if norm is Norm.LINF:
+            direction = rng.uniform(-1, 1, size=x.shape)
+            direction /= np.abs(direction).max(axis=1, keepdims=True)
+        else:
+            direction = rng.standard_normal(x.shape)
+            direction /= np.sqrt((direction * direction).sum(axis=1, keepdims=True))
+        # points within a millionth of the radius of the ball's surface
+        scale = (volumes / unit) ** (1.0 / m) * (1.0 + rng.uniform(-1e-6, 1e-6, size=x.shape[0]))
+        points = (x + direction * scale[:, None]) % 1.0
+        inside = needed_volume(x, points, norm) <= volumes
+        assert 0.2 < inside.mean() < 0.8
+        assert np.all(torus_diffs(x, points)[inside] <= grid.radii(volumes)[inside, None])
     for graph, _ in grown:
         srcs = np.repeat(np.arange(1, graph.n + 1), graph.out_degree[1:])
         assert np.all(graph.out_targets < srcs)

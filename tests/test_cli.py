@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def test_generate_deterministic(tmp_path):
     run(["generate", *ARGS, "--seed", "3", "--out", a])
     run(["generate", *ARGS, "--seed", "3", "--out", b])
     name = "spa_n400_p0.7_seed3.tsv"
-    assert open(os.path.join(a, name), "rb").read() == open(os.path.join(b, name), "rb").read()
+    assert Path(os.path.join(a, name)).read_bytes() == Path(os.path.join(b, name)).read_bytes()
 
 
 def test_generate_replicas_distinct_seeds(tmp_path):
@@ -74,6 +75,29 @@ def test_no_runs_or_repeated_seeds_exit_1(tmp_path, monkeypatch, capsys, argv, m
     assert run(argv) == 1
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", *ARGS, "--seeds", "3,4", "--replicas", "5"],
+    ["generate", *ARGS, "--replicas", "1", "--seeds", "3"],
+    ["verify", "--n", "50", "--seeds", "3,4", "--replicas", "5"],
+    ["verify", "--n", "50", "--replicas", "1", "--seeds", "3"],
+], ids=["generate", "generate-default-count", "verify", "verify-default-count"])
+def test_seeds_with_replicas_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # an explicit --replicas, even the default count, is not overridden silently
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: give --seeds or --replicas, not both\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_rejects_a_repeated_p_before_growing(tmp_path, monkeypatch, capsys):
+    grown = []
+    monkeypatch.setattr(cli, "generate_many", lambda models: grown.append(models) or iter(()))
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--p-list", "0.3,0.5,0.50", "--n", "200"]) == 1
+    assert capsys.readouterr().err == "error: --p-list repeats p = 0.5\n"
+    assert grown == [] and os.listdir(tmp_path) == []
 
 
 def test_invalid_params_exit_code_1(tmp_path, capsys):
@@ -265,9 +289,10 @@ def _config_run(tmp_path, monkeypatch, text):
 
 
 def test_config_explicit_seeds_and_validation(tmp_path, monkeypatch, capsys):
-    code, grown = _config_run(tmp_path, monkeypatch, "n=10\nseeds=4,5,6\nreplicas=3\na2=1.0")
+    code, grown = _config_run(tmp_path, monkeypatch, "n=10\nseeds=4,5,6\na2=1.0")
     assert code == 0 and [params.seed for params, _, _ in grown] == [4, 5, 6]
     for text, message in [
+        ("n=10\nseeds=4,5,6\nreplicas=3\na2=1.0", "give --seeds or --replicas, not both"),
         ("n=10\nseeds=4,4\na2=1.0", "pairwise distinct"),
         ("n=10\ndelta=0.7\na2=1.0", "line 2: unknown key 'delta'"),
         ("n=10\nreplicas=0\na2=1.0", "replicas must be >= 1"),
@@ -474,7 +499,7 @@ def test_damaged_graph_file_exits_2(tmp_path, capsys, damage):
     out = str(tmp_path)
     run(["generate", *ARGS, "--seed", "3", "--out", out])
     path = os.path.join(out, "spa_n400_p0.7_seed3.tsv")
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     start = data.index(b"\n17\t", data.index(b"%positions")) + 1
     if damage == "missing position row":
         data = data[:start] + data[data.index(b"\n", start) + 1:]
@@ -514,7 +539,7 @@ def test_bad_header_parameter_exits_2_and_writes_nothing(tmp_path, capsys, old, 
     src = str(tmp_path)
     run(["generate", *ARGS, "--seed", "3", "--out", src])
     path = os.path.join(src, "spa_n400_p0.7_seed3.tsv")
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     assert old in data
     data = data.replace(old, new, 1)
     with open(path, "wb") as handle:

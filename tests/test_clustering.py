@@ -317,7 +317,7 @@ def test_global_clustering_small_cases():
 
 
 def test_global_clustering_brute_force(grown):
-    edge_set = set(grown.iter_edges())
+    edge_set = set(zip(grown.edge_sources().tolist(), grown.out_targets.tolist()))
     adjacency = [set() for _ in range(grown.n + 1)]
     for s, t in edge_set:
         adjacency[s].add(t)

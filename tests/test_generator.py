@@ -90,7 +90,7 @@ def test_p_zero_never_links():
 def test_p_one_links_with_certainty():
     # a2 >= 1 makes the first sphere cover the whole torus at t = 1
     g = generate(make(2, p=1.0, a1=0.5, a2=2.0))
-    assert list(g.iter_edges()) == [(2, 1)]
+    assert g.edge_sources().tolist() == [2] and g.out_targets.tolist() == [1]
 
 
 def test_indexed_equals_naive_bit_for_bit():
@@ -304,6 +304,11 @@ def test_static_grid_runs_hold_every_covered_step_at_every_level(
     rows=st.integers(1, 40),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+# Each of these has a covered step near its sphere's surface, in a cell that a
+# box 5% narrower than `radii` misses, so such a box fails here on every run.
+@example(n=300, dimension=1, norm=Norm.L2, a2=10.0, rows=40, seed=17)
+@example(n=300, dimension=2, norm=Norm.LINF, a2=2.0, rows=40, seed=16)
+@example(n=300, dimension=3, norm=Norm.LINF, a2=0.5, rows=40, seed=6)
 def test_gather_takes_a_maximal_prefix_of_complete_rows(n, dimension, norm, a2, rows, seed):
     cap = 64
     rng = np.random.default_rng(seed)
@@ -377,7 +382,8 @@ def test_a_step_on_the_sphere_boundary_is_covered(monkeypatch):
     monkeypatch.setattr(generator, "_draw_positions", lambda params, stream: positions.copy())
     params = make(3, p=1.0, a1=0.5, a2=0.5, dimension=1)
     for graph in (generate(params), generate_naive(params)):
-        assert list(graph.iter_edges()) == [(2, 1), (3, 1)]
+        assert graph.edge_sources().tolist() == [2, 3]
+        assert graph.out_targets.tolist() == [1, 1]
     assert vertex_walk(params, positions, 1).tolist() == [2, 3]
     assert vertex_walk(params, positions, 2).tolist() == []
 

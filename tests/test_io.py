@@ -2,6 +2,7 @@ import json
 import os
 import resource
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ def grown():
 def test_round_trip_byte_identity(grown, tmp_path):
     path = str(tmp_path / "g.tsv")
     graph_io.write_graph(grown, path)
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     parsed = graph_io.read_graph(path)
     graph_io.write_graph(parsed, path)
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
     assert np.array_equal(parsed.out_targets, grown.out_targets)
     assert np.array_equal(parsed.positions[1:], grown.positions[1:])
     assert parsed.params == grown.params
@@ -40,10 +41,10 @@ def test_round_trip_byte_identity(grown, tmp_path):
 def test_round_trip_gzip(grown, tmp_path):
     path = str(tmp_path / "g.tsv.gz")
     graph_io.write_graph(grown, path)
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     parsed = graph_io.read_graph(path)
     graph_io.write_graph(parsed, path)
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
 
 
 def test_round_trip_without_positions(grown, tmp_path):
@@ -57,7 +58,7 @@ def test_round_trip_without_positions(grown, tmp_path):
 def test_parse_error_reports_byte_offset(grown, tmp_path):
     path = str(tmp_path / "g.tsv")
     graph_io.write_graph(grown, path, include_positions=False)
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     corrupted = data.replace(b"%edges\n", b"%edges\nnot-an-edge\n", 1)
     with pytest.raises(ParseError) as info:
         graph_io.parse_graph(corrupted)
@@ -80,7 +81,7 @@ def test_manifest_reproduces_graph(grown, tmp_path):
     manifest_path = str(tmp_path / "g.manifest.json")
     graph_io.write_graph(grown, graph_path)
     graph_io.write_manifest(manifest_path, grown, "g.tsv", wall_time_s=1.25)
-    manifest = json.load(open(manifest_path))
+    manifest = json.loads(Path(manifest_path).read_text())
     assert manifest["edge_count"] == grown.num_edges
     # own-process peak RSS in MiB, never above what the process reports after writing
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -89,21 +90,21 @@ def test_manifest_reproduces_graph(grown, tmp_path):
     regenerated = generate(params)
     regen_path = str(tmp_path / "regen.tsv")
     graph_io.write_graph(regenerated, regen_path)
-    assert open(regen_path, "rb").read() == open(graph_path, "rb").read()
+    assert Path(regen_path).read_bytes() == Path(graph_path).read_bytes()
 
 
 def test_manifest_peak_rss_is_null_without_resource(grown, tmp_path, monkeypatch):
     monkeypatch.setattr(graph_io, "resource", None)
     path = str(tmp_path / "g.manifest.json")
     graph_io.write_manifest(path, grown, "g.tsv", wall_time_s=0.5)
-    manifest = json.load(open(path))
+    manifest = json.loads(Path(path).read_text())
     assert "peak_rss_mb" in manifest and manifest["peak_rss_mb"] is None
 
 
 def test_write_csv_schema(tmp_path):
     path = str(tmp_path / "curve.csv")
     graph_io.write_csv(path, graph_io.CURVE_COLUMNS, [("directed", 2, 10, "0.5")])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "variant,d,count,mean_c"
     assert lines[1] == "directed,2,10,0.5"
 
@@ -111,7 +112,7 @@ def test_write_csv_schema(tmp_path):
 def test_write_csv_streams_rows_and_is_atomic(tmp_path):
     path = str(tmp_path / "rows.csv")
     graph_io.write_csv(path, ("a", "b"), ((i, repr(i / 3)) for i in range(3)))
-    assert open(path, "rb").read() == b"a,b\n0,0.0\n1,0.3333333333333333\n2,0.6666666666666666\n"
+    assert Path(path).read_bytes() == b"a,b\n0,0.0\n1,0.3333333333333333\n2,0.6666666666666666\n"
 
     def failing_rows():
         yield (9, "x")
@@ -120,7 +121,7 @@ def test_write_csv_streams_rows_and_is_atomic(tmp_path):
     with pytest.raises(RuntimeError):
         graph_io.write_csv(path, ("a", "b"), failing_rows())
     assert sorted(os.listdir(tmp_path)) == ["rows.csv"]
-    assert open(path, "rb").read().startswith(b"a,b\n0,")
+    assert Path(path).read_bytes().startswith(b"a,b\n0,")
 
 
 def test_atomic_write_leaves_no_temp_files(grown, tmp_path):
@@ -217,9 +218,9 @@ def test_round_trip_property(graph, include_positions, suffix):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "g" + suffix)
         graph_io.write_graph(graph, path, include_positions)
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         graph_io.write_graph(graph_io.read_graph(path), path, include_positions)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
 
 def _edge_lines(data: bytes) -> tuple[int, int, list[bytes]]:
