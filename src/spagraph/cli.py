@@ -194,6 +194,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _curve_block(variant: str, curve: dict) -> tuple:
+    """One CSV block of a curve: variant, d, count and mean_c columns, in ascending d.
+
+    An exact curve's d column is int64 and a banded one's float64.
+    """
+    d = sorted(curve)
+    counts = np.array([curve[key][0] for key in d], dtype=np.int64)
+    means = np.array([curve[key][1] for key in d], dtype=float)
+    return [variant] * len(d), np.array(d), counts, means
+
+
 def _report_graph(task) -> dict:
     """Analyse one graph file and write its five CSVs.
 
@@ -205,45 +216,37 @@ def _report_graph(task) -> dict:
     report = clustering.compute_report(graph, clustering.SplitPolicy(mode=split, omega=omega))
     census = stats.degree_census(graph)
     consts = stats.theory_constants(graph.params, i_max=max(census.counts.size - 1, 10))
-    exponent = None
     try:
-        exponent = stats.powerlaw_exponent(census, d_min)
+        fit = stats.powerlaw_exponent(census, d_min)
     except UsageError:
-        pass
+        fit = None   # the exponent file then holds its header alone
     checks = [stats.trajectory_check(graph, int(v), omega) for v in _top_vertices(graph, top)]
 
-    def write(kind, columns, rows):
-        graph_io.write_csv(os.path.join(out, f"{kind}_{stem}.csv"), columns, rows)
+    def write(kind, columns, blocks):
+        graph_io.write_csv(os.path.join(out, f"{kind}_{stem}.csv"), columns, blocks)
 
     exact = {v: clustering.curve_from_report(report, v) for v in clustering.VARIANTS}
     curves = {**exact, **{
         v + "_band": clustering.banded_curve_from_report(report, v, delta)
         for v in clustering.VARIANTS
     }}
-    # csv writes a float band center d as str(d), which is repr(d)
-    write("curves", graph_io.CURVE_COLUMNS, (
-        (variant, d, count, repr(mean))
-        for variant, curve in curves.items() for d, (count, mean) in sorted(curve.items())
-    ))
-    write("census", graph_io.CENSUS_COLUMNS, (
-        (i, int(count), repr(float(count) / census.total),
-         repr(float(consts.c[i])) if i < consts.c.size else "")
-        for i, count in enumerate(census.counts) if count > 0
-    ))
-    if exponent is not None:
-        write("exponent", graph_io.EXPONENT_COLUMNS, [(
-            d_min, exponent.n_tail, repr(exponent.estimate), repr(exponent.stderr),
-            repr(exponent.ls_slope), repr(consts.gamma),
-        )])
-    write("trajectories", graph_io.TRAJECTORY_COLUMNS, [
-        (c.vertex, c.final_degree, repr(c.onset_time), repr(c.ratio_min),
-         repr(c.ratio_max), int(c.vacuous)) for c in checks
-    ])
-    records = [(v, report.variant(v)) for v in clustering.VARIANTS]
+    write("curves", graph_io.CURVE_COLUMNS, [_curve_block(v, c) for v, c in curves.items()])
+    degree = np.flatnonzero(census.counts)
+    count = census.counts[degree]
+    write("census", graph_io.CENSUS_COLUMNS,
+          [(degree, count, count / census.total, consts.c[degree])])
+    write("exponent", graph_io.EXPONENT_COLUMNS, [] if fit is None else [tuple(
+        np.array([x])
+        for x in (d_min, fit.n_tail, fit.estimate, fit.stderr, fit.ls_slope, consts.gamma)
+    )])
+    dtypes = (np.int64, np.int64, float, float, float, np.int64)   # vacuous is written 0 or 1
+    write("trajectories", graph_io.TRAJECTORY_COLUMNS, [tuple(
+        np.array([getattr(c, field) for c in checks], dtype=dtype)
+        for field, dtype in zip(graph_io.TRAJECTORY_COLUMNS, dtypes)
+    )])
+    records = {v: report.variant(v) for v in clustering.VARIANTS}
     write("scatter", graph_io.SCATTER_COLUMNS, (
-        (variant, degree, repr(value))
-        for variant, record in records
-        for degree, value in zip(record.degree.tolist(), record.values.tolist())
+        ([v] * r.degree.size, r.degree, r.values) for v, r in records.items()
     ))
     return exact
 
@@ -269,15 +272,10 @@ def cmd_stats(args) -> int:
         (path, stem, args.out, args.split, args.omega_mode, args.d_min, args.top, args.delta)
         for stem, path in paths.items()
     ])
-    pooled_rows = [
-        (variant, d, count, repr(mean))
-        for variant in clustering.VARIANTS
-        for d, (count, mean) in sorted(
-            clustering.pool_curves([c[variant] for c in curves]).items())
-    ]
-    graph_io.write_csv(
-        os.path.join(args.out, "curves_pooled.csv"), graph_io.CURVE_COLUMNS, pooled_rows
-    )
+    graph_io.write_csv(os.path.join(args.out, "curves_pooled.csv"), graph_io.CURVE_COLUMNS, [
+        _curve_block(v, clustering.pool_curves([c[v] for c in curves]))
+        for v in clustering.VARIANTS
+    ])
     return 0
 
 
@@ -318,15 +316,13 @@ def cmd_sweep(args) -> int:
             for variant, per_replica in per_variant.items():
                 per_replica.append(clustering.curve_from_report(report, variant))
             del graph, report
-    rows = [
-        (variant, repr(model.p), d, count, repr(mean))
-        for model, per_variant in zip(models, curves)
-        for variant, per_replica in per_variant.items()
-        for d, (count, mean) in sorted(clustering.pool_curves(per_replica).items())
-    ]
+    blocks = []
+    for model, per_variant in zip(models, curves):
+        for variant, per_replica in per_variant.items():
+            labels, *columns = _curve_block(variant, clustering.pool_curves(per_replica))
+            blocks.append((labels, np.full(len(labels), model.p), *columns))
     graph_io.write_csv(
-        os.path.join(args.out, "sweep.csv"),
-        ("variant", "p", "d", "count", "mean_c"), rows,
+        os.path.join(args.out, "sweep.csv"), ("variant", "p", "d", "count", "mean_c"), blocks
     )
     print(os.path.join(args.out, "sweep.csv"))
     return 0

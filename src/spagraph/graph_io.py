@@ -17,23 +17,29 @@ return inside a section, and a coordinate outside [0, 1). The header is
 read line by line, and a manifest's parameters are checked as a header's
 are; each section is parsed by one bulk numpy call and checked as whole
 arrays, and a failed check names the byte offset of the first bad line.
-Serialize -> parse -> serialize is byte-identical. All writes go through
-a temp file plus rename, so readers never observe partial files. Run
-configs are not a file format here: `cli` reads a `generate --config`
-file as that command's own flags.
+Serialize -> parse -> serialize is byte-identical.
+
+CSV reports are written column by column: each block of rows is a tuple
+of equal-length columns, a number column is formatted once per distinct
+value (`repr`, the shortest round-trip text) and the rows are joined a
+batch at a time, giving the bytes `csv.writer` would for the same rows.
+A text field that `csv.writer` would quote is refused instead.
+
+All writes go through a temp file plus rename, so readers never observe
+partial files, and a new file gets mode 0o666 less the umask, as `open`
+would give it. Run configs are not a file format here: `cli` reads a
+`generate --config` file as that command's own flags.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import gzip
 import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -60,15 +66,25 @@ EXPONENT_COLUMNS = ("d_min", "tail_count", "estimate", "stderr", "ls_slope", "th
 TRAJECTORY_COLUMNS = ("vertex", "final_degree", "onset_time", "ratio_min", "ratio_max", "vacuous")
 SCATTER_COLUMNS = ("variant", "degree", "c")
 
-_BATCH = 1 << 13   # lines formatted per tolist() batch when serializing
+_BATCH = 1 << 13   # lines formatted per batch when writing a graph or a CSV
 _EDGE_ROW = np.dtype([("edge", np.int64, (2,))])
 
 
 @contextlib.contextmanager
 def _atomic_file(path: str, mode: str = "wb", **options):
-    """A file on a temp name beside `path`, renamed onto it when the block succeeds."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    """A file on a temp name beside `path`, renamed onto it when the block succeeds.
+
+    The file is made as `open` makes one, with mode 0o666 less the umask.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(4).hex()}{name}")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, mode, **options) as handle:
             yield handle
@@ -344,9 +360,58 @@ def params_from_manifest(path: str) -> ModelParams:
     return _parse_params({key: (str(v), 0) for key, v in manifest["params"].items()}, 0)
 
 
-def write_csv(path: str, columns, rows) -> None:
-    """A header line, then one line per row; `rows` may be any iterable, read once."""
+_QUOTED = ',"\r\n'   # a field holding any of these is one csv.writer quotes
+
+
+def _check_text(fields) -> None:
+    """Refuse a text field csv.writer would quote (a lone empty field is written as "")."""
+    for field in set(fields):
+        if not isinstance(field, str) or not field or any(c in field for c in _QUOTED):
+            raise UsageError(f"CSV text fields must be non-empty str without , \" CR or LF, "
+                             f"got {field!r}")
+
+
+def _column_text(column):
+    """A function from a row range [lo, hi) of `column` to its field texts.
+
+    A 64-bit int or float array is `repr`'d once per distinct bit
+    pattern, so -0.0 and NaN keep their own text and a repeated value
+    costs one lookup. A list of str is written as given.
+    """
+    if not isinstance(column, np.ndarray):
+        _check_text(column)
+        return lambda lo, hi: column[lo:hi]
+    if column.dtype.kind not in "if" or column.dtype.itemsize != 8:
+        raise UsageError(f"CSV number columns must be int64 or float64, got {column.dtype}")
+    bits, rows = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(column.dtype).tolist()], dtype=object)
+    return lambda lo, hi: texts[rows[lo:hi]].tolist()
+
+
+def write_csv(path: str, header, blocks) -> None:
+    """A header line, then the rows of each block; `blocks` may be any iterable, read once.
+
+    A block is a tuple of equal-length columns, one per header field:
+    int64 or float64 arrays, or lists of str. The bytes are those
+    `csv.writer(lineterminator="\\n")` writes for the same rows, with
+    numbers as `repr` gives them.
+    """
+    _check_text(header)
     with _atomic_file(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        for block in blocks:
+            size = len(block[0]) if block else 0
+            if len(block) != len(header) or any(len(column) != size for column in block):
+                raise UsageError(
+                    f"a CSV block needs {len(header)} columns of one length, "
+                    f"got lengths {[len(column) for column in block]}"
+                )
+            texts = [_column_text(column) for column in block]
+            width = 2 * len(block)   # a row is each field followed by "," or, last, "\n"
+            for lo in range(0, size, _BATCH):
+                rows = min(_BATCH, size - lo)
+                cells = [","] * (width * rows)
+                for j, text in enumerate(texts):
+                    cells[2 * j :: width] = text(lo, lo + rows)
+                cells[width - 1 :: width] = ["\n"] * rows
+                handle.write("".join(cells))

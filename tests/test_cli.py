@@ -151,6 +151,48 @@ def test_stats_emits_all_reports(tmp_path):
     ]
 
 
+# sha256 of each CSV of `stats --d-min 3 --top 400` on the n = 400 seed-3 graph; 324 of
+# its trajectory rows are vacuous and write nan, which the benchmark's seed-0 pins never reach
+N400_STATS_DIGESTS = {
+    "census_{stem}.csv": "5df1760d84e4655b27e40c864effa42674b9cf55fd5669387d8ef54dfb712c16",
+    "curves_pooled.csv": "0fbfed68e1bd19992c51324557a88284ccd65dace25263cab1b3277f16b448a9",
+    "curves_{stem}.csv": "22488504077048c8af067e571d1789fd8db5186664f4a9fab1186cf73a09ebda",
+    "exponent_{stem}.csv": "8eba6a6129cae07643c504f857aad1cdceeb9cf5c55fa7ea68acb0bb41fb2a59",
+    "scatter_{stem}.csv": "20c7c906e934a7234831bde25ee67c0f4c1134d91b2aac22194604e5cb19c310",
+    "trajectories_{stem}.csv": "021efba9e819eeb265c1d626957a902bece55d7142ae37ff5c7cf960f8f362ea",
+}
+
+
+def test_stats_digests_with_vacuous_trajectories(tmp_path):
+    out = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", out])
+    stem = "spa_n400_p0.7_seed3"
+    reports = tmp_path / "reports"
+    graph = os.path.join(out, f"{stem}.tsv")
+    assert run(["stats", graph, "--out", str(reports), "--d-min", "3", "--top", "400"]) == 0
+    trajectories = (reports / f"trajectories_{stem}.csv").read_text().splitlines()
+    assert sum(line.endswith(",nan,nan,nan,1") for line in trajectories) == 324
+    digests = {
+        name: hashlib.sha256((reports / name.format(stem=stem)).read_bytes()).hexdigest()
+        for name in N400_STATS_DIGESTS
+    }
+    assert digests == N400_STATS_DIGESTS
+
+
+def test_failed_exponent_fit_replaces_an_earlier_exponent_file(tmp_path):
+    out = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", out])
+    stem = "spa_n400_p0.7_seed3"
+    graph, reports = os.path.join(out, f"{stem}.tsv"), str(tmp_path / "reports")
+    exponent = tmp_path / "reports" / f"exponent_{stem}.csv"
+    header = b"d_min,tail_count,estimate,stderr,ls_slope,theory_gamma\n"
+    assert run(["stats", graph, "--out", reports, "--d-min", "3"]) == 0
+    assert exponent.read_bytes().startswith(header + b"3,")
+    # fewer than 100 vertices reach in-degree 50, so this run fits no exponent
+    assert run(["stats", graph, "--out", reports, "--d-min", "50"]) == 0
+    assert exponent.read_bytes() == header
+
+
 def test_stats_pooled_curve_merges_replicas(tmp_path):
     out = str(tmp_path)
     run(["generate", *ARGS, "--seed", "1", "--replicas", "2", "--out", out])

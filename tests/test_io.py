@@ -1,12 +1,17 @@
+import csv
+import io
 import json
+import math
 import os
 import resource
+import stat
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spagraph import graph_io, stats
@@ -103,7 +108,8 @@ def test_manifest_peak_rss_is_null_without_resource(grown, tmp_path, monkeypatch
 
 def test_write_csv_schema(tmp_path):
     path = str(tmp_path / "curve.csv")
-    graph_io.write_csv(path, graph_io.CURVE_COLUMNS, [("directed", 2, 10, "0.5")])
+    block = (["directed"], np.array([2]), np.array([10]), np.array([0.5]))
+    graph_io.write_csv(path, graph_io.CURVE_COLUMNS, [block])
     lines = Path(path).read_text().splitlines()
     assert lines[0] == "variant,d,count,mean_c"
     assert lines[1] == "directed,2,10,0.5"
@@ -111,17 +117,101 @@ def test_write_csv_schema(tmp_path):
 
 def test_write_csv_streams_rows_and_is_atomic(tmp_path):
     path = str(tmp_path / "rows.csv")
-    graph_io.write_csv(path, ("a", "b"), ((i, repr(i / 3)) for i in range(3)))
+    graph_io.write_csv(path, ("a", "b"), ((np.array([i]), np.array([i / 3])) for i in range(3)))
     assert Path(path).read_bytes() == b"a,b\n0,0.0\n1,0.3333333333333333\n2,0.6666666666666666\n"
 
-    def failing_rows():
-        yield (9, "x")
-        raise RuntimeError("row source failed")
+    def failing_blocks():
+        yield (np.array([9]), ["x"])
+        raise RuntimeError("block source failed")
 
     with pytest.raises(RuntimeError):
-        graph_io.write_csv(path, ("a", "b"), failing_rows())
+        graph_io.write_csv(path, ("a", "b"), failing_blocks())
     assert sorted(os.listdir(tmp_path)) == ["rows.csv"]
     assert Path(path).read_bytes().startswith(b"a,b\n0,")
+
+
+# Values whose text is easy to get wrong: signed zeros and NaNs differ in bits but not
+# (or not only) in value, and the extremes of each type.
+_CSV_FLOATS = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 0.1]
+_CSV_INTS = [0, -1, 7, -(2**63), 2**63 - 1, 10**16]
+_CSV_VALUES = {
+    "int": st.sampled_from(_CSV_INTS) | st.integers(-(2**63), 2**63 - 1),
+    "float": st.sampled_from(_CSV_FLOATS) | st.floats(),
+    "text": st.sampled_from(["directed", "old_band"]) | st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'), min_size=1),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """(column kinds, blocks): up to four blocks of up to 30 rows in the same columns."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CSV_VALUES)), min_size=1, max_size=4))
+    blocks = []
+    for size in draw(st.lists(st.integers(0, 30), max_size=4)):
+        block = []
+        for kind in kinds:
+            values = draw(st.lists(_CSV_VALUES[kind], min_size=size, max_size=size))
+            dtype = {"int": np.int64, "float": np.float64}.get(kind)
+            block.append(values if dtype is None else np.array(values, dtype=dtype))
+        blocks.append(tuple(block))
+    return kinds, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables(), batch=st.integers(1, 8))
+@example(table=(["float", "int"], [(np.array([0.0, -0.0, 0.0]), np.array([1, 1, 2]))]), batch=2)
+def test_write_csv_matches_csv_writer(table, batch):
+    kinds, blocks = table
+    header = [f"{kind}{i}" for i, kind in enumerate(kinds)]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for block in blocks:
+        writer.writerows(zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in block]))
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.object(graph_io, "_BATCH", batch):
+        path = os.path.join(directory, "t.csv")
+        graph_io.write_csv(path, header, iter(blocks))
+        assert Path(path).read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "hi"', "a\rb", "a\nb", ""])
+def test_write_csv_refuses_a_field_csv_writer_would_quote(tmp_path, field):
+    path = tmp_path / "q.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(UsageError, match="CSV text fields"):
+        graph_io.write_csv(str(path), ("a", "b"), [(["x", field], np.array([1, 2]))])
+    with pytest.raises(UsageError, match="CSV text fields"):
+        graph_io.write_csv(str(path), ("a", field), [])
+    assert path.read_bytes() == b"old\n" and os.listdir(tmp_path) == ["q.csv"]
+
+
+@pytest.mark.parametrize("block", [
+    (np.arange(2), np.arange(3)),
+    (np.arange(2),),
+    (np.arange(2, dtype=np.int32), np.arange(2)),
+    (np.array([True, False]), np.arange(2)),
+    ([1, 2], np.arange(2)),
+], ids=["ragged", "short", "int32", "bool", "int-list"])
+def test_write_csv_refuses_a_malformed_block(tmp_path, block):
+    with pytest.raises(UsageError):
+        graph_io.write_csv(str(tmp_path / "b.csv"), ("a", "b"), [block])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_mode_0666_less_the_umask(grown, tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        graph_io.write_graph(grown, str(tmp_path / "g.tsv"))
+        graph_io.write_graph(grown, str(tmp_path / "g.tsv.gz"))
+        graph_io.write_manifest(str(tmp_path / "g.manifest.json"), grown, "g.tsv", 0.5)
+        graph_io.write_csv(str(tmp_path / "c.csv"), ("a",), [(np.arange(3),)])
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in os.listdir(tmp_path)}
+    assert modes == dict.fromkeys(["c.csv", "g.manifest.json", "g.tsv", "g.tsv.gz"], mode)
 
 
 def test_atomic_write_leaves_no_temp_files(grown, tmp_path):
