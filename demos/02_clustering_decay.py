@@ -20,7 +20,7 @@ exact = curve_from_report(report, "directed")
 banded = banded_curve_from_report(report, "directed", delta=0.1)
 
 print("band center d | vertices in band | mean c^-(v) | mean * d")
-for d, (count, mean) in sorted(banded.items())[::4]:
+for d, count, mean in list(zip(banded.d, banded.count, banded.mean))[::4]:
     if count >= 30:
         print(f"{d:13.1f} | {count:16d} | {mean:11.5f} | {mean * d:8.3f}")
 

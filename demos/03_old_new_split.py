@@ -22,9 +22,10 @@ old_curve = banded_curve_from_report(report, "old", delta=0.1)
 new_curve = banded_curve_from_report(report, "new", delta=0.1)
 
 print("\nband center d |   mean c_old |   mean c_new | c_new * d")
-for d, (count, mean_new) in sorted(new_curve.items())[::5]:
+# old and new coefficients are defined at the same vertices, so their bands line up
+rows = zip(new_curve.d, new_curve.count, old_curve.mean, new_curve.mean)
+for d, count, mean_old, mean_new in list(rows)[::5]:
     if count >= 30:
-        mean_old = old_curve[d][1]
         print(f"{d:13.1f} | {mean_old:12.5f} | {mean_new:12.5f} | {mean_new * d:9.3f}")
 
 intercept, r2 = fixed_slope_fit(new_curve, slope=-1.0, d_lo=15, min_count=30)

@@ -4,7 +4,7 @@ geometry       wrapped separations and the membership test `needed_volume`
 spatial_index  linear-scan sphere-of-influence coverage queries (naive oracle)
 rng            counter-based uniform streams (reproducibility contract)
 generator      the growth process: vertex-centric walk and naive reference
-clustering     vectorized clustering coefficients, old/new split, curves
+clustering     vectorized clustering coefficients, old/new split, `Curve` of C(d)
 stats          degree censuses, power-law fit, trajectory concentration
 graph_io       graph files, manifests, CSV reports
 verify         exact equivalence harness between a generator (`generate`
@@ -27,7 +27,7 @@ from .generator import (
     GrownGraph, ModelParams, generate, generate_many, generate_naive, sphere_volume,
 )
 from .spatial_index import SphereIndex
-from .clustering import ClusteringReport, Coefficients, SplitPolicy, compute_report
+from .clustering import ClusteringReport, Coefficients, Curve, SplitPolicy, compute_report
 from .stats import (
     DegreeCensus,
     ExponentFit,
@@ -50,7 +50,7 @@ __all__ = [
     "Norm",
     "ModelParams", "GrownGraph", "generate", "generate_many", "generate_naive", "sphere_volume",
     "SphereIndex",
-    "SplitPolicy", "ClusteringReport", "Coefficients", "compute_report",
+    "SplitPolicy", "ClusteringReport", "Coefficients", "Curve", "compute_report",
     "TheoryConstants", "DegreeCensus", "ExponentFit", "TrajectoryCheck",
     "theory_constants", "degree_census", "ball_census", "ball_centers_grid",
     "powerlaw_exponent", "trajectory_check", "curve_slope", "fixed_slope_fit",

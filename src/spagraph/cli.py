@@ -57,10 +57,8 @@ def _map(fn, tasks) -> list:
 
 
 def _top_vertices(graph, top: int) -> np.ndarray:
-    """The `top` vertices of highest in-degree, highest first; never slot 0."""
-    order = np.argsort(graph.in_degree)
-    order = order[order != 0]
-    return order[max(order.size - top, 0):][::-1]
+    """The `top` vertices of highest in-degree, highest first and ties by ascending id."""
+    return np.argsort(-graph.in_degree[1:], kind="stable")[:top] + 1
 
 
 def _model_from_args(args) -> ModelParams:
@@ -194,17 +192,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _curve_block(variant: str, curve: dict) -> tuple:
-    """One CSV block of a curve: variant, d, count and mean_c columns, in ascending d.
-
-    An exact curve's d column is int64 and a banded one's float64.
-    """
-    d = sorted(curve)
-    counts = np.array([curve[key][0] for key in d], dtype=np.int64)
-    means = np.array([curve[key][1] for key in d], dtype=float)
-    return [variant] * len(d), np.array(d), counts, means
-
-
 def _report_graph(task) -> dict:
     """Analyse one graph file and write its five CSVs.
 
@@ -230,7 +217,9 @@ def _report_graph(task) -> dict:
         v + "_band": clustering.banded_curve_from_report(report, v, delta)
         for v in clustering.VARIANTS
     }}
-    write("curves", graph_io.CURVE_COLUMNS, [_curve_block(v, c) for v, c in curves.items()])
+    write("curves", graph_io.CURVE_COLUMNS, [
+        ([v] * c.d.size, c.d, c.count, c.mean) for v, c in curves.items()
+    ])
     degree = np.flatnonzero(census.counts)
     count = census.counts[degree]
     write("census", graph_io.CENSUS_COLUMNS,
@@ -272,9 +261,9 @@ def cmd_stats(args) -> int:
         (path, stem, args.out, args.split, args.omega_mode, args.d_min, args.top, args.delta)
         for stem, path in paths.items()
     ])
+    pooled = {v: clustering.pool_curves([c[v] for c in curves]) for v in clustering.VARIANTS}
     graph_io.write_csv(os.path.join(args.out, "curves_pooled.csv"), graph_io.CURVE_COLUMNS, [
-        _curve_block(v, clustering.pool_curves([c[v] for c in curves]))
-        for v in clustering.VARIANTS
+        ([v] * c.d.size, c.d, c.count, c.mean) for v, c in pooled.items()
     ])
     return 0
 
@@ -319,11 +308,10 @@ def cmd_sweep(args) -> int:
     blocks = []
     for model, per_variant in zip(models, curves):
         for variant, per_replica in per_variant.items():
-            labels, *columns = _curve_block(variant, clustering.pool_curves(per_replica))
-            blocks.append((labels, np.full(len(labels), model.p), *columns))
-    graph_io.write_csv(
-        os.path.join(args.out, "sweep.csv"), ("variant", "p", "d", "count", "mean_c"), blocks
-    )
+            c = clustering.pool_curves(per_replica)
+            p = np.full(c.d.size, model.p)
+            blocks.append(([variant] * c.d.size, p, c.d, c.count, c.mean))
+    graph_io.write_csv(os.path.join(args.out, "sweep.csv"), graph_io.SWEEP_COLUMNS, blocks)
     print(os.path.join(args.out, "sweep.csv"))
     return 0
 

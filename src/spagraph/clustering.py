@@ -19,6 +19,10 @@ at most `_CHUNK` edges and `_CHUNK` wedges and builds only the keys each
 chunk looks up, so its temporaries do not grow with the graph.
 `compute_report` builds every coefficient from that pass; its exact
 oracle is the exhaustive pair enumeration `verify.brute_force_clustering`.
+
+A curve C(d), exact by degree, banded by in-degree or pooled over graphs,
+is one `Curve(d, count, mean)` record of arrays that the CSV writers and
+the fits in `stats` read as they are.
 """
 
 from __future__ import annotations
@@ -225,25 +229,31 @@ def compute_report(
     )
 
 
-def curve_from_report(report: ClusteringReport, variant: str) -> dict[int, tuple[int, float]]:
-    """Exact-degree curve: degree -> (vertex count, mean coefficient)."""
+@dataclass(frozen=True)
+class Curve:
+    """Vertex count and mean coefficient at each d, ascending; int64 d, or float64 band centers."""
+
+    d: np.ndarray
+    count: np.ndarray
+    mean: np.ndarray
+
+
+def curve_from_report(report: ClusteringReport, variant: str) -> Curve:
+    """Exact-degree curve over the degrees with at least one vertex."""
     record = report.variant(variant)
-    if record.degree.size == 0:
-        return {}
     counts = np.bincount(record.degree)
     sums = np.bincount(record.degree, weights=record.values)
-    present = np.nonzero(counts)[0]
-    return {int(d): (int(counts[d]), float(sums[d] / counts[d])) for d in present}
+    d = np.flatnonzero(counts)
+    return Curve(d, counts[d], sums[d] / counts[d])
 
 
-def pool_curves(curves) -> dict:
-    """Curves of several graphs merged per key: d -> (total count, count-weighted mean)."""
-    pooled: dict = {}
-    for curve in curves:
-        for d, (count, mean) in curve.items():
-            have_count, have_sum = pooled.get(d, (0, 0.0))
-            pooled[d] = (have_count + count, have_sum + count * mean)
-    return {d: (count, total / count) for d, (count, total) in pooled.items()}
+def pool_curves(curves: list[Curve]) -> Curve:
+    """Curves merged per d: total count and count-weighted mean, summed in list order."""
+    count = np.concatenate([c.count for c in curves])
+    d, inverse = np.unique(np.concatenate([c.d for c in curves]), return_inverse=True)
+    total = np.bincount(inverse, weights=count).astype(np.int64)
+    sums = np.bincount(inverse, weights=count * np.concatenate([c.mean for c in curves]))
+    return Curve(d, total, sums / total)
 
 
 _BAND_RATIO = 1.1   # ratio of consecutive band centers
@@ -260,8 +270,8 @@ def band_grid(max_degree: int) -> np.ndarray:
 
 def banded_curve_from_report(
     report: ClusteringReport, variant: str, delta: float = 0.1
-) -> dict[float, tuple[int, float]]:
-    """Smoothed curve: band center d -> (|X_d|, mean over X_d).
+) -> Curve:
+    """Smoothed curve: at each band center d, |X_d| and the mean over X_d.
 
     X_d is the set of eligible vertices whose in-degree lies within
     [(1-delta) d, (1+delta) d]; the same in-degree banding applies to
@@ -271,15 +281,12 @@ def banded_curve_from_report(
     if not 0.0 < delta < 0.5:
         raise ParameterError(f"delta must be in (0, 1/2), got {delta}")
     record = report.variant(variant)
-    if record.ids.size == 0:
-        return {}
     order = np.argsort(record.in_degree, kind="stable")
     sorted_deg = record.in_degree[order]
     prefix = np.concatenate(([0.0], np.cumsum(record.values[order])))
-    curve: dict[float, tuple[int, float]] = {}
-    for d in band_grid(int(sorted_deg[-1])):
-        lo = np.searchsorted(sorted_deg, (1.0 - delta) * d, side="left")
-        hi = np.searchsorted(sorted_deg, (1.0 + delta) * d, side="right")
-        if hi > lo:
-            curve[float(d)] = (int(hi - lo), float((prefix[hi] - prefix[lo]) / (hi - lo)))
-    return curve
+    centers = band_grid(int(sorted_deg.max(initial=0)))
+    lo = np.searchsorted(sorted_deg, (1.0 - delta) * centers, side="left")
+    hi = np.searchsorted(sorted_deg, (1.0 + delta) * centers, side="right")
+    kept = hi > lo
+    lo, hi = lo[kept], hi[kept]
+    return Curve(centers[kept], hi - lo, (prefix[hi] - prefix[lo]) / (hi - lo))

@@ -65,6 +65,7 @@ CENSUS_COLUMNS = ("degree", "count", "fraction", "theory_c")
 EXPONENT_COLUMNS = ("d_min", "tail_count", "estimate", "stderr", "ls_slope", "theory_gamma")
 TRAJECTORY_COLUMNS = ("vertex", "final_degree", "onset_time", "ratio_min", "ratio_max", "vacuous")
 SCATTER_COLUMNS = ("variant", "degree", "c")
+SWEEP_COLUMNS = ("variant", "p", "d", "count", "mean_c")
 
 _BATCH = 1 << 13   # lines formatted per batch when writing a graph or a CSV
 _EDGE_ROW = np.dtype([("edge", np.int64, (2,))])

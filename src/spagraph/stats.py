@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import check_omega, default_omega
+from .clustering import Curve, check_omega, default_omega
 from .errors import ParameterError, UsageError
 from .generator import GrownGraph, ModelParams
 from .geometry import ball_contains
@@ -218,7 +218,7 @@ def trajectory_check(graph: GrownGraph, vertex: int, omega: float | None = None)
 
 
 def curve_slope(
-    curve: dict, d_lo: float = 0.0, d_hi: float = math.inf, min_count: int = 1
+    curve: Curve, d_lo: float = 0.0, d_hi: float = math.inf, min_count: int = 1
 ) -> tuple[float, float, float]:
     """Least-squares fit of log(mean) against log(d) over usable bins.
 
@@ -232,7 +232,7 @@ def curve_slope(
 
 
 def fixed_slope_fit(
-    curve: dict, slope: float, d_lo: float = 0.0, d_hi: float = math.inf,
+    curve: Curve, slope: float, d_lo: float = 0.0, d_hi: float = math.inf,
     min_count: int = 1,
 ) -> tuple[float, float]:
     """Best intercept and r-squared for a fixed log-log slope."""
@@ -242,17 +242,13 @@ def fixed_slope_fit(
 
 
 def _usable_bins(curve, d_lo, d_hi, min_count):
-    points = [
-        (d, mean)
-        for d, (count, mean) in sorted(curve.items())
-        if d_lo <= d <= d_hi and count >= min_count and mean > 0
-    ]
-    if len(points) < 5:
-        raise UsageError(
-            f"need at least 5 usable bins in [{d_lo}, {d_hi}], have {len(points)}"
-        )
-    arr = np.array(points)
-    return np.log(arr[:, 0]), np.log(arr[:, 1])
+    usable = (
+        (curve.d >= d_lo) & (curve.d <= d_hi) & (curve.count >= min_count) & (curve.mean > 0)
+    )
+    have = np.count_nonzero(usable)
+    if have < 5:
+        raise UsageError(f"need at least 5 usable bins in [{d_lo}, {d_hi}], have {have}")
+    return np.log(curve.d[usable]), np.log(curve.mean[usable])
 
 
 def _r_squared(y, fitted) -> float:

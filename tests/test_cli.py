@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from spagraph import cli
@@ -152,14 +151,16 @@ def test_stats_emits_all_reports(tmp_path):
 
 
 # sha256 of each CSV of `stats --d-min 3 --top 400` on the n = 400 seed-3 graph; 324 of
-# its trajectory rows are vacuous and write nan, which the benchmark's seed-0 pins never reach
+# its trajectory rows are vacuous and write nan, which the benchmark's seed-0 pins never reach.
+# The curves and trajectories pins hold where numpy dispatches AVX-512 `power`: the band
+# centers and trajectory ratios round differently under its baseline `power` (see README)
 N400_STATS_DIGESTS = {
     "census_{stem}.csv": "5df1760d84e4655b27e40c864effa42674b9cf55fd5669387d8ef54dfb712c16",
     "curves_pooled.csv": "0fbfed68e1bd19992c51324557a88284ccd65dace25263cab1b3277f16b448a9",
     "curves_{stem}.csv": "22488504077048c8af067e571d1789fd8db5186664f4a9fab1186cf73a09ebda",
     "exponent_{stem}.csv": "8eba6a6129cae07643c504f857aad1cdceeb9cf5c55fa7ea68acb0bb41fb2a59",
     "scatter_{stem}.csv": "20c7c906e934a7234831bde25ee67c0f4c1134d91b2aac22194604e5cb19c310",
-    "trajectories_{stem}.csv": "021efba9e819eeb265c1d626957a902bece55d7142ae37ff5c7cf960f8f362ea",
+    "trajectories_{stem}.csv": "3924dd324b7f8dde35bf90f888b7b9d3fc0f828d4a269dfcfd00647047b61bca",
 }
 
 
@@ -523,13 +524,18 @@ def test_stats_on_one_vertex_graph_is_vacuous(tmp_path):
     ]
 
 
-def test_top_below_n_keeps_argsort_choice_and_order(tmp_path):
+def test_top_vertices_break_ties_by_ascending_id(tmp_path):
+    # in-degrees 4, 2, 0, 1, 1, 1, 0 for vertices 1..7
+    edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
+    hand = GrownGraph.from_edges(ModelParams(n=7, p=0.7, a1=1.0, a2=30 / 7, seed=0), edges)
+    for top in range(9):
+        assert cli._top_vertices(hand, top).tolist() == [1, 2, 4, 5, 6, 3, 7][:top]
     out = str(tmp_path)
     run(["generate", *ARGS, "--seed", "3", "--out", out])
     graph = read_graph(os.path.join(out, "spa_n400_p0.7_seed3.tsv"))
-    for top in (1, 5, 20, 399):
-        want = np.argsort(graph.in_degree)[-top:][::-1]
-        assert cli._top_vertices(graph, top).tolist() == want.tolist()
+    ranked = sorted(range(1, 401), key=lambda v: (-graph.in_degree[v], v))
+    for top in (1, 5, 20, 399, 400):
+        assert cli._top_vertices(graph, top).tolist() == ranked[:top]
 
 
 @pytest.mark.parametrize("damage", [

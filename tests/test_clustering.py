@@ -239,17 +239,20 @@ def test_exact_curve_binning():
     edges = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 4), (6, 4), (7, 4), (8, 7)]
     g = graph_from(8, edges)
     curve = cl.curve_from_report(cl.compute_report(g), "directed")
-    assert curve[3] == (2, (coefficients(g, 1)["directed"] + coefficients(g, 4)["directed"]) / 2)
-    assert 2 not in curve  # no vertex of in-degree exactly 2
+    # vertices 1 and 4 have in-degree 3; no vertex has in-degree exactly 2
+    assert curve.d.tolist() == [3] and curve.count.tolist() == [2]
+    assert curve.mean[0] == (coefficients(g, 1)["directed"] + coefficients(g, 4)["directed"]) / 2
 
 
 def test_curves_match_independent_recomputation(grown):
     report = cl.compute_report(grown)
     curve = cl.curve_from_report(report, "directed")
+    assert (curve.d.dtype, curve.count.dtype, curve.mean.dtype) == (np.int64, np.int64, float)
     values = {}
     for d, c in zip(report.directed.degree, report.directed.values):
         values.setdefault(int(d), []).append(c)
-    for d, (count, mean) in curve.items():
+    assert curve.d.tolist() == sorted(values)
+    for d, count, mean in zip(curve.d.tolist(), curve.count, curve.mean):
         assert count == len(values[d])
         assert mean == pytest.approx(np.mean(values[d]), rel=1e-12)
 
@@ -259,18 +262,100 @@ def test_banded_curve_equals_exact_when_band_is_single_degree(grown):
     exact = cl.curve_from_report(report, "directed")
     banded = cl.banded_curve_from_report(report, "directed", delta=0.1)
     # at d = 2 the band [1.8, 2.2] contains only degree 2
-    assert banded[2.0] == exact[2]
+    assert banded.d[0] == 2.0 and exact.d[0] == 2
+    assert (banded.count[0], banded.mean[0]) == (exact.count[0], exact.mean[0])
 
 
 def test_banded_curve_brute_force(grown):
     delta = 0.1
     report = cl.compute_report(grown)
     banded = cl.banded_curve_from_report(report, "directed", delta)
-    for d, (count, mean) in list(banded.items())[::7]:
+    assert banded.d.dtype == float and np.all(np.diff(banded.d) > 0)
+    for d, count, mean in list(zip(banded.d, banded.count, banded.mean))[::7]:
         in_degree = report.directed.in_degree
         members = (in_degree >= (1 - delta) * d) & (in_degree <= (1 + delta) * d)
         assert count == members.sum()
         assert mean == pytest.approx(report.directed.values[members].mean(), rel=1e-12)
+
+
+def oracle_exact(record) -> dict:
+    """degree -> (count, mean), summing each degree's coefficients in id order."""
+    sums: dict = {}
+    for d, c in zip(record.degree.tolist(), record.values.tolist()):
+        count, total = sums.get(d, (0, 0.0))
+        sums[d] = (count + 1, total + c)
+    return {d: (count, total / count) for d, (count, total) in sums.items()}
+
+
+def oracle_banded(record, delta) -> dict:
+    """band centre -> (count, mean), from running sums over in-degree order."""
+    pairs = sorted(zip(record.in_degree.tolist(), record.values.tolist()), key=lambda x: x[0])
+    prefix = [0.0]
+    for _, c in pairs:
+        prefix.append(prefix[-1] + c)
+    curve = {}
+    for d in cl.band_grid(max([k for k, _ in pairs], default=0)).tolist():
+        lo = sum(k < (1.0 - delta) * d for k, _ in pairs)
+        hi = sum(k <= (1.0 + delta) * d for k, _ in pairs)
+        if hi > lo:
+            curve[d] = (hi - lo, (prefix[hi] - prefix[lo]) / (hi - lo))
+    return curve
+
+
+def oracle_pool(curves) -> dict:
+    """d -> (total count, count-weighted mean), summed in the order given."""
+    pooled: dict = {}
+    for curve in curves:
+        for d, (count, mean) in curve.items():
+            have_count, have_sum = pooled.get(d, (0, 0.0))
+            pooled[d] = (have_count + count, have_sum + count * mean)
+    return {d: (count, total / count) for d, (count, total) in pooled.items()}
+
+
+def assert_curve_is(curve, oracle, d_dtype):
+    keys = sorted(oracle)
+    want = (
+        np.array(keys, dtype=d_dtype),
+        np.array([oracle[d][0] for d in keys], dtype=np.int64),
+        np.array([oracle[d][1] for d in keys], dtype=float),
+    )
+    for got, expected in zip((curve.d, curve.count, curve.mean), want):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def replica_records(draw):
+    """One Coefficients record per replica; a replica's offset can make its keys disjoint."""
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        offset = draw(st.sampled_from([0, 0, 40]))
+        rows = draw(st.lists(
+            st.tuples(st.integers(2, 30), st.integers(0, 30), st.floats(0.0, 1.0)), max_size=40,
+        ))
+        degree = np.array([offset + d for d, _, _ in rows], dtype=np.int64)
+        in_degree = np.array([offset + k for _, k, _ in rows], dtype=np.int64)
+        values = np.array([c for _, _, c in rows], dtype=float)
+        records.append(cl.Coefficients(np.arange(1, len(rows) + 1), degree, in_degree, values))
+    return records
+
+
+@settings(max_examples=80, deadline=None)
+@given(records=replica_records(), delta=st.floats(0.01, 0.49))
+def test_curves_and_pools_equal_dict_oracle_bit_for_bit(records, delta):
+    reports = [
+        cl.ClusteringReport(record, record, record, record, 0, 0) for record in records
+    ]
+    exact = [cl.curve_from_report(r, "directed") for r in reports]
+    banded = [cl.banded_curve_from_report(r, "undirected", delta) for r in reports]
+    exact_oracle = [oracle_exact(record) for record in records]
+    banded_oracle = [oracle_banded(record, delta) for record in records]
+    for curve, oracle in zip(exact, exact_oracle):
+        assert_curve_is(curve, oracle, np.int64)
+    for curve, oracle in zip(banded, banded_oracle):
+        assert_curve_is(curve, oracle, float)
+    assert_curve_is(cl.pool_curves(exact), oracle_pool(exact_oracle), np.int64)
+    assert_curve_is(cl.pool_curves(banded), oracle_pool(banded_oracle), float)
+    assert_curve_is(cl.pool_curves(exact[:1]), oracle_pool(exact_oracle[:1]), np.int64)
 
 
 def test_banded_curve_delta_domain(grown):

@@ -4,12 +4,23 @@ Each case pins the SHA-256 of `serialize_graph(generate(params))`. The
 digests were computed once and must never change: any change to the
 streams, the membership predicate, the generator or the file format that
 alters a single byte of output fails here, even if both generators still
-agree with each other.
+agree with each other. The same digests must also come out with every
+optional SIMD kernel numpy could dispatch switched off, so no graph byte
+depends on the CPU.
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:   # numpy < 2
+    from numpy.core import _multiarray_umath
 
 from spagraph.generator import ModelParams, generate
 from spagraph.geometry import Norm
@@ -40,3 +51,22 @@ CASES = [
 def test_serialized_graph_digest(kwargs, digest):
     graph = generate(ModelParams(**kwargs))
     assert hashlib.sha256(serialize_graph(graph)).hexdigest() == digest
+
+
+def test_digests_without_simd_dispatch():
+    dispatch = _multiarray_umath.__cpu_dispatch__
+    if not dispatch:
+        # numpy refuses to disable a feature it does not dispatch
+        pytest.skip("this numpy build dispatches no optional CPU features")
+    tests = pathlib.Path(__file__).resolve().parent
+    script = (
+        "import hashlib\n"
+        "from test_golden import CASES, ModelParams, generate, serialize_graph\n"
+        "for kwargs, _ in CASES:\n"
+        "    print(hashlib.sha256(serialize_graph(generate(ModelParams(**kwargs)))).hexdigest())\n"
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(dispatch),
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [digest for _, digest in CASES]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spagraph import stats
+from spagraph.clustering import Curve
 from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import ModelParams, generate
 
@@ -202,32 +203,42 @@ def test_trajectory_check_extremes_match_full_scan(grown):
     assert check.ratio_max == pytest.approx(max(ratios), rel=1e-12)
 
 
+def inverse_law(d, scale, count=100):
+    """A curve with mean scale/d and `count` vertices at each d."""
+    return Curve(d, np.broadcast_to(count, d.shape).astype(np.int64), scale / d)
+
+
 def test_curve_slope_exact_inverse_law():
-    curve = {d: (100, 10.0 / d) for d in range(2, 40)}
-    slope, intercept, r2 = stats.curve_slope(curve)
+    slope, intercept, r2 = stats.curve_slope(inverse_law(np.arange(2, 40), 10.0))
     assert slope == pytest.approx(-1.0, abs=1e-12)
     assert intercept == pytest.approx(math.log(10.0), abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_curve_slope_constant_curve():
-    curve = {d: (100, 0.25) for d in range(2, 40)}
-    slope, _, _ = stats.curve_slope(curve)
+    d = np.arange(2, 40)
+    slope, _, _ = stats.curve_slope(Curve(d, np.full(d.size, 100), np.full(d.size, 0.25)))
     assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_curve_slope_filters_and_errors():
-    curve = {d: (5 if d % 2 else 50, 1.0 / d) for d in range(2, 12)}
+    d = np.arange(2, 12)
+    curve = inverse_law(d, 1.0, count=np.where(d % 2, 5, 50))
     slope, _, r2 = stats.curve_slope(curve, min_count=10)
     assert slope == pytest.approx(-1.0, abs=1e-12)
+    # banded float centers; a zero mean has no logarithm and is left out
+    centers = inverse_law(2.0 * 1.1 ** np.arange(12), 3.0)
+    means = np.where(np.arange(12) % 3, centers.mean, 0.0)
+    slope, intercept, _ = stats.curve_slope(Curve(centers.d, centers.count, means))
+    assert slope == pytest.approx(-1.0, abs=1e-12)
+    assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
     with pytest.raises(UsageError, match="5 usable bins"):
-        stats.curve_slope({2: (100, 0.5), 3: (100, 0.4)})
+        stats.curve_slope(Curve(np.array([2, 3]), np.array([100, 100]), np.array([0.5, 0.4])))
     with pytest.raises(UsageError):
         stats.curve_slope(curve, d_lo=100.0)
 
 
 def test_fixed_slope_fit_exact():
-    curve = {d: (100, 7.0 / d) for d in range(3, 30)}
-    intercept, r2 = stats.fixed_slope_fit(curve, slope=-1.0)
+    intercept, r2 = stats.fixed_slope_fit(inverse_law(np.arange(3, 30), 7.0), slope=-1.0)
     assert intercept == pytest.approx(math.log(7.0), abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
