@@ -11,12 +11,18 @@ form an independent process. `generate_many` exploits this: it draws every
 position first, buckets them once into a static cell-sorted grid per cell
 size, and walks each vertex forward in time through doubling windows,
 testing the model's membership expression on each step it gathers and
-reading the coin of (step, vertex) only when the vertex covers the step
-(n = 10^5 in 4.0-4.4 s and n = 10^6 in 47 s on one core of a 2-vCPU Xeon
-virtual machine). Positions and coin words depend only on the seed, so
-models that differ only in p, a1 and a2 share the positions, the grid and,
-block by block, every coin word already read (a nine-p sweep at n = 2000
-hashes 195,068 words instead of 521,630). `generate` is its one-model case.
+reading the coin of (step, vertex) only when the vertex covers the step.
+A vertex reads the coin of every gathered step it covers at its degree
+when a round starts, whatever the coins say, so each round hashes those
+words in one batch; only a step covered once the degree rises within the
+round has its word hashed singly, and a batch word left past a restart is
+kept for the vertex's next round, so every coin word the walk reads is
+hashed once (n = 10^5 in 3.9-5.5 s and n = 10^6 in 44-51 s on one core
+of a 2-vCPU Xeon virtual machine). Positions and coin words depend only
+on the seed, so models that differ only in p, a1 and a2 share the
+positions, the grid and, block by block, every coin word already hashed
+(a nine-p sweep at n = 2000 hashes 195,068 words, 189,587 of them in
+batches, instead of 521,630). `generate` is its one-model case.
 `generate_naive` is the step-centric O(n^2) oracle: step t asks a
 linear-scan `SphereIndex` which prior spheres, at their volumes for time
 t - 1, cover the newcomer.
@@ -41,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterError, UsageError
 from .geometry import Norm, needed_volume, unit_ball_volume
-from .rng import LANE_POSITION, CounterStream, coin_cut
+from .rng import LANE_COIN, LANE_POSITION, CounterStream, coin_cut, coin_heads
 from .spatial_index import SphereIndex
 
 NAIVE_GUARD = 10_000
@@ -244,7 +250,6 @@ def generate_many(models) -> Iterator[GrownGraph]:
     positions = _draw_positions(models[0], stream)
     # levels fine enough for the smallest spheres of every model
     grid = _StaticGrid(positions, min(models, key=lambda m: m.a2))
-    word = stream.coin_words()
     walk_order = sorted(range(len(models)), key=lambda i: -models[i].a2)
     # One buffer per model grown in place holds the keys t * (n + 1) + u of
     # every edge: no per-block arrays to free, and no second copy to join them.
@@ -253,7 +258,7 @@ def generate_many(models) -> Iterator[GrownGraph]:
         stop = min(first + BLOCK, n)
         table = _CoinTable() if len(models) > 1 else None
         for i in walk_order:
-            edges[i].extend(_advance_block(first, stop, grid, word, table, models[i]))
+            edges[i].extend(_advance_block(first, stop, grid, stream, table, models[i]))
     # each buffer is popped as its graph is built, so once the caller lets go
     # of a graph nothing here keeps its keys alive
     return (_from_keys(params, positions, edges.pop(0)) for params in models)
@@ -375,7 +380,10 @@ class _StaticGrid:
             smallest = self.radii(np.array([sphere_volume(0, max(n - 1, 1), params)]))
             finest = int(np.floor(-np.log2(smallest[0])))
             levels = 1 + min(max(finest, 0), (62 - self.n1.bit_length()) // m)
-        self._keys = [self._bucket(level) for level in range(levels)]
+        # one (levels, n) allocation, not one per level
+        self._keys = np.empty((levels, n), dtype=np.int64)
+        for level in range(levels):
+            self._bucket(level, self._keys[level])
 
     def radii(self, volumes: np.ndarray) -> np.ndarray:
         """Half-widths of boxes holding every point of each ball.
@@ -425,48 +433,50 @@ class _StaticGrid:
             flat = flat * ncells + cells[:, j]
         return flat
 
-    def _bucket(self, level: int) -> np.ndarray:
+    def _bucket(self, level: int, keys: np.ndarray) -> None:
         ncells = 1 << level
         cells = np.minimum((self.positions[1:] * ncells).astype(np.int64), ncells - 1)
-        keys = self._flat(cells, ncells) * self.n1 + np.arange(1, self.n1)
+        np.add(self._flat(cells, ncells) * self.n1, np.arange(1, self.n1), out=keys)
         keys.sort()
-        return keys
 
 
 class _CoinTable:
-    """The coin words read so far in one vertex block, sorted by key t * (n + 1) + u."""
+    """Coin words hashed in one vertex block, sorted by key u * (n + 1) + t."""
 
     def __init__(self):
         self.keys = np.empty(0, dtype=np.int64)
         self.words = np.empty(0, dtype=np.uint64)
 
-    def known(self, keys: np.ndarray, cut: int) -> list[int]:
-        """Per key, its coin at `cut` (see `coin_cut`): 1 heads, 0 tails, -1 word not held."""
-        if not self.keys.size:
-            return [-1] * keys.size
-        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        # w >> 11 < cut, not w < cut << 11: at p = 1 the latter cut is 2^64
-        heads = (self.words.take(at) >> 11) < cut
-        return np.where(self.keys.take(at) == keys, heads, -1).tolist()
+    def known(self, keys: np.ndarray, cut: int) -> np.ndarray:
+        """Per key, its coin at `cut` (see `coin_cut`) as int8: 1 heads, 0 tails, -1 not held."""
+        heads = np.full(keys.size, -1, dtype=np.int8)
+        if self.keys.size:
+            at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+            held = np.flatnonzero(self.keys.take(at) == keys)
+            heads[held] = coin_heads(self.words.take(at.take(held)), cut)
+        return heads
 
-    def add(self, keys: array.array, words: array.array) -> None:
-        """Hold more (key, word) pairs, from 'q' and 'Q' arrays; no key may be held already."""
-        order = np.argsort(np.frombuffer(keys, dtype=np.int64))
-        keys = np.frombuffer(keys, dtype=np.int64).take(order)
-        words = np.frombuffer(words, dtype=np.uint64).take(order)
-        del order
+    def add(self, keys: np.ndarray, words: np.ndarray) -> None:
+        """Hold more (key, word) pairs, int64 keys and uint64 words; no key may be held already."""
+        order = np.argsort(keys)
+        keys, words = keys.take(order), words.take(order)
         if self.keys.size:
             at = np.searchsorted(self.keys, keys)
             keys, words = np.insert(self.keys, at, keys), np.insert(self.words, at, words)
         self.keys, self.words = keys, words
 
 
-def _advance_block(first: int, stop: int, grid: _StaticGrid, word, table: _CoinTable | None,
-                   params: ModelParams) -> list[int]:
+def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStream,
+                   table: _CoinTable | None, params: ModelParams) -> list[int]:
     """In-edges of vertices first..stop-1, as a list of keys t * (n + 1) + u.
 
-    `word` reads the coin word at (t, u). With a `table`, words it holds
-    are not read again, and every word read is added to it.
+    Each round hashes in one batch the coin words of the kept pairs that
+    are covered at the round's starting degree: degree only rises, so the
+    walk reads each of them, in this round or, past a restart, in a later
+    one, which finds it in a carry table. A pair covered only once the
+    degree rises within the round has its word read singly. With a
+    `table`, words it holds are not hashed again, and every word hashed is
+    added to it.
     """
     n, n1 = params.n, params.n + 1
     u = np.arange(first, stop, dtype=np.int64)
@@ -474,17 +484,11 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, word, table: _CoinT
     s = u + 1
     cut = coin_cut(params.p)
     a1, a2 = float(params.a1), float(params.a2)
+    word = stream.coin_words()
+    carry = _CoinTable()
+    # the words hashed, for `table`: 8 bytes a key and a word; lists of ints would take 80
+    hashed_keys, hashed_words = array.array("q"), array.array("Q")
     edges: list[int] = []
-    if table is not None:
-        # 8 bytes a key and a word; lists of ints would take 80
-        read_keys, read_words, read = array.array("q"), array.array("Q"), word
-
-        def word(t: int, vertex: int) -> int:
-            w = read(t, vertex)
-            read_keys.append(t * n1 + vertex)
-            read_words.append(w)
-            return w
-
     while u.size:
         # headroom that grows with the degree keeps restarts per vertex logarithmic
         bound = k + np.maximum(4, k // 2)
@@ -498,12 +502,20 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, word, table: _CoinT
         keep = np.flatnonzero(q <= sphere_volume(bound.take(owners), tm1, params))
         order = keep.take(np.argsort(owners.take(keep) * n1 + steps.take(keep)))
         owners, steps = owners.take(order), steps.take(order)
+        q, tm1 = q.take(order), tm1.take(order)
         ptr = np.searchsorted(owners, np.arange(take + 1)).tolist()
-        if table is None:
-            known = [-1] * steps.size
-        else:
-            known = table.known(steps * n1 + u.take(owners), cut)
-        steps, tm1, q = steps.tolist(), tm1.take(order).tolist(), q.take(order).tolist()
+        keys = u.take(owners) * n1 + steps   # ascending, as the pairs are in (owner, step) order
+        heads = carry.known(keys, cut)
+        if table is not None:
+            # the two tables hold disjoint keys, so the larger code is the held coin
+            np.maximum(heads, table.known(keys, cut), out=heads)
+        # covered at the round's starting degree (the loop's test, in the same IEEE
+        # operations), so read whatever the coins say
+        batch = np.flatnonzero((heads < 0) & (q <= (a1 * k.take(owners) + a2) / tm1))
+        words = stream.words(LANE_COIN, steps.take(batch).tolist(),
+                             u.take(owners.take(batch)).tolist())
+        heads[batch] = coin_heads(words, cut)
+        known, steps_list, tm1, q = heads.tolist(), steps.tolist(), tm1.tolist(), q.tolist()
         walked = zip(u[:take].tolist(), k[:take].tolist(), bound[:take].tolist(),
                      e[:take].tolist(), ptr, ptr[1:])
         new_k, new_s = [], []
@@ -516,11 +528,15 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, word, table: _CoinT
             weight = a1 * degree + a2
             for j in range(lo, hi):
                 if q[j] <= weight / tm1[j]:
-                    t = steps[j]
-                    heads = known[j]
-                    if heads < 0:
-                        heads = word(t, vertex) >> 11 < cut
-                    if heads:
+                    t = steps_list[j]
+                    h = known[j]
+                    if h < 0:
+                        w = word(t, vertex)
+                        h = w >> 11 < cut
+                        if table is not None:
+                            hashed_keys.append(vertex * n1 + t)
+                            hashed_words.append(w)
+                    if h:
                         degree += 1
                         weight = a1 * degree + a2
                         edges.append(t * n1 + vertex)
@@ -531,10 +547,19 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, word, table: _CoinT
             new_s.append(nxt)
         k[:take] = new_k
         s[:take] = new_s
+        # the batch words past a vertex's restart, which its next round reads
+        later = steps.take(batch) >= s.take(owners.take(batch))
+        carry.add(keys.take(batch)[later], words[later])
+        if table is not None:
+            hashed_keys.frombytes(keys.take(batch).tobytes())
+            hashed_words.frombytes(words.tobytes())
+        # free this round's per-pair data before the next round gathers its own
+        del keys, heads, batch, words, known, steps_list, q, tm1
         alive = s <= n
         u, k, s = u[alive], k[alive], s[alive]
     if table is not None:
-        table.add(read_keys, read_words)
+        table.add(np.frombuffer(hashed_keys, dtype=np.int64),
+                  np.frombuffer(hashed_words, dtype=np.uint64))
     return edges
 
 

@@ -10,9 +10,9 @@ is reported with the first divergent growth step.
 
 The naive generator costs O(n^2) time and the oracle's dense adjacency
 matrix (n + 1)^2 bytes, so `VERIFY_GUARD` caps n at 5000 (25 MB). At
-n = 2000 one seed takes about 0.16 s in a warm process on a 2-vCPU Xeon VM:
-0.08 s in the naive generator, 0.04 s in the vertex-centric one and
-0.03 s in the oracle. Beyond the guard, `vertex_walk` derives one
+n = 2000 one seed takes about 0.2 s in a warm process on a 2-vCPU Xeon VM:
+0.09-0.10 s in the naive generator, 0.05 s in the vertex-centric one and
+0.03-0.04 s in the oracle. Beyond the guard, `vertex_walk` derives one
 vertex's in-neighbours exactly from the positions and the coin stream,
 at any n.
 """

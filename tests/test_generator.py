@@ -1,4 +1,3 @@
-import array
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ from spagraph.generator import (
 )
 from spagraph.geometry import Norm, needed_volume
 from spagraph.graph_io import serialize_graph
-from spagraph.rng import CounterStream, coin_cut
+from spagraph.rng import LANE_COIN, CounterStream, coin_cut, coin_heads
 from spagraph.spatial_index import SphereIndex
 from spagraph.verify import vertex_walk
 
@@ -433,41 +432,83 @@ def test_generate_many_rejects_an_empty_or_mixed_list():
             generate_many([base, other])
 
 
-def test_generate_many_hashes_fewer_words(monkeypatch):
-    hashed = [0]
-    coin_words = CounterStream.coin_words
+def hashed_coin_pairs(monkeypatch, run):
+    """Every coin-lane (t, u) digest computed while `run()` runs, batched or single."""
+    pairs = []
+    words, coin_words = CounterStream.words, CounterStream.coin_words
 
-    def counted(stream):
+    def counted_words(stream, lane, steps, counters):
+        steps, counters = [int(t) for t in steps], [int(u) for u in counters]
+        if lane == LANE_COIN:
+            pairs.extend(zip(steps, counters))
+        return words(stream, lane, steps, counters)
+
+    def counted_coin_words(stream):
         word = coin_words(stream)
 
         def count(t, u):
-            hashed[0] += 1
+            pairs.append((t, u))
             return word(t, u)
 
         return count
 
-    monkeypatch.setattr(CounterStream, "coin_words", counted)
-    models = [make(500, seed=9, p=p, a2=10 * (1 - p) / p) for p in (0.1, 0.5, 0.9)]
-    separate = [generate(model) for model in models]
-    separate_words, hashed[0] = hashed[0], 0
-    shared = list(generate_many(models))
-    assert 0 < hashed[0] < separate_words
-    for a, b in zip(shared, separate):
-        assert_same_graph(a, b)
+    with monkeypatch.context() as patch:
+        patch.setattr(CounterStream, "words", counted_words)
+        patch.setattr(CounterStream, "coin_words", counted_coin_words)
+        run()
+    return pairs
+
+
+@pytest.mark.parametrize("params", [
+    make(600, seed=1, p=0.0),
+    make(600, seed=2, p=1.0, a1=0.9, a2=1.0),
+    make(600, seed=3, p=0.1, a2=90.0, dimension=1),
+    make(600, seed=4, norm=Norm.L2),
+    make(600, seed=5, p=0.3, a1=1.5, a2=40.0, dimension=3),
+], ids=lambda p: f"p{p.p}-a2{p.a2:.3g}-m{p.dimension}-{p.norm.value}")
+def test_generate_hashes_exactly_the_naive_coin_words_once(monkeypatch, params):
+    # batching moves a word's hash to an earlier call, never adds or repeats one
+    fast = hashed_coin_pairs(monkeypatch, lambda: generate(params))
+    slow = hashed_coin_pairs(monkeypatch, lambda: generate_naive(params))
+    assert len(set(fast)) == len(fast)
+    assert sorted(fast) == sorted(slow)
+
+
+def test_generate_many_hashes_each_shared_word_once(monkeypatch):
+    # the benchmark's nine-p sweep at one seed; the generator docstring quotes the count
+    models = [make(2000, p=p, a1=1.0, a2=10.0 * (1.0 - p) / p)
+              for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    pairs = hashed_coin_pairs(monkeypatch, lambda: list(generate_many(models)))
+    assert len(pairs) == len(set(pairs)) == 195_068
 
 
 def test_coin_table_matches_heads_at_every_cut():
     # p = 1 makes ceil(p * 2^53) << 11 = 2^64, past a uint64; the table shifts the word instead
     stream = CounterStream(21)
-    word, n1 = stream.coin_words(), 1001
-    pairs = [(t, u) for t in range(2, 60) for u in range(1, t)]
-    keys = array.array("q", [t * n1 + u for t, u in pairs])
-    words = array.array("Q", [word(t, u) for t, u in pairs])
+    n1 = 1001
+    t, u = np.array([(t, u) for t in range(2, 60) for u in range(1, t)]).T
+    keys = u * n1 + t
+    words = stream.words(LANE_COIN, t.tolist(), u.tolist())
     table = _CoinTable()
     table.add(keys[::2], words[::2])
     table.add(keys[1::2], words[1::2])
-    coins = [(w >> 11) * 2.0 ** -53 for w in words]
-    for p in (0.0, 1.0, 0.5, coins[0], np.nextafter(coins[0], 2), max(coins), min(coins)):
+    coins = (words >> 11) * 2.0 ** -53
+    query = np.append(keys[::-1], 60 * n1 + 1)
+    for p in (0.0, 1.0, 0.5, coins[0], np.nextafter(coins[0], 2), coins.max(), coins.min()):
         heads = stream.heads(p)
-        got = table.known(np.array(keys[::-1] + array.array("q", [n1 * 60 + 1])), coin_cut(p))
-        assert got == [int(heads(t, u)) for t, u in pairs[::-1]] + [-1]
+        got = table.known(query, coin_cut(p))
+        assert got.tolist() == [int(heads(a, b)) for a, b in zip(t[::-1], u[::-1])] + [-1]
+    assert _CoinTable().known(query, coin_cut(0.5)).tolist() == [-1] * query.size
+
+
+def test_uint64_coin_heads_equal_scalar_heads_at_the_edges():
+    stream = CounterStream(23)
+    t, u = [5, 9, 2 ** 40, 2 ** 63], [1, 4, 17, 2 ** 64 - 1]
+    words = stream.words(LANE_COIN, t, u)
+    for i, w in enumerate(words.tolist()):
+        coin = (w >> 11) * 2.0 ** -53
+        # cut 0 (p = 0), cut 2^53 (p = 1), and one ulp either side of the word's value
+        for p in (0.0, 1.0, np.nextafter(coin, 0), coin, np.nextafter(coin, 2)):
+            assert coin_heads(words, coin_cut(p))[i] == stream.heads(p)(t[i], u[i]), (i, p)
+    assert coin_cut(1.0) == 2 ** 53 and coin_heads(words, 2 ** 53).all()
+    assert not coin_heads(words, 0).any()

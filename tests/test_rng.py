@@ -86,15 +86,20 @@ def test_scalar_coin_equals_word_and_coin_uniforms():
         assert [heads(t, u) for t, u in pairs] == [coin < p for coin in want]
 
 
-def test_batch_draws_match_keyed_blake2b_on_random_64_bit_counters():
+def test_batch_draws_match_keyed_blake2b_on_random_64_bit_counters(monkeypatch):
     rng = np.random.default_rng(7)
-    for seed in (0, 7, 2 ** 64 - 1):
+    # small chunks put many chunk boundaries inside each batch
+    for seed, chunk in ((0, 1024), (7, 7), (2 ** 64 - 1, 1)):
+        monkeypatch.setattr("spagraph.rng._CHUNK", chunk)
         s = CounterStream(seed)
         draws = rng.integers(0, 2 ** 64, size=(200, 2), dtype=np.uint64)
         pairs = [(int(t), int(u)) for t, u in draws]
         steps, ids = zip(*pairs)
         for lane in (LANE_POSITION, LANE_COIN):
-            want = [(_keyed_blake2b_word(seed, lane, t, u) >> 11) * 2.0 ** -53 for t, u in pairs]
+            words = [_keyed_blake2b_word(seed, lane, t, u) for t, u in pairs]
+            got = s.words(lane, steps, ids)
+            assert got.dtype == np.uint64 and got.tolist() == words
+            want = [(w >> 11) * 2.0 ** -53 for w in words]
             assert s.uniforms(lane, steps, ids).tolist() == want
         coins = s.uniforms(LANE_COIN, steps, ids)
         heads = s.heads(0.5)
@@ -113,5 +118,7 @@ def test_heads_flips_exactly_at_the_coin_value():
 
 def test_empty_batch_draws():
     s = CounterStream(3)
+    words = s.words(LANE_COIN, [], [])
+    assert words.shape == (0,) and words.dtype == np.uint64
     assert s.uniforms(LANE_COIN, [], []).shape == (0,)
     assert s.coin_uniforms(5, np.empty(0, dtype=np.int64)).shape == (0,)
