@@ -41,7 +41,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,9 +149,19 @@ class GrownGraph:
         """Sources of v's in-edges, ascending by birth (= arrival order)."""
         return self.in_sources[self.in_ptr[v] : self.in_ptr[v + 1]]
 
-    def in_degree_at(self, v: int, t: int) -> int:
-        """deg^-(v, t): in-edges that existed by the end of step t."""
-        return int(np.searchsorted(self.in_neighbors(v), t, side="right"))
+    def prefix(self, t: int) -> "GrownGraph":
+        """The graph after step t: vertices 1..t and the edges among them.
+
+        Out-edges are fixed at birth, so the edges by step t are the first
+        out_ptr[t + 1] in generation order, and this equals the same run
+        grown to n = t, array for array. It shares this graph's arrays.
+        """
+        t = operator.index(t)
+        if not 1 <= t <= self.n:
+            raise UsageError(f"prefix time must be in [1, {self.n}], got {t}")
+        return GrownGraph(params=replace(self.params, n=t), out_ptr=self.out_ptr[: t + 2],
+                          out_targets=self.out_targets[: self.out_ptr[t + 1]],
+                          positions=None if self.positions is None else self.positions[: t + 1])
 
     def trajectory(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(arrival steps, in-degree values) for every degree change of v."""

@@ -40,6 +40,7 @@ import io
 import json
 import os
 import sys
+import zlib
 
 import numpy as np
 
@@ -328,7 +329,10 @@ def read_graph(path: str) -> GrownGraph:
     with open(path, "rb") as handle:
         data = handle.read()
     if path.endswith(".gz"):
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, zlib.error) as exc:   # a truncated or corrupt stream; a bad CRC is an OSError
+            raise ParseError(f"damaged gzip stream in {path}: {exc}", 0) from None
     return parse_graph(data)
 
 

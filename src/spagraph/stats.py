@@ -4,6 +4,8 @@ Covers the closed-form constants (power-law exponent, mean out-degree,
 limiting degree fractions c_i), global and in-ball degree censuses, a
 tail MLE for the in-degree exponent, degree-trajectory concentration
 against k (t/n)^(p a1), and log-log slope fitting for clustering curves.
+Every function reads the graph it is given at its final time; pass
+`graph.prefix(t)` to measure the same run at an earlier time t.
 """
 
 from __future__ import annotations
@@ -78,23 +80,9 @@ class DegreeCensus:
         return float(self.counts[i] / self.total)
 
 
-def _in_degrees_at(graph: GrownGraph, t: int) -> np.ndarray:
-    """In-degrees of vertices 1..t at time t (id-indexed, slot 0 unused)."""
-    if not 1 <= t <= graph.n:
-        raise UsageError(f"census time must be in [1, {graph.n}], got {t}")
-    if t == graph.n:
-        return graph.in_degree
-    # Out-edges are frozen at birth, so the edges existing at time t are
-    # exactly the out-edges of vertices born by t, a prefix in CSR order.
-    live_targets = graph.out_targets[: graph.out_ptr[t + 1]]
-    return np.bincount(live_targets, minlength=t + 1)
-
-
-def degree_census(graph: GrownGraph, t: int | None = None) -> DegreeCensus:
-    """Count vertices by in-degree, at the final time or any earlier t."""
-    t = graph.n if t is None else t
-    degrees = _in_degrees_at(graph, t)
-    return DegreeCensus(counts=np.bincount(degrees[1 : t + 1]))
+def degree_census(graph: GrownGraph) -> DegreeCensus:
+    """Count vertices by in-degree; `graph.prefix(t)` gives the census at time t."""
+    return DegreeCensus(counts=np.bincount(graph.in_degree[1:]))
 
 
 def ball_centers_grid(m: int, per_axis: int = 3) -> np.ndarray:
@@ -103,25 +91,23 @@ def ball_centers_grid(m: int, per_axis: int = 3) -> np.ndarray:
     return np.array(list(itertools.product(axis, repeat=m)))
 
 
-def ball_census(
-    graph: GrownGraph, center, volume: float, t: int | None = None, i_max: int = 10
-) -> np.ndarray:
-    """Vertices inside the closed ball, counted by in-degree at time t.
+def ball_census(graph: GrownGraph, center, volume: float, i_max: int = 10) -> np.ndarray:
+    """Vertices inside the closed ball, counted by in-degree.
 
-    Returns counts[i] for i in 0..i_max; to be compared against c_i * volume * t.
+    Returns counts[i] for i in 0..i_max; to be compared against c_i * volume * n.
+    `center` must be a point of the torus [0, 1)^m.
     """
     if graph.positions is None:
         raise UsageError("graph has no positions; regenerate or load them")
     if not 0.0 < volume <= 1.0:
         raise ParameterError(f"ball volume must be in (0, 1], got {volume}")
-    t = graph.n if t is None else t
-    degrees = _in_degrees_at(graph, t)
-    inside = ball_contains(
-        graph.positions[1 : t + 1], volume, np.asarray(center, dtype=float),
-        graph.params.norm,
-    )
-    counts = np.bincount(degrees[1 : t + 1][inside], minlength=i_max + 1)
-    return counts[: i_max + 1]
+    center = np.asarray(center, dtype=float)
+    # torus_diffs wraps only separations of points in [0, 1), and NaN fails both tests
+    if center.shape != (graph.params.dimension,) or not ((center >= 0) & (center < 1)).all():
+        raise UsageError(f"ball center must be a point of [0, 1)^{graph.params.dimension}, "
+                         f"got {center.tolist()}")
+    inside = ball_contains(graph.positions[1:], volume, center, graph.params.norm)
+    return np.bincount(graph.in_degree[1:][inside], minlength=i_max + 1)[: i_max + 1]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from spagraph import cli
 from spagraph.cli import main
 from spagraph.clustering import compute_report
 from spagraph.errors import ParameterError
-from spagraph.generator import GrownGraph, ModelParams
+from spagraph.generator import GrownGraph, ModelParams, generate
 from spagraph.graph_io import read_graph, write_graph
 
 ARGS = ["--n", "400", "--p", "0.7", "--a1", "1.0", "--a2", "4.285714285714286"]
@@ -115,6 +115,25 @@ def test_corrupt_graph_exit_code_2(tmp_path, capsys):
     bad.write_text("%spa-graph v1\np=0.7\n%edges\nall wrong\n")
     assert run(["stats", str(bad), "--out", str(tmp_path)]) == 2
     assert "byte offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt deflate", "bad crc"])
+def test_damaged_gzip_graph_exit_code_2(tmp_path, capsys, damage):
+    path = str(tmp_path / "g.tsv.gz")
+    write_graph(generate(ModelParams(n=200, p=0.7, a1=1.0, a2=30 / 7)), path)
+    data = bytearray(Path(path).read_bytes())
+    if damage == "truncated":
+        del data[len(data) // 2:]
+    elif damage == "corrupt deflate":
+        data[10] |= 0b110   # the first block's type becomes the reserved 11
+    else:
+        data[-8] ^= 0xFF    # the stored CRC-32
+    Path(path).write_bytes(bytes(data))
+    assert run(["stats", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+    if damage != "bad crc":
+        assert f"damaged gzip stream in {path}" in err
 
 
 def test_stats_emits_all_reports(tmp_path):

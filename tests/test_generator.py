@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_graph
 from spagraph import generator
+from spagraph.clustering import VARIANTS, SplitPolicy, compute_report
 from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import (
     GrownGraph,
@@ -95,16 +98,12 @@ def test_p_one_links_with_certainty():
 def test_indexed_equals_naive_bit_for_bit():
     for seed in (0, 1, 2):
         params = make(1000, seed=seed)
-        fast = generate(params)
-        slow = generate_naive(params)
-        assert np.array_equal(fast.positions[1:], slow.positions[1:])
-        assert np.array_equal(fast.out_ptr, slow.out_ptr)
-        assert np.array_equal(fast.out_targets, slow.out_targets)
+        assert_same_graph(generate(params), generate_naive(params))
 
 
 def test_l2_norm_equivalence_too():
     params = make(800, seed=5, norm=Norm.L2, dimension=3)
-    assert np.array_equal(generate(params).out_targets, generate_naive(params).out_targets)
+    assert_same_graph(generate(params), generate_naive(params))
 
 
 def test_determinism_byte_identical():
@@ -131,16 +130,6 @@ def test_degree_accounting():
     assert g.in_degree[0] == 0 and g.out_degree[0] == 0
 
 
-def test_out_degree_frozen_prefix_replay():
-    # replaying a shorter run reproduces the long run's prefix exactly,
-    # so out-edges of early vertices never change after their birth step
-    long = generate(make(1200, seed=8))
-    short = generate(make(700, seed=8))
-    assert np.array_equal(short.out_ptr, long.out_ptr[:702])
-    assert np.array_equal(short.out_targets, long.out_targets[: long.out_ptr[701]])
-    assert np.array_equal(short.positions[1:701], long.positions[1:701])
-
-
 def test_in_neighbors_sorted_and_trajectory():
     g = generate(make(1000, seed=6))
     hub = int(np.argmax(g.in_degree))
@@ -150,8 +139,9 @@ def test_in_neighbors_sorted_and_trajectory():
     times, degrees = g.trajectory(hub)
     assert degrees[-1] == g.in_degree[hub]
     mid = int(times[len(times) // 2])
-    assert g.in_degree_at(hub, mid) == len(times) // 2 + 1
-    assert g.in_degree_at(hub, g.n) == g.in_degree[hub]
+    assert g.prefix(mid).in_degree[hub] == len(times) // 2 + 1
+    assert g.prefix(mid - 1).in_degree[hub] == len(times) // 2
+    assert g.prefix(g.n).in_degree[hub] == g.in_degree[hub]
 
 
 @st.composite
@@ -223,12 +213,6 @@ ORACLE_GRID = [
 ]
 
 
-def assert_same_graph(fast, slow):
-    assert np.array_equal(fast.positions[1:], slow.positions[1:])
-    assert np.array_equal(fast.out_ptr, slow.out_ptr)
-    assert np.array_equal(fast.out_targets, slow.out_targets)
-
-
 @pytest.mark.parametrize(
     "params", ORACLE_GRID, ids=lambda p: f"n{p.n}-p{p.p}-m{p.dimension}-{p.norm.value}"
 )
@@ -236,20 +220,20 @@ def test_vertex_centric_equals_naive(params):
     assert_same_graph(generate(params), generate_naive(params))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 300),
-    p=st.floats(0.0, 1.0),
-    a1_fraction=st.floats(0.01, 0.99),
-    a2=st.floats(0.01, 60.0),
-    dimension=st.integers(1, 3),
-    norm=st.sampled_from(list(Norm)),
-    seed=st.integers(0, 2 ** 64 - 1),
-)
-def test_vertex_centric_equals_naive_property(n, p, a1_fraction, a2, dimension, norm, seed):
+@st.composite
+def models(draw):
+    """Any admissible model with n <= 300, m <= 3 and a2 <= 60."""
+    p = draw(st.floats(0.0, 1.0))
     # p * a1 < 1, as ModelParams requires
-    a1 = a1_fraction * min(10.0, 1.0 / p) if p > 0 else 10.0 * a1_fraction
-    params = ModelParams(n=n, p=p, a1=a1, a2=a2, dimension=dimension, norm=norm, seed=seed)
+    a1 = draw(st.floats(0.01, 0.99)) * (min(10.0, 1.0 / p) if p > 0 else 10.0)
+    return ModelParams(n=draw(st.integers(1, 300)), p=p, a1=a1, a2=draw(st.floats(0.01, 60.0)),
+                       dimension=draw(st.integers(1, 3)), norm=draw(st.sampled_from(list(Norm))),
+                       seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=models())
+def test_vertex_centric_equals_naive_property(params):
     assert_same_graph(generate(params), generate_naive(params))
 
 
@@ -387,14 +371,49 @@ def test_a_step_on_the_sphere_boundary_is_covered(monkeypatch):
     assert vertex_walk(params, positions, 2).tolist() == []
 
 
-@pytest.mark.parametrize("short", [1, 2, 3, 63, 64, 65, 511, 512, 513, 1000])
-def test_shorter_run_is_exact_prefix(short):
-    # windows end at 2s clipped to n; the clip must not change earlier steps
-    long = generate(make(1537, seed=13))
-    part = generate(make(short, seed=13))
-    assert np.array_equal(part.positions[1:], long.positions[1 : short + 1])
-    assert np.array_equal(part.out_ptr, long.out_ptr[: short + 2])
-    assert np.array_equal(part.out_targets, long.out_targets[: long.out_ptr[short + 1]])
+@pytest.fixture(scope="module")
+def long_run():
+    return generate(make(1537, seed=13))
+
+
+@pytest.mark.parametrize("short", [1, 2, 3, 63, 64, 65, 511, 512, 513, 700, 1000])
+def test_shorter_run_is_exact_prefix(long_run, short):
+    # windows end at 2s clipped to n; the clip must not change earlier steps,
+    # so out-edges never change after their birth step
+    assert_same_graph(long_run.prefix(short), generate(make(short, seed=13)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=models(), data=st.data())
+def test_prefix_equals_the_shorter_run(params, data):
+    t = data.draw(st.integers(1, params.n), label="t")
+    view, regrown = generate(params).prefix(t), generate(replace(params, n=t))
+    assert_same_graph(view, regrown)
+    for policy in (SplitPolicy(mode="half"), SplitPolicy(mode="log")):
+        got, want = compute_report(view, policy), compute_report(regrown, policy)
+        assert got.triangle_numerators_sum == want.triangle_numerators_sum
+        assert got.wedge_count == want.wedge_count
+        for variant in VARIANTS:
+            pairs = zip(vars(got.variant(variant)).values(), vars(want.variant(variant)).values())
+            assert all(np.array_equal(a, b) for a, b in pairs), variant
+
+
+def test_prefix_time_domain(long_run):
+    assert_same_graph(long_run.prefix(long_run.n), long_run)
+    for bad in (0, -1, long_run.n + 1):
+        with pytest.raises(UsageError, match="prefix time"):
+            long_run.prefix(bad)
+    with pytest.raises(TypeError):
+        long_run.prefix(2.0)
+
+
+def test_prefix_of_a_graph_without_positions():
+    edges = [(2, 1), (3, 1), (3, 2), (5, 4)]
+    graph = GrownGraph.from_edges(make(5), edges)
+    view = graph.prefix(3)
+    assert view.positions is None
+    assert_same_graph(view, GrownGraph.from_edges(make(3), edges[:3]))
+    assert view.in_neighbors(1).tolist() == [2, 3] and view.in_degree.tolist() == [0, 2, 1, 0]
 
 
 # -- one walk for many models -------------------------------------------------
@@ -418,8 +437,10 @@ _A2 = st.sampled_from([0.5, 30 / 7, 90.0]) | st.floats(0.01, 100.0)   # repeats 
 def test_generate_many_serializes_like_separate_runs(n, dimension, norm, seed, points):
     models = [make(n, seed=seed, p=p, a1=a1, a2=a2, dimension=dimension, norm=norm)
               for p, a1, a2 in points]
-    got = [serialize_graph(graph) for graph in generate_many(models)]
-    assert got == [serialize_graph(generate(model)) for model in models]
+    for graph, model in zip(generate_many(models), models):
+        want = generate(model)
+        assert_same_graph(graph, want)
+        assert serialize_graph(graph) == serialize_graph(want)
 
 
 def test_generate_many_rejects_an_empty_or_mixed_list():

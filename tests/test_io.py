@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_graph
 from spagraph import graph_io, stats
 from spagraph.errors import ParseError, UsageError
 from spagraph.generator import ModelParams, generate
@@ -38,9 +39,7 @@ def test_round_trip_byte_identity(grown, tmp_path):
     parsed = graph_io.read_graph(path)
     graph_io.write_graph(parsed, path)
     assert Path(path).read_bytes() == first
-    assert np.array_equal(parsed.out_targets, grown.out_targets)
-    assert np.array_equal(parsed.positions[1:], grown.positions[1:])
-    assert parsed.params == grown.params
+    assert_same_graph(parsed, grown)
 
 
 def test_round_trip_gzip(grown, tmp_path):

@@ -71,7 +71,7 @@ def test_census_first_step():
 def test_census_p_zero_all_isolated():
     g = generate(make(50, p=0.0))
     for t in (1, 10, 50):
-        census = stats.degree_census(g, t)
+        census = stats.degree_census(g.prefix(t))
         assert census.counts[0] == t
 
 
@@ -85,16 +85,13 @@ def test_census_conservation(grown):
 def test_census_at_earlier_time_matches_prefix_run():
     long = generate(make(1000, seed=29))
     short = generate(make(400, seed=29))
-    early = stats.degree_census(long, 400)
+    early = stats.degree_census(long.prefix(400))
     final = stats.degree_census(short)
     assert early.counts.tolist() == final.counts.tolist()
-
-
-def test_census_time_domain(grown):
-    with pytest.raises(UsageError):
-        stats.degree_census(grown, 0)
-    with pytest.raises(UsageError):
-        stats.degree_census(grown, grown.n + 1)
+    for v in (1, 2, 3):
+        # the view's balls hold only the vertices born by step 400
+        ball = stats.ball_census(long.prefix(400), short.positions[v], 0.1, i_max=20)
+        assert ball.tolist() == stats.ball_census(short, short.positions[v], 0.1, i_max=20).tolist()
 
 
 def test_ball_census_whole_torus_equals_global(grown):
@@ -116,6 +113,14 @@ def test_ball_census_partition(grown):
         for cy in (0.25, 0.75):
             total += stats.ball_census(grown, [cx, cy], 0.25, i_max=10)
     assert total.tolist() == stats.ball_census(grown, [0.5, 0.5], 1.0, i_max=10).tolist()
+
+
+def test_ball_census_rejects_a_center_off_the_torus(grown):
+    for bad in ([1.5, 1.5], [-0.5, 0.5], [1.0, 0.5], [np.nan, 0.5], [np.inf, 0.5], [0.5],
+                [0.5, 0.5, 0.5]):
+        with pytest.raises(UsageError, match="ball center"):
+            stats.ball_census(grown, bad, 0.04)
+    assert stats.ball_census(grown, [0.0, 0.5], 0.04).sum() > 0
 
 
 def test_ball_centers_grid():
