@@ -8,17 +8,18 @@ giving c = c_old + c_new per vertex.
 
 Vertices below degree 2 have an undefined coefficient and are excluded
 from every average. Every edge points from the younger vertex to the
-older, so each triangle x < y < z is the edges z->y, z->x and y->x, and
-all three numerators come from one vectorized enumeration of triangles:
-for every edge z->y and every x in out(y), one lookup in the sorted edge
-keys asks whether z->x exists (the "forward" listing of Schank and
-Wagner, 2005). A triangle is one edge among x's in-neighbors (old when
-y joined before x's split time) and one neighborhood edge of each of x,
-y and z in the undirected view. The pass walks the edges in chunks of
-at most `_CHUNK` edges and `_CHUNK` wedges and builds only the keys each
-chunk looks up, so its temporaries do not grow with the graph.
-`compute_report` builds every coefficient from that pass; its exact
-oracle is the exhaustive pair enumeration `verify.brute_force_clustering`.
+older, so each triangle x < y < z is the edges z->y, z->x and y->x.
+`_triangles` is the one triangle listing: for every edge z->y and every
+x in out(y), one lookup in the sorted edge keys asks whether z->x exists
+(the "forward" listing of Schank and Wagner, 2005), and each triangle
+comes out once, as a row of the (x, y, z) arrays it yields. It walks the
+edges in chunks of at most `_CHUNK` edges and `_CHUNK` wedges and builds
+only the keys each chunk looks up, so its temporaries do not grow with
+the graph. It sums nothing and knows no split times: `compute_report`
+does all the counting. A triangle is one edge among x's in-neighbors
+(old when y joined before x's split time) and one neighborhood edge of
+each of x, y and z in the undirected view. The exact oracle for the
+counts is the exhaustive pair enumeration `verify.brute_force_clustering`.
 
 A curve C(d), exact by degree, banded by in-degree or pooled over graphs,
 is one `Curve(d, count, mean)` record of arrays that the CSV writers and
@@ -96,12 +97,6 @@ def split_times(graph: GrownGraph, policy: SplitPolicy) -> np.ndarray:
     return out
 
 
-def _member_of(keys, query_keys):
-    """Whether each query key occurs in the sorted array `keys`."""
-    pos = np.minimum(np.searchsorted(keys, query_keys), keys.size - 1)
-    return keys[pos] == query_keys
-
-
 def _wedge_chunks(graph: GrownGraph):
     """Yield edge bounds (lo, hi) cutting the edge list into chunks.
 
@@ -120,23 +115,17 @@ def _wedge_chunks(graph: GrownGraph):
             lo = hi
 
 
-def _triangle_counts(
-    graph: GrownGraph, t_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-vertex (directed, old, undirected) numerators from one triangle pass.
+def _triangles(graph: GrownGraph):
+    """Yield one (x, y, z) tuple of int64 arrays per chunk of `_wedge_chunks`.
 
-    Each triangle x < y < z is found once, from edge z->y and x in out(y),
-    by one lookup of z->x in the sorted edge keys (see the module
-    docstring). A chunk of edges only looks up edges of its own sources,
-    so it builds just those keys, and every temporary stays within about
-    _CHUNK edges or wedges. Arrays are id-indexed with slot 0 unused.
+    Across all chunks every triangle x < y < z appears exactly once,
+    found from edge z->y and x in out(y) by one lookup of z->x in the
+    sorted edge keys (see the module docstring). A chunk of edges only
+    looks up edges of its own sources, so it builds just those keys, and
+    every temporary stays within about _CHUNK edges or wedges.
     """
-    n = graph.n
-    nk = np.int64(n + 1)
+    nk = np.int64(graph.n + 1)
     targets, out_ptr = graph.out_targets, graph.out_ptr
-    directed = np.zeros(n + 1, dtype=np.int64)
-    old = np.zeros(n + 1, dtype=np.int64)
-    undirected = np.zeros(n + 1, dtype=np.int64)
     for lo, hi in _wedge_chunks(graph):
         # keys z * (n + 1) + y of every edge whose source z is in the chunk
         first, last = np.searchsorted(out_ptr, [lo, hi - 1], side="right") - 1
@@ -150,13 +139,9 @@ def _triangle_counts(
         x = targets[np.arange(ends[-1]) + (out_ptr[y + 1] - ends)[owner]]
         query = (keys[lo - base : hi - base] - y)[owner]
         query += x   # z * (n + 1) + x
-        hit = _member_of(keys, query)
-        x, y, z = x[hit], y[owner[hit]], query[hit] // nk
-        np.add.at(directed, x, 1)
-        np.add.at(old, x[y <= t_hat[x]], 1)
-        np.add.at(undirected, y, 1)
-        np.add.at(undirected, z, 1)
-    return directed, old, undirected + directed
+        hit = keys[np.minimum(np.searchsorted(keys, query), keys.size - 1)] == query
+        x, y, z = x[hit], y[owner[hit]], query[hit] // nk   # frees the unfiltered x
+        yield x, y, z
 
 
 def _pair_denominator(degree: np.ndarray) -> np.ndarray:
@@ -204,9 +189,17 @@ class ClusteringReport:
 def compute_report(
     graph: GrownGraph, policy: SplitPolicy = SplitPolicy()
 ) -> ClusteringReport:
-    """All per-vertex coefficients in one vectorized pass over the graph."""
+    """All per-vertex coefficients, counted from one listing of the triangles."""
     t_hat = split_times(graph, policy)
-    directed_num, old_num, undirected_num = _triangle_counts(graph, t_hat)
+    directed_num, old_num, undirected_num = (
+        np.zeros(graph.n + 1, dtype=np.int64) for _ in range(3)
+    )
+    for x, y, z in _triangles(graph):
+        np.add.at(directed_num, x, 1)
+        np.add.at(old_num, x[y <= t_hat[x]], 1)
+        np.add.at(undirected_num, y, 1)
+        np.add.at(undirected_num, z, 1)
+    undirected_num += directed_num
     in_deg = graph.in_degree
     tot_deg = in_deg + graph.out_degree
 

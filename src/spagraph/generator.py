@@ -68,6 +68,12 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "dimension", "seed"):   # stored as Python ints, numpy ints included
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ParameterError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
@@ -86,6 +92,12 @@ class ModelParams:
             raise ParameterError(f"norm must be a Norm, got {self.norm!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ParameterError(f"seed must be a 64-bit unsigned int, got {self.seed}")
+
+
+def check_vertex(n: int, v: int) -> None:
+    """Reject a vertex id outside 1..n."""
+    if not 1 <= v <= n:
+        raise UsageError(f"vertex must be in [1, {n}], got {v}")
 
 
 def sphere_volume(in_degree, t, params: ModelParams):
@@ -165,6 +177,7 @@ class GrownGraph:
 
     def trajectory(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(arrival steps, in-degree values) for every degree change of v."""
+        check_vertex(self.n, v)
         arrivals = self.in_neighbors(v)
         return arrivals, np.arange(1, arrivals.size + 1, dtype=np.int64)
 

@@ -184,7 +184,8 @@ def trajectory_check(graph: GrownGraph, vertex: int, omega: float | None = None)
     n = params.n
     check_omega(omega)
     omega = default_omega(n) if omega is None else omega
-    k = int(graph.in_degree[vertex])
+    arrivals, _ = graph.trajectory(vertex)
+    k = arrivals.size
     threshold = omega * math.log(n)
     # k = 0 is vacuous even when the threshold is 0 (n = 1): the onset divides by k
     if k == 0 or k < threshold or params.p * params.a1 == 0:
@@ -192,7 +193,6 @@ def trajectory_check(graph: GrownGraph, vertex: int, omega: float | None = None)
     exponent = params.p * params.a1
     onset = n * (threshold / k) ** (1.0 / exponent)
     onset = min(max(onset, 1.0), float(n))
-    arrivals, _ = graph.trajectory(vertex)
     t_lo = math.ceil(onset)
     times = np.unique(
         np.concatenate((arrivals, arrivals - 1, [t_lo, n])).astype(np.int64)

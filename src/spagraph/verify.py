@@ -26,7 +26,9 @@ import numpy as np
 
 from .clustering import VARIANTS, SplitPolicy, compute_report, split_times
 from .errors import UsageError
-from .generator import GrownGraph, ModelParams, generate, generate_naive, sphere_volume
+from .generator import (
+    GrownGraph, ModelParams, check_vertex, generate, generate_naive, sphere_volume,
+)
 from .geometry import needed_volume
 from .rng import CounterStream
 
@@ -104,6 +106,7 @@ def vertex_walk(params: ModelParams, positions: np.ndarray, v: int) -> np.ndarra
     grid walk at any n.
     """
     n = params.n
+    check_vertex(n, v)
     heads = CounterStream(params.seed).heads(params.p)
     arrivals: list[int] = []
     s = v + 1
@@ -185,6 +188,9 @@ def verify_equivalence(params: ModelParams, seeds, generator=None) -> VerifyRepo
     """
     if params.n > VERIFY_GUARD:
         raise UsageError(f"n={params.n} exceeds the verification guard {VERIFY_GUARD}")
+    seeds = list(seeds)
+    if not seeds:
+        raise UsageError("no seeds to verify")
     run = generate if generator is None else generator
     results = []
     for seed in seeds:

@@ -164,7 +164,19 @@ def test_report_matches_brute_force_on_dense_graphs(graph, mode):
     assert report_coefficients(graph, policy) == oracle
 
 
-def _counts_at_budget(graph, t_hat, budget):
+def dense_triangles(graph):
+    """Every triangle (x, y, z), x < y < z, read from a dense bool adjacency matrix."""
+    adj = np.zeros((graph.n + 1, graph.n + 1), dtype=bool)
+    adj[graph.edge_sources(), graph.out_targets] = True
+    return {
+        (x, y, z)
+        for y, x in np.argwhere(adj).tolist()
+        for z in np.flatnonzero(adj[:, y] & adj[:, x]).tolist()
+    }
+
+
+def _listing_at_budget(graph, budget):
+    """Rows (x, y, z) of `_triangles` and the report's coefficients with `_CHUNK` = budget."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cl, "_CHUNK", budget)
         chunks = list(cl._wedge_chunks(graph))
@@ -173,17 +185,20 @@ def _counts_at_budget(graph, t_hat, budget):
             assert (hi - lo <= budget and wedges[hi] - wedges[lo] <= budget) or hi == lo + 1
         bounds = [0] + [hi for _, hi in chunks]
         assert [lo for lo, _ in chunks] == bounds[:-1] and bounds[-1] == graph.num_edges
-        return cl._triangle_counts(graph, t_hat), report_coefficients(graph)
+        rows = []
+        for columns in cl._triangles(graph):
+            assert all(column.dtype == np.int64 for column in columns)
+            rows += zip(*(column.tolist() for column in columns))
+        return rows, report_coefficients(graph)
 
 
-def assert_budget_free(graph, budgets=(1, 2, 3, 64)):
-    """The triangle pass gives the same numerators at every wedge budget."""
-    t_hat = cl.split_times(graph, cl.SplitPolicy())
-    want = cl._triangle_counts(graph, t_hat)
-    oracle = brute_force_clustering(graph, t_hat)
+def assert_budget_free(graph, budgets=(1, 2, 3, 64, cl._CHUNK)):
+    """At every wedge budget, `_triangles` lists each triangle exactly once."""
+    want = dense_triangles(graph)
+    oracle = brute_force_clustering(graph, cl.split_times(graph, cl.SplitPolicy()))
     for budget in budgets:
-        counts, coefficients = _counts_at_budget(graph, t_hat, budget)
-        assert all(np.array_equal(a, b) for a, b in zip(counts, want))
+        rows, coefficients = _listing_at_budget(graph, budget)
+        assert len(rows) == len(set(rows)) and set(rows) == want
         assert coefficients == oracle
 
 

@@ -70,6 +70,17 @@ def test_param_domain():
     make(10, p=1.0, a1=0.99)  # open boundary p*a1 < 1
 
 
+def test_integer_params_take_numpy_ints_and_reject_other_types():
+    params = make(np.int64(60), seed=np.uint64(2 ** 64 - 1), dimension=np.int32(3))
+    assert [type(v) for v in (params.n, params.dimension, params.seed)] == [int, int, int]
+    assert params == make(60, seed=2 ** 64 - 1, dimension=3)
+    assert_same_graph(generate(make(np.int64(60), seed=np.int64(3))), generate(make(60, seed=3)))
+    for name, value in [("n", 100.0), ("dimension", 2.0), ("seed", 1.5), ("n", "100"),
+                        ("seed", None)]:
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            ModelParams(**{**DEFAULTS, "n": 100, name: value})
+
+
 def test_sphere_volume_formula():
     params = make(100, a1=1.0, a2=1.0)
     assert sphere_volume(4, 10, params) == 0.5

@@ -6,7 +6,8 @@ import pytest
 from spagraph import stats
 from spagraph.clustering import Curve
 from spagraph.errors import ParameterError, UsageError
-from spagraph.generator import ModelParams, generate
+from spagraph.generator import GrownGraph, ModelParams, generate
+from spagraph.verify import vertex_walk
 
 PARAMS = dict(p=0.7, a1=1.0, a2=30 / 7)
 
@@ -188,6 +189,23 @@ def test_trajectory_check_rejects_bad_omega(grown, omega):
     hub = int(np.argmax(grown.in_degree))
     with pytest.raises(ParameterError, match="omega"):
         stats.trajectory_check(grown, hub, omega)
+
+
+@pytest.fixture(scope="module")
+def small():
+    return generate(make(300, a2=2.0))
+
+
+@pytest.mark.parametrize("v", [-300, -1, 0, 301])
+def test_vertex_outside_1_to_n_is_a_usage_error(small, v):
+    for call in (stats.trajectory_check, GrownGraph.trajectory,
+                 lambda g, v: vertex_walk(g.params, g.positions, v)):
+        with pytest.raises(UsageError, match=r"vertex must be in \[1, 300\]"):
+            call(small, v)
+    for end in (1, 300):   # the ends of the range are vertices
+        assert stats.trajectory_check(small, end).final_degree == small.in_degree[end]
+        assert np.array_equal(vertex_walk(small.params, small.positions, end),
+                              small.trajectory(end)[0])
 
 
 def test_trajectory_check_extremes_match_full_scan(grown):

@@ -58,6 +58,12 @@ def test_verify_guard():
         verify_equivalence(params, seeds=[0])
 
 
+@pytest.mark.parametrize("seeds", [[], iter([])])
+def test_verify_rejects_an_empty_seed_list(seeds):
+    with pytest.raises(UsageError, match="no seeds"):
+        verify_equivalence(ModelParams(n=100, seed=0, **PARAMS), seeds)
+
+
 def test_corrupted_index_fails_and_names_step():
     params = ModelParams(n=600, seed=0, **PARAMS)
     report = verify_equivalence(
