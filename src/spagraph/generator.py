@@ -8,8 +8,8 @@ grow with in-degree and shrink with time.
 Positions do not depend on the graph, and a sphere depends only on its own
 vertex's in-degree, so once all positions are drawn each vertex's in-edges
 form an independent process. `generate_many` exploits this: it draws every
-position first, buckets them once into a static cell-sorted grid per cell
-size, and walks each vertex forward in time through doubling windows,
+position first, buckets them once into one key array sorted by cell side,
+cell and step, and walks each vertex forward through doubling windows,
 testing the model's membership expression on each step it gathers and
 reading the coin of (step, vertex) only when the vertex covers the step.
 A vertex reads the coin of every gathered step it covers at its degree
@@ -39,6 +39,7 @@ from __future__ import annotations
 import array
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -74,6 +75,9 @@ class ModelParams:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("p", "a1", "a2"):   # stored as given, so file headers keep their bytes
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
@@ -155,10 +159,12 @@ class GrownGraph:
         return int(self.out_targets.size)
 
     def out_neighbors(self, v: int) -> np.ndarray:
+        check_vertex(self.n, v)
         return self.out_targets[self.out_ptr[v] : self.out_ptr[v + 1]]
 
     def in_neighbors(self, v: int) -> np.ndarray:
         """Sources of v's in-edges, ascending by birth (= arrival order)."""
+        check_vertex(self.n, v)
         return self.in_sources[self.in_ptr[v] : self.in_ptr[v + 1]]
 
     def prefix(self, t: int) -> "GrownGraph":
@@ -177,7 +183,6 @@ class GrownGraph:
 
     def trajectory(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(arrival steps, in-degree values) for every degree change of v."""
-        check_vertex(self.n, v)
         arrivals = self.in_neighbors(v)
         return arrivals, np.arange(1, arrivals.size + 1, dtype=np.int64)
 
@@ -370,7 +375,8 @@ def _grow(params: ModelParams, index) -> GrownGraph:
 # covered at degree K, and scans them in t order, testing Q against u's
 # sphere at its current degree and reading the coin at (t, u) only for a
 # step it covers. Once the degree passes K the window restarts just after
-# that step.
+# that step. A round gathers for a block of vertices, each at the level its
+# radius picks, with one search of the grid's single key array.
 # Rows of (k, m) arrays are read with take(axis=0), not a[idx]: with m this
 # small, 2-D fancy indexing costs 10x more (157 gathers of 10.5k rows: 0.036
 # s against 0.003 s on a 2.1 GHz Xeon VM), as do .all(axis=-1) and int64 @.
@@ -381,10 +387,13 @@ _MAX_CELLS = 3 ** 6    # cells per query; beyond this every query scans its whol
 
 
 class _StaticGrid:
-    """All positions, bucketed once per cell side 2^-l into cell-sorted keys.
+    """All positions, bucketed once per cell side 2^-l into one ascending key array.
 
-    Level l holds the sorted keys cell * (n + 1) + t, so the steps in
-    [s, e] whose position lies in one cell form a contiguous run. A query
+    Cells are numbered across levels: level l's 2^(m*l) cells follow those
+    of every coarser level, from first_cell[l], and step t in cell c of
+    level l has the key (first_cell[l] + c) * (n + 1) + t. So the steps in
+    [s, e] whose position lies in one cell form a contiguous run, and one
+    search finds the runs of every query, each at its own level. A query
     reads the runs of every cell that meets the box of half-width r around
     its center; the level only trades cells per query against steps
     gathered, so any level gives the same (complete) answer.
@@ -398,15 +407,22 @@ class _StaticGrid:
         self._m = m
         levels = 1
         if 3 ** m <= _MAX_CELLS:
-            # No query is finer than a fresh vertex's sphere at step n, and
-            # cell * (n + 1) + t must fit in an int64.
+            # No query is finer than a fresh vertex's sphere at step n, and every
+            # key, below 2^(m * levels) * (n + 1), must fit in an int64.
             smallest = self.radii(np.array([sphere_volume(0, max(n - 1, 1), params)]))
             finest = int(np.floor(-np.log2(smallest[0])))
             levels = 1 + min(max(finest, 0), (62 - self.n1.bit_length()) // m)
-        # one (levels, n) allocation, not one per level
-        self._keys = np.empty((levels, n), dtype=np.int64)
-        for level in range(levels):
-            self._bucket(level, self._keys[level])
+        sizes = np.left_shift(1, m * np.arange(levels, dtype=np.int64))
+        self._first_cell = np.cumsum(sizes) - sizes
+        # one (levels, n) allocation: each row sorted and above the row before
+        keys = np.empty((levels, n), dtype=np.int64)
+        for level, row in enumerate(keys):
+            side = 1 << level
+            cells = np.minimum((positions[1:] * side).astype(np.int64), side - 1)
+            np.add((self._first_cell[level] + self._flat(cells, side)) * self.n1,
+                   np.arange(1, self.n1), out=row)
+            row.sort()
+        self._keys = keys.reshape(-1)
 
     def radii(self, volumes: np.ndarray) -> np.ndarray:
         """Half-widths of boxes holding every point of each ball.
@@ -418,19 +434,18 @@ class _StaticGrid:
     def levels(self, radii: np.ndarray) -> np.ndarray:
         """Finest level whose cell side is at least each radius: 3^m cells or fewer."""
         levels = np.floor(-np.log2(radii))
-        return np.clip(levels, 0, len(self._keys) - 1).astype(np.int64)
+        return np.clip(levels, 0, self._first_cell.size - 1).astype(np.int64)
 
-    def runs(self, level: int, centers, radii, s, e):
+    def runs(self, levels, centers, radii, s, e):
         """Key index runs [lo, hi) of the steps in [s, e] near each center.
 
-        Returns (row, lo, hi), one entry per non-empty cell run, where row
-        indexes `centers`.
+        Row i is queried at level levels[i]. Returns (row, lo, hi), one entry
+        per non-empty cell run, ascending by row, where row indexes `centers`.
         """
-        keys = self._keys[level]
-        ncells = 1 << level
-        first = np.floor((centers - radii[:, None]) * ncells).astype(np.int64)
-        last = np.floor((centers + radii[:, None]) * ncells).astype(np.int64)
-        counts = np.minimum(last - first + 1, ncells)
+        side = np.left_shift(1, levels)   # cells a side at each row's level
+        first = np.floor((centers - radii[:, None]) * side[:, None]).astype(np.int64)
+        last = np.floor((centers + radii[:, None]) * side[:, None]).astype(np.int64)
+        counts = np.minimum(last - first + 1, side[:, None])
         offsets = np.array(
             list(itertools.product(range(int(counts.max())), repeat=self._m)),
             dtype=np.int64,
@@ -439,28 +454,23 @@ class _StaticGrid:
         for j in range(1, self._m):
             inside &= offsets[:, j] < counts[:, None, j]
         row, cell = np.nonzero(inside)
-        cells = (first.take(row, axis=0) + offsets.take(cell, axis=0)) % ncells
-        base = self._flat(cells, ncells) * self.n1
-        lo = np.searchsorted(keys, base + s.take(row))
-        hi = np.searchsorted(keys, base + e.take(row), side="right")
+        side = side.take(row)
+        cells = (first.take(row, axis=0) + offsets.take(cell, axis=0)) % side[:, None]
+        base = (self._first_cell.take(levels.take(row)) + self._flat(cells, side)) * self.n1
+        lo = np.searchsorted(self._keys, base + s.take(row))
+        hi = np.searchsorted(self._keys, base + e.take(row), side="right")
         nonempty = hi > lo
         return row[nonempty], lo[nonempty], hi[nonempty]
 
-    def steps(self, level: int, index: np.ndarray) -> np.ndarray:
-        return self._keys[level].take(index) % self.n1
+    def steps(self, index: np.ndarray) -> np.ndarray:
+        return self._keys.take(index) % self.n1
 
-    def _flat(self, cells: np.ndarray, ncells: int) -> np.ndarray:
-        """Row-major cell number of each row of (k, m) cell coordinates."""
+    def _flat(self, cells: np.ndarray, side) -> np.ndarray:
+        """Row-major cell number of each row of (k, m) cell coordinates, `side` cells a side."""
         flat = cells[:, 0]
         for j in range(1, self._m):
-            flat = flat * ncells + cells[:, j]
+            flat = flat * side + cells[:, j]
         return flat
-
-    def _bucket(self, level: int, keys: np.ndarray) -> None:
-        ncells = 1 << level
-        cells = np.minimum((self.positions[1:] * ncells).astype(np.int64), ncells - 1)
-        np.add(self._flat(cells, ncells) * self.n1, np.arange(1, self.n1), out=keys)
-        keys.sort()
 
 
 class _CoinTable:
@@ -596,23 +606,12 @@ def _gather(grid: _StaticGrid, u, s, e, bound, params: ModelParams):
     """
     volumes = sphere_volume(bound, (s - 1).astype(float), params)
     radii = grid.radii(volumes)
-    levels = grid.levels(radii)
-    runs = []
-    for level in np.flatnonzero(np.bincount(levels)).tolist():
-        rows = np.flatnonzero(levels == level)
-        centers = grid.positions.take(u.take(rows), axis=0)
-        row, lo, hi = grid.runs(level, centers, radii.take(rows), s.take(rows), e.take(rows))
-        runs.append((level, rows.take(row), lo, hi))
-    pairs = np.zeros(u.size)
-    for _, row, lo, hi in runs:
-        pairs += np.bincount(row, hi - lo, minlength=u.size)
+    centers = grid.positions.take(u, axis=0)
+    row, lo, hi = grid.runs(grid.levels(radii), centers, radii, s, e)
+    pairs = np.bincount(row, hi - lo, minlength=u.size)
     take = max(1, int(np.searchsorted(np.cumsum(pairs), MAX_PAIRS, side="right")))
-    owners, steps = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for level, row, lo, hi in runs:
-        keep = row < take
-        sizes = hi[keep] - lo[keep]
-        ends = np.cumsum(sizes)
-        index = np.arange(ends[-1] if ends.size else 0) + np.repeat(lo[keep] - ends + sizes, sizes)
-        owners.append(np.repeat(row[keep], sizes))
-        steps.append(grid.steps(level, index))
-    return take, np.concatenate(owners), np.concatenate(steps)
+    keep = row < take
+    row, lo, sizes = row[keep], lo[keep], hi[keep] - lo[keep]
+    ends = np.cumsum(sizes)
+    index = np.arange(ends[-1] if ends.size else 0) + np.repeat(lo - ends + sizes, sizes)
+    return take, np.repeat(row, sizes), grid.steps(index)

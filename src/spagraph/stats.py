@@ -43,9 +43,9 @@ class TheoryConstants:
 def theory_constants(params: ModelParams, i_max: int = 50) -> TheoryConstants:
     """Closed-form constants; the c_i recurrence is cross-checked against
     its product form to 1e-12 relative agreement."""
+    if i_max < 0:
+        raise ParameterError(f"i_max must be >= 0, got {i_max}")
     p, a1, a2 = params.p, params.a1, params.a2
-    if p * a1 >= 1.0:
-        raise ParameterError(f"p*a1 must be < 1, got {p * a1}")
     gamma = 1.0 + 1.0 / (p * a1) if p > 0 else math.inf
     mean_out = p * a2 / (1.0 - p * a1)
     c = np.empty(i_max + 1)
@@ -101,6 +101,8 @@ def ball_census(graph: GrownGraph, center, volume: float, i_max: int = 10) -> np
         raise UsageError("graph has no positions; regenerate or load them")
     if not 0.0 < volume <= 1.0:
         raise ParameterError(f"ball volume must be in (0, 1], got {volume}")
+    if i_max < 0:
+        raise ParameterError(f"i_max must be >= 0, got {i_max}")
     center = np.asarray(center, dtype=float)
     # torus_diffs wraps only separations of points in [0, 1), and NaN fails both tests
     if center.shape != (graph.params.dimension,) or not ((center >= 0) & (center < 1)).all():

@@ -188,20 +188,20 @@ def verify_equivalence(params: ModelParams, seeds, generator=None) -> VerifyRepo
     """
     if params.n > VERIFY_GUARD:
         raise UsageError(f"n={params.n} exceeds the verification guard {VERIFY_GUARD}")
-    seeds = list(seeds)
-    if not seeds:
+    # ModelParams rejects a seed that is not an integer before any run starts
+    models = [replace(params, seed=seed) for seed in seeds]
+    if not models:
         raise UsageError("no seeds to verify")
     run = generate if generator is None else generator
     results = []
-    for seed in seeds:
-        seeded = replace(params, seed=int(seed))
+    for seeded in models:
         fast = run(seeded)
         reference = generate_naive(seeded)
         divergence = first_divergent_step(fast, reference)
         if divergence is not None:
             step, detail = divergence
-            results.append(SeedVerification(seed, False, step, detail))
+            results.append(SeedVerification(seeded.seed, False, step, detail))
             continue
         problem = _clustering_mismatch(fast)
-        results.append(SeedVerification(seed, problem is None, None, problem or ""))
+        results.append(SeedVerification(seeded.seed, problem is None, None, problem or ""))
     return VerifyReport(results=tuple(results))

@@ -81,6 +81,15 @@ def test_integer_params_take_numpy_ints_and_reject_other_types():
             ModelParams(**{**DEFAULTS, "n": 100, name: value})
 
 
+@pytest.mark.parametrize("value", ["0.5", None, 0.5j, [0.5]])
+@pytest.mark.parametrize("name", ["p", "a1", "a2"])
+def test_real_params_reject_values_that_are_not_real_numbers(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+        ModelParams(**{**DEFAULTS, "n": 100, name: value})
+    real = np.float64(0.5)   # stored as given, so file headers keep their bytes
+    assert getattr(ModelParams(**{**DEFAULTS, "n": 100, name: real}), name) is real
+
+
 def test_sphere_volume_formula():
     params = make(100, a1=1.0, a2=1.0)
     assert sphere_volume(4, 10, params) == 0.5
@@ -257,6 +266,12 @@ def test_vertex_centric_equals_naive_property(params):
     snap=st.integers(0, 4),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+# a2 = 1e-300 takes the level count to its int64 cap, (62 - bit_length(n + 1)) // m
+@example(n=2, dimension=2, norm=Norm.LINF, a2=1e-300, snap=0, seed=0)
+@example(n=300, dimension=3, norm=Norm.L2, a2=1e-300, snap=0, seed=1)
+@example(n=5000, dimension=4, norm=Norm.L2, a2=1e-300, snap=2, seed=2)
+@example(n=300, dimension=5, norm=Norm.LINF, a2=1e-300, snap=0, seed=3)
+@example(n=2, dimension=6, norm=Norm.L2, a2=1e-300, snap=0, seed=4)
 def test_static_grid_runs_hold_every_covered_step_at_every_level(
     n, dimension, norm, a2, snap, seed
 ):
@@ -266,27 +281,51 @@ def test_static_grid_runs_hold_every_covered_step_at_every_level(
     if snap:
         # coordinates on cell boundaries of the coarser levels
         positions[1:] = np.floor(positions[1:] * 2 ** snap) / 2 ** snap
-    grid = _StaticGrid(positions, make(n, a2=a2, dimension=dimension, norm=norm))
-    centers = positions[rng.integers(1, n + 1, size=3)]
-    # random volumes, or balls whose surface passes exactly through a position
+    params = make(n, a2=a2, dimension=dimension, norm=norm)
+    grid = _StaticGrid(positions, params)
+    levels = grid._first_cell.size
+    if a2 == 1e-300:
+        assert levels == 1 + (62 - (n + 1).bit_length()) // dimension
+    assert (np.diff(grid._keys) > 0).all()
+    k = 4
+    centers = positions[rng.integers(1, n + 1, size=k)]
+    # random volumes, or balls whose surface passes exactly through a position,
+    # and last the smallest ball a walk queries, which sets the finest level
     volumes = np.where(
-        rng.random(3) < 0.5,
-        10.0 ** rng.uniform(-4, 0, size=3),
-        needed_volume(centers, positions[rng.integers(1, n + 1, size=3)], norm),
+        rng.random(k) < 0.5,
+        10.0 ** rng.uniform(-4, 0, size=k),
+        needed_volume(centers, positions[rng.integers(1, n + 1, size=k)], norm),
     )
-    s = rng.integers(1, n + 1, size=3)
+    volumes[-1] = sphere_volume(0, max(n - 1, 1), params)
+    s = rng.integers(1, n + 1, size=k)
     e = rng.integers(s, n + 1)
     radii = grid.radii(volumes)
-    for level in range(len(grid._keys)):
-        row, lo, hi = grid.runs(level, centers, radii, s, e)
-        for i in range(3):
-            got = [grid.steps(level, np.arange(a, b)) for a, b in zip(lo[row == i], hi[row == i])]
-            got = np.concatenate([np.empty(0, dtype=np.int64), *got])
+    # Above a row's own level its box meets up to (2 r 2^l + 2)^m cells; each
+    # row is forced through the levels where that stays within 2^16.
+    spans = np.minimum(2.0 ** np.arange(levels), 2 * radii[:, None] * 2.0 ** np.arange(levels) + 2)
+    allowed = spans ** dimension <= 2 ** 16
+    allowed[:, 0] = True
+
+    def gathered(row, lo, hi, i):
+        got = [grid.steps(np.arange(a, b)) for a, b in zip(lo[row == i], hi[row == i])]
+        return np.concatenate([np.empty(0, dtype=np.int64), *got])
+
+    by_level = {}
+    for level in range(levels):
+        rows = np.flatnonzero(allowed[:, level])
+        runs = grid.runs(np.full(rows.size, level), centers[rows], radii[rows], s[rows], e[rows])
+        for j, i in enumerate(rows):
+            got = by_level[level, i] = gathered(*runs, j)
             assert np.unique(got).size == got.size
             assert ((got >= s[i]) & (got <= e[i])).all()
             window = np.arange(s[i], e[i] + 1)
             covered = window[needed_volume(positions[window], centers[i], norm) <= volumes[i]]
             assert np.isin(covered, got).all(), f"level {level} misses steps"
+    # one call whose rows sit at different levels gathers what each row's level alone does
+    mixed = rng.integers(0, allowed.sum(axis=1))
+    runs = grid.runs(mixed, centers, radii, s, e)
+    for i in range(k):
+        assert np.array_equal(gathered(*runs, i), by_level[mixed[i], i])
 
 
 @settings(max_examples=60, deadline=None)

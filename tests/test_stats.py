@@ -51,6 +51,15 @@ def test_theory_constants_degenerate_p_zero():
     assert np.all(tc.c[1:] == 0.0)
 
 
+def test_negative_i_max_is_a_parameter_error(grown):
+    with pytest.raises(ParameterError, match="i_max must be >= 0"):
+        stats.theory_constants(make(10), i_max=-1)
+    with pytest.raises(ParameterError, match="i_max must be >= 0"):
+        stats.ball_census(grown, [0.5, 0.5], 0.1, i_max=-1)
+    assert stats.theory_constants(make(10), i_max=0).c.size == 1
+    assert stats.ball_census(grown, [0.5, 0.5], 0.1, i_max=0).size == 1
+
+
 def test_tail_approaches_power_law():
     # c_i * i^gamma settles: consecutive ratios stay in a 5% band and the
     # step size shrinks monotonically across i in [50, 200]
@@ -198,8 +207,8 @@ def small():
 
 @pytest.mark.parametrize("v", [-300, -1, 0, 301])
 def test_vertex_outside_1_to_n_is_a_usage_error(small, v):
-    for call in (stats.trajectory_check, GrownGraph.trajectory,
-                 lambda g, v: vertex_walk(g.params, g.positions, v)):
+    for call in (stats.trajectory_check, GrownGraph.trajectory, GrownGraph.in_neighbors,
+                 GrownGraph.out_neighbors, lambda g, v: vertex_walk(g.params, g.positions, v)):
         with pytest.raises(UsageError, match=r"vertex must be in \[1, 300\]"):
             call(small, v)
     for end in (1, 300):   # the ends of the range are vertices

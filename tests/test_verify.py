@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spagraph import verify
 from spagraph.clustering import VARIANTS, SplitPolicy, split_times
-from spagraph.errors import UsageError
+from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import GrownGraph, ModelParams, generate, generate_naive
 from spagraph.geometry import Norm
 from spagraph.spatial_index import SphereIndex
@@ -62,6 +62,18 @@ def test_verify_guard():
 def test_verify_rejects_an_empty_seed_list(seeds):
     with pytest.raises(UsageError, match="no seeds"):
         verify_equivalence(ModelParams(n=100, seed=0, **PARAMS), seeds)
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", None])
+def test_verify_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        verify_equivalence(ModelParams(n=100, seed=0, **PARAMS), [0, seed])
+
+
+def test_verify_reports_the_int_seed_it_ran():
+    report = verify_equivalence(ModelParams(n=100, seed=0, **PARAMS), [np.int64(3), True])
+    assert report.passed
+    assert [(type(r.seed), r.seed) for r in report.results] == [(int, 3), (int, 1)]
 
 
 def test_corrupted_index_fails_and_names_step():
