@@ -12,17 +12,15 @@ position first, buckets them once into one key array sorted by cell side,
 cell and step, and walks each vertex forward through doubling windows,
 testing the model's membership expression on each step it gathers and
 reading the coin of (step, vertex) only when the vertex covers the step.
-A vertex reads the coin of every gathered step it covers at its degree
-when a round starts, whatever the coins say, so each round hashes those
-words in one batch; only a step covered once the degree rises within the
-round has its word hashed singly, and a batch word left past a restart is
-kept for the vertex's next round, so every coin word the walk reads is
-hashed once (n = 10^5 in 3.9-5.5 s and n = 10^6 in 44-51 s on one core
-of a 2-vCPU Xeon virtual machine). Positions and coin words depend only
-on the seed, so models that differ only in p, a1 and a2 share the
-positions, the grid and, block by block, every coin word already hashed
-(a nine-p sweep at n = 2000 hashes 195,068 words, 189,587 of them in
-batches, instead of 521,630). `generate` is its one-model case.
+Each round resolves every vertex's in-order scan at once, in a few numpy
+passes that each hash the newly covered steps' coin words in one batch; a
+word read past a vertex's restart is kept for its next round, so every
+coin word the walk reads is hashed once (n = 10^5 in 2.4-3.7 s and
+n = 10^6 in 33-35 s on one core of a 2-vCPU Xeon virtual machine). Positions and
+coin words depend only on the seed, so models that differ only in p, a1
+and a2 share the positions, the grid and, block by block, every coin
+word already hashed (a nine-p sweep at n = 2000 hashes 195,068 words
+instead of 521,630). `generate` is its one-model case.
 `generate_naive` is the step-centric O(n^2) oracle: step t asks a
 linear-scan `SphereIndex` which prior spheres, at their volumes for time
 t - 1, cover the newcomer.
@@ -286,7 +284,8 @@ def generate_many(models) -> Iterator[GrownGraph]:
         stop = min(first + BLOCK, n)
         table = _CoinTable() if len(models) > 1 else None
         for i in walk_order:
-            edges[i].extend(_advance_block(first, stop, grid, stream, table, models[i]))
+            block = _advance_block(first, stop, grid, stream, table, models[i])
+            edges[i].frombytes(block.tobytes())
     # each buffer is popped as its graph is built, so once the caller lets go
     # of a graph nothing here keeps its keys alive
     return (_from_keys(params, positions, edges.pop(0)) for params in models)
@@ -376,7 +375,8 @@ def _grow(params: ModelParams, index) -> GrownGraph:
 # sphere at its current degree and reading the coin at (t, u) only for a
 # step it covers. Once the degree passes K the window restarts just after
 # that step. A round gathers for a block of vertices, each at the level its
-# radius picks, with one search of the grid's single key array.
+# radius picks, with one search of the grid's single key array, and
+# `_resolve` does all the block's scans at once, as a fixed point.
 # Rows of (k, m) arrays are read with take(axis=0), not a[idx]: with m this
 # small, 2-D fancy indexing costs 10x more (157 gathers of 10.5k rows: 0.036
 # s against 0.003 s on a 2.1 GHz Xeon VM), as do .all(axis=-1) and int64 @.
@@ -500,28 +500,24 @@ class _CoinTable:
 
 
 def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStream,
-                   table: _CoinTable | None, params: ModelParams) -> list[int]:
-    """In-edges of vertices first..stop-1, as a list of keys t * (n + 1) + u.
+                   table: _CoinTable | None, params: ModelParams) -> np.ndarray:
+    """In-edges of vertices first..stop-1, as an int64 array of keys t * (n + 1) + u.
 
-    Each round hashes in one batch the coin words of the kept pairs that
-    are covered at the round's starting degree: degree only rises, so the
-    walk reads each of them, in this round or, past a restart, in a later
-    one, which finds it in a carry table. A pair covered only once the
-    degree rises within the round has its word read singly. With a
-    `table`, words it holds are not hashed again, and every word hashed is
-    added to it.
+    Each round resolves all its kept pairs at once (`_resolve`), hashing in
+    one batch per pass the coin words it reads. A word read past a vertex's
+    restart is covered at the degree the vertex's next round starts at, so
+    that round reads it too, from a carry table. With a `table`, words it
+    holds are not hashed again, and every word hashed is added to it.
     """
     n, n1 = params.n, params.n + 1
     u = np.arange(first, stop, dtype=np.int64)
     k = np.zeros(u.size, dtype=np.int64)
     s = u + 1
     cut = coin_cut(params.p)
-    a1, a2 = float(params.a1), float(params.a2)
-    word = stream.coin_words()
     carry = _CoinTable()
-    # the words hashed, for `table`: 8 bytes a key and a word; lists of ints would take 80
+    # the words hashed, for `table`: 8 bytes a key and a word
     hashed_keys, hashed_words = array.array("q"), array.array("Q")
-    edges: list[int] = []
+    edges = []
     while u.size:
         # headroom that grows with the degree keeps restarts per vertex logarithmic
         bound = k + np.maximum(4, k // 2)
@@ -536,64 +532,72 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStre
         order = keep.take(np.argsort(owners.take(keep) * n1 + steps.take(keep)))
         owners, steps = owners.take(order), steps.take(order)
         q, tm1 = q.take(order), tm1.take(order)
-        ptr = np.searchsorted(owners, np.arange(take + 1)).tolist()
         keys = u.take(owners) * n1 + steps   # ascending, as the pairs are in (owner, step) order
         heads = carry.known(keys, cut)
         if table is not None:
             # the two tables hold disjoint keys, so the larger code is the held coin
             np.maximum(heads, table.known(keys, cut), out=heads)
-        # covered at the round's starting degree (the loop's test, in the same IEEE
-        # operations), so read whatever the coins say
-        batch = np.flatnonzero((heads < 0) & (q <= (a1 * k.take(owners) + a2) / tm1))
-        words = stream.words(LANE_COIN, steps.take(batch).tolist(),
-                             u.take(owners.take(batch)).tolist())
-        heads[batch] = coin_heads(words, cut)
-        known, steps_list, tm1, q = heads.tolist(), steps.tolist(), tm1.tolist(), q.tolist()
-        walked = zip(u[:take].tolist(), k[:take].tolist(), bound[:take].tolist(),
-                     e[:take].tolist(), ptr, ptr[1:])
-        new_k, new_s = [], []
-        # Every kept pair has q <= sphere_volume(bound) <= 1, so sphere_volume's cap
-        # at 1 changes no decision below, and Python's float * + / are the IEEE
-        # operations numpy's float64 performs: the test below is the model's, bit
-        # for bit.
-        for vertex, degree, limit, end, lo, hi in walked:
-            nxt = end + 1
-            weight = a1 * degree + a2
-            for j in range(lo, hi):
-                if q[j] <= weight / tm1[j]:
-                    t = steps_list[j]
-                    h = known[j]
-                    if h < 0:
-                        w = word(t, vertex)
-                        h = w >> 11 < cut
-                        if table is not None:
-                            hashed_keys.append(vertex * n1 + t)
-                            hashed_words.append(w)
-                    if h:
-                        degree += 1
-                        weight = a1 * degree + a2
-                        edges.append(t * n1 + vertex)
-                        if degree > limit:
-                            nxt = t + 1
-                            break
-            new_k.append(degree)
-            new_s.append(nxt)
-        k[:take] = new_k
-        s[:take] = new_s
-        # the batch words past a vertex's restart, which its next round reads
-        later = steps.take(batch) >= s.take(owners.take(batch))
-        carry.add(keys.take(batch)[later], words[later])
+        read, words = [], []
+
+        def coins(index):
+            read.append(index)
+            words.append(stream.words(LANE_COIN, steps.take(index).tolist(),
+                                      u.take(owners.take(index)).tolist()))
+            return coin_heads(words[-1], cut)
+
+        edge, restart = _resolve(owners, q, tm1, k[:take], bound[:take], heads, coins,
+                                 float(params.a1), float(params.a2))
+        edges.append(steps[edge] * n1 + u.take(owners[edge]))
+        k[:take] += np.bincount(owners[edge], minlength=take)
+        s[:take] = e[:take] + 1
+        s[owners[restart]] = steps[restart] + 1
+        read, words = np.concatenate(read), np.concatenate(words)
+        # the words past a vertex's restart, which its next round reads
+        later = steps.take(read) >= s.take(owners.take(read))
+        carry.add(keys.take(read)[later], words[later])
         if table is not None:
-            hashed_keys.frombytes(keys.take(batch).tobytes())
+            hashed_keys.frombytes(keys.take(read).tobytes())
             hashed_words.frombytes(words.tobytes())
         # free this round's per-pair data before the next round gathers its own
-        del keys, heads, batch, words, known, steps_list, q, tm1
+        del keep, order, owners, steps, q, tm1, keys, heads, edge, restart, read, words, later
         alive = s <= n
         u, k, s = u[alive], k[alive], s[alive]
     if table is not None:
         table.add(np.frombuffer(hashed_keys, dtype=np.int64),
                   np.frombuffer(hashed_words, dtype=np.uint64))
-    return edges
+    return np.concatenate(edges)
+
+
+def _resolve(owners, q, tm1, start, limit, heads, read, a1: float, a2: float):
+    """Every row's in-order scan of one round's kept pairs, done at once.
+
+    Pairs are in (row, step) order: pair j of row owners[j] needs volume
+    q[j] at time tm1[j]. Row i scans from degree start[i], reads the coin of
+    each pair its sphere covers (heads[j] is 1, 0, or -1 when unread, and
+    read(index) gives unread coins as bools), and stops once its degree
+    passes limit[i]. Returns (edge, restart): the pairs it links, and the
+    pair after which each stopped row restarts. Coverage rises with the
+    degree, which depends only on earlier pairs, so passes that grow the
+    covered set from below reach the scan's result. A coin read past a
+    restart is covered at a degree <= limit, so the row's next round, at
+    limit + 1, reads it too. The float64 operations are the scan's, and as
+    kept pairs have q <= 1, the sphere's cap at volume 1 changes no test.
+    """
+    first = np.searchsorted(owners, owners)   # each pair's row's first pair
+    start, limit = start.take(owners), limit.take(owners)
+    covered = q <= (a1 * start + a2) / tm1
+    while True:
+        unread = np.flatnonzero(covered & (heads < 0))
+        heads[unread] = read(unread)
+        gain = covered & (heads > 0)
+        before = np.cumsum(gain) - gain
+        degree = start + before - before.take(first)   # degree before each pair
+        live = degree <= limit   # pairs the scan reaches
+        grown = live & ~covered & (q <= (a1 * degree + a2) / tm1)
+        if not grown.any():
+            edge = live & gain
+            return edge, edge & (degree == limit)
+        covered |= grown
 
 
 def _gather(grid: _StaticGrid, u, s, e, bound, params: ModelParams):

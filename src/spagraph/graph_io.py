@@ -102,16 +102,17 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         handle.write(data)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, Norm):
-        return value.value
-    return repr(value) if isinstance(value, float) else str(value)
+def _format_value(value, kind) -> str:
+    if kind is float:   # numpy and int values too, as the float they are read back as
+        return repr(float(value))
+    return value.value if isinstance(value, Norm) else str(value)
 
 
 def _write_graph(handle, graph: GrownGraph, include_positions: bool) -> None:
     """Write the graph file's bytes to `handle`, a batch of lines at a time."""
     p = graph.params
-    header = [HEADER] + [f"{key}={_format_value(getattr(p, key))}" for key in _PARAM_TYPES]
+    header = [HEADER] + [f"{key}={_format_value(getattr(p, key), kind)}"
+                         for key, kind in _PARAM_TYPES.items()]
     handle.write("\n".join(header + ["%edges\n"]).encode())
     sources, targets = graph.edge_sources(), graph.out_targets
     for lo in range(0, targets.size, _BATCH):

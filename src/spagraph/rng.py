@@ -9,7 +9,7 @@ local to the (step, vertex) pair that caused it.
 
 The stream function is the keyed BLAKE2b PRF from hashlib (RFC 7693),
 which is stable across platforms and Python versions. `words` hashes many
-little-endian 64-bit words w in one loop, and `coin_words` reads one at a
+little-endian 64-bit words w in one loop, and `heads` tests one coin at a
 time; each w gives the exact float (w >> 11) * 2^-53, which `uniforms`
 returns. A coin word w is heads at p when w >> 11 < coin_cut(p) =
 ceil(p * 2^53) (`coin_heads` for uint64 arrays), which equals that float
@@ -77,23 +77,14 @@ class CounterStream:
         """The uniform in [0, 1) at (lane, steps[i], counters[i]) for every i."""
         return (self.words(lane, steps, counters) >> 11) * _TO_UNIT
 
-    def coin_words(self):
-        """The coin lane's 64-bit word at counter u of step t, as a function of (t, u)."""
-        copy, from_bytes = self._keyed.copy, int.from_bytes
-
-        def word(t: int, u: int) -> int:
-            state = copy()
-            state.update(_PACK(LANE_COIN, t, u))
-            return from_bytes(state.digest(), "little")
-
-        return word
-
     def heads(self, p: float):
         """The coin test `uniforms(LANE_COIN, [t], [u])[0] < p` as a function of (t, u)."""
-        cut, word = coin_cut(p), self.coin_words()
+        cut, copy, from_bytes = coin_cut(p), self._keyed.copy, int.from_bytes
 
         def heads(t: int, u: int) -> bool:
-            return word(t, u) >> 11 < cut
+            state = copy()
+            state.update(_PACK(LANE_COIN, t, u))
+            return from_bytes(state.digest(), "little") >> 11 < cut
 
         return heads
 

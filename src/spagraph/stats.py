@@ -196,10 +196,9 @@ def trajectory_check(graph: GrownGraph, vertex: int, omega: float | None = None)
     onset = n * (threshold / k) ** (1.0 / exponent)
     onset = min(max(onset, 1.0), float(n))
     t_lo = math.ceil(onset)
-    times = np.unique(
-        np.concatenate((arrivals, arrivals - 1, [t_lo, n])).astype(np.int64)
-    )
-    times = times[(times >= t_lo) & (times <= n)]
+    # sorted, each once: a plain np.unique would import numpy.ma on first use
+    times = np.sort(np.concatenate((arrivals, arrivals - 1, [t_lo, n])).astype(np.int64))
+    times = times[(times >= t_lo) & (times <= n) & (np.diff(times, prepend=-1) != 0)]
     degrees = np.searchsorted(arrivals, times, side="right")
     lo, hi = ratio_extremes(times, degrees, k, n, exponent, t_min=t_lo)
     return TrajectoryCheck(vertex, k, onset, lo, hi, vacuous=False)

@@ -496,6 +496,19 @@ def test_cli_import_leaves_process_pools_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_stats_leaves_numpy_ma_unloaded(tmp_path):
+    # a plain np.unique imports numpy.ma, which costs the stats run time and resident memory
+    run(["generate", *ARGS, "--seed", "3", "--out", str(tmp_path)])
+    graph = str(tmp_path / "spa_n400_p0.7_seed3.tsv")
+    argv = ["stats", graph, "--out", str(tmp_path / "reports"), "--d-min", "3"]
+    code = (f"import sys, spagraph.cli; spagraph.cli.main({argv!r}); "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_jobs_default_and_cap(monkeypatch):
     monkeypatch.delenv("SPA_JOBS", raising=False)
     assert cli._jobs() == 1

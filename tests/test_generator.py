@@ -504,9 +504,9 @@ def test_generate_many_rejects_an_empty_or_mixed_list():
 
 
 def hashed_coin_pairs(monkeypatch, run):
-    """Every coin-lane (t, u) digest computed while `run()` runs, batched or single."""
+    """Every coin-lane (t, u) digest computed by `CounterStream.words` while `run()` runs."""
     pairs = []
-    words, coin_words = CounterStream.words, CounterStream.coin_words
+    words = CounterStream.words
 
     def counted_words(stream, lane, steps, counters):
         steps, counters = [int(t) for t in steps], [int(u) for u in counters]
@@ -514,18 +514,8 @@ def hashed_coin_pairs(monkeypatch, run):
             pairs.extend(zip(steps, counters))
         return words(stream, lane, steps, counters)
 
-    def counted_coin_words(stream):
-        word = coin_words(stream)
-
-        def count(t, u):
-            pairs.append((t, u))
-            return word(t, u)
-
-        return count
-
     with monkeypatch.context() as patch:
         patch.setattr(CounterStream, "words", counted_words)
-        patch.setattr(CounterStream, "coin_words", counted_coin_words)
         run()
     return pairs
 
@@ -536,13 +526,93 @@ def hashed_coin_pairs(monkeypatch, run):
     make(600, seed=3, p=0.1, a2=90.0, dimension=1),
     make(600, seed=4, norm=Norm.L2),
     make(600, seed=5, p=0.3, a1=1.5, a2=40.0, dimension=3),
+    make(600, seed=6, p=0.9, a1=1.1, a2=1.0),   # hubs: many passes and restarts per round
 ], ids=lambda p: f"p{p.p}-a2{p.a2:.3g}-m{p.dimension}-{p.norm.value}")
 def test_generate_hashes_exactly_the_naive_coin_words_once(monkeypatch, params):
-    # batching moves a word's hash to an earlier call, never adds or repeats one
+    # resolving a round at once moves a word's hash to an earlier call, never adds or repeats one
     fast = hashed_coin_pairs(monkeypatch, lambda: generate(params))
     slow = hashed_coin_pairs(monkeypatch, lambda: generate_naive(params))
     assert len(set(fast)) == len(fast)
     assert sorted(fast) == sorted(slow)
+
+
+def scan_round(owners, q, tm1, start, limit, heads, read, a1, a2):
+    """The per-pair scan `generator._resolve` replaces, in Python ints and floats: its oracle.
+
+    Each row walks its pairs in order from degree start[row], reads the coin
+    (read(j) when heads[j] < 0) of each pair its sphere covers, and stops
+    once its degree passes limit[row]. Returns (edge, restart) as `_resolve` does.
+    """
+    edge = np.zeros(len(q), dtype=bool)
+    restart = np.zeros(len(q), dtype=bool)
+    owners, q, tm1, known = owners.tolist(), q.tolist(), tm1.tolist(), heads.tolist()
+    for row, (degree, bound) in enumerate(zip(start.tolist(), limit.tolist())):
+        weight = a1 * degree + a2
+        for j in [j for j, owner in enumerate(owners) if owner == row]:
+            if q[j] <= weight / tm1[j] and (known[j] if known[j] >= 0 else read(j)):
+                degree += 1
+                weight = a1 * degree + a2
+                edge[j] = True
+                if degree > bound:
+                    restart[j] = True
+                    break
+    return edge, restart
+
+
+@st.composite
+def walk_rounds(draw):
+    """One round's kept pairs: some rows empty, some starting at their bound,
+    volumes on and near the sphere at the degrees the round passes through."""
+    rows = draw(st.integers(0, 6))
+    start = draw(st.lists(st.integers(0, 30), min_size=rows, max_size=rows))
+    limit = [k + draw(st.integers(0, 6)) for k in start]
+    a1, a2 = draw(st.floats(0.05, 3.0)), draw(st.floats(0.01, 50.0))
+    p = draw(_P)
+    owners, q, tm1, known, coins = [], [], [], [], []
+    for row in range(rows):
+        size = draw(st.integers(0, 25))
+        for t in sorted(draw(st.lists(st.integers(2, 10_000), min_size=size, max_size=size,
+                                      unique=True))):
+            degree = draw(st.integers(0, limit[row] + 3))
+            scale = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.8, 1.2))
+            coin = draw(st.floats(0.0, 1.0, exclude_max=True)) < p
+            owners.append(row)
+            tm1.append(float(t - 1))
+            q.append(scale * (a1 * degree + a2) / (t - 1))
+            known.append(int(coin) if draw(st.booleans()) else -1)
+            coins.append(coin)
+    return (np.array(owners, dtype=np.int64), np.array(q), np.array(tm1),
+            np.array(start, dtype=np.int64), np.array(limit, dtype=np.int64),
+            np.array(known, dtype=np.int8), np.array(coins, dtype=bool), a1, a2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_rounds())
+def test_resolve_equals_the_per_pair_scan(case):
+    owners, q, tm1, start, limit, known, coins, a1, a2 = case
+    fast_reads, slow_reads = [], []
+
+    def reader(log):
+        def read(index):
+            log.extend(np.atleast_1d(index).tolist())
+            return coins[index]
+        return read
+
+    edge, restart = generator._resolve(owners, q, tm1, start, limit, known.copy(),
+                                       reader(fast_reads), a1, a2)
+    want_edge, want_restart = scan_round(owners, q, tm1, start, limit, known,
+                                         reader(slow_reads), a1, a2)
+    # equal edges give equal degrees, and equal restart pairs equal restart steps
+    assert edge.tolist() == want_edge.tolist()
+    assert restart.tolist() == want_restart.tolist()
+    # every coin the scan reads is read once; any other read lies past its row's restart,
+    # covered at the degree the row's next round starts at, which reads it then
+    assert len(set(fast_reads)) == len(fast_reads)
+    stop = dict(zip(owners[want_restart].tolist(), np.flatnonzero(want_restart).tolist()))
+    past = [j for j in fast_reads if j > stop.get(int(owners[j]), j)]
+    assert sorted(set(fast_reads) - set(past)) == sorted(slow_reads)
+    next_start = limit.take(owners) + 1
+    assert all(q[j] <= (a1 * next_start[j] + a2) / tm1[j] for j in past)
 
 
 def test_generate_many_hashes_each_shared_word_once(monkeypatch):

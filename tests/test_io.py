@@ -237,6 +237,18 @@ def test_round_trip_single_vertex(tmp_path):
     assert parsed.n == 1 and parsed.num_edges == 0
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(n=50, p=np.float64(0.5), a1=np.float64(1.0), a2=np.float64(2.5), seed=1),
+    ModelParams(n=50, p=0.7, a1=1, a2=2, seed=1),
+], ids=["numpy-floats", "ints"])
+def test_header_of_any_real_params_round_trips(params):
+    # p, a1 and a2 are written as the Python float they are read back as
+    data = graph_io.serialize_graph(generate(params))
+    parsed = graph_io.parse_graph(data)
+    assert parsed.params == params
+    assert graph_io.serialize_graph(parsed) == data
+
+
 def test_positionless_graph_rejects_ball_census(grown, tmp_path):
     path = str(tmp_path / "g.tsv")
     graph_io.write_graph(grown, path, include_positions=False)
