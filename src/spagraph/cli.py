@@ -56,11 +56,6 @@ def _map(fn, tasks) -> list:
     return [fn(task) for task in tasks]
 
 
-def _top_vertices(graph, top: int) -> np.ndarray:
-    """The `top` vertices of highest in-degree, highest first and ties by ascending id."""
-    return np.argsort(-graph.in_degree[1:], kind="stable")[:top] + 1
-
-
 def _model_from_args(args) -> ModelParams:
     return ModelParams(
         n=args.n, p=args.p, a1=args.a1, a2=args.a2,
@@ -207,7 +202,7 @@ def _report_graph(task) -> dict:
         fit = stats.powerlaw_exponent(census, d_min)
     except UsageError:
         fit = None   # the exponent file then holds its header alone
-    checks = [stats.trajectory_check(graph, int(v), omega) for v in _top_vertices(graph, top)]
+    checks = [stats.trajectory_check(graph, int(v), omega) for v in stats.top_vertices(graph, top)]
 
     def write(kind, columns, blocks):
         graph_io.write_csv(os.path.join(out, f"{kind}_{stem}.csv"), columns, blocks)

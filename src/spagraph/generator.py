@@ -127,7 +127,7 @@ class GrownGraph:
     params: ModelParams
     out_ptr: np.ndarray
     out_targets: np.ndarray
-    positions: np.ndarray | None = None
+    positions: np.ndarray
     in_ptr: np.ndarray = field(init=False)
     in_sources: np.ndarray = field(init=False)
     in_degree: np.ndarray = field(init=False)   # indexed by vertex id, slot 0 unused
@@ -177,7 +177,7 @@ class GrownGraph:
             raise UsageError(f"prefix time must be in [1, {self.n}], got {t}")
         return GrownGraph(params=replace(self.params, n=t), out_ptr=self.out_ptr[: t + 2],
                           out_targets=self.out_targets[: self.out_ptr[t + 1]],
-                          positions=None if self.positions is None else self.positions[: t + 1])
+                          positions=self.positions[: t + 1])
 
     def trajectory(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(arrival steps, in-degree values) for every degree change of v."""
@@ -195,6 +195,7 @@ class GrownGraph:
         `edges` is a sequence of (source, target) pairs or an (E, 2) integer
         array, in generation order: grouped by ascending source, targets
         ascending within each source, each target smaller than its source.
+        Without `positions`, the graph gets the seed's, the ones `generate` draws.
         """
         n = params.n
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -203,13 +204,13 @@ class GrownGraph:
             raise UsageError(bad[1])
         out_ptr = np.zeros(n + 2, dtype=np.int64)
         np.cumsum(np.bincount(edges[:, 0], minlength=n + 1), out=out_ptr[1:])
-        if positions is not None:
-            positions = np.asarray(positions, dtype=float)
-            if positions.shape != (n + 1, params.dimension):
-                raise UsageError(
-                    f"positions must have shape {(n + 1, params.dimension)}, "
-                    f"got {positions.shape}"
-                )
+        if positions is None:
+            positions = _draw_positions(params, CounterStream(params.seed))
+        positions = np.asarray(positions, dtype=float)
+        if positions.shape != (n + 1, params.dimension):
+            raise UsageError(
+                f"positions must have shape {(n + 1, params.dimension)}, got {positions.shape}"
+            )
         return cls(params=params, out_ptr=out_ptr,
                    out_targets=np.ascontiguousarray(edges[:, 1]), positions=positions)
 

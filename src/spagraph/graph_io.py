@@ -8,7 +8,7 @@ identical graphs produce identical bytes):
     ...
     %edges
     <source>TAB<target>         # one line per edge, generation order
-    %positions                  # optional
+    %positions                  # optional; without it, the seed's positions are drawn
     <vertex>TAB<coord>...       # repr() floats in [0, 1), shortest round-trip form
 
 Any other `%` line is a parse error, and so are a repeated section marker,
@@ -118,7 +118,7 @@ def _write_graph(handle, graph: GrownGraph, include_positions: bool) -> None:
     for lo in range(0, targets.size, _BATCH):
         pairs = zip(sources[lo : lo + _BATCH].tolist(), targets[lo : lo + _BATCH].tolist())
         handle.write("".join([f"{v}\t{u}\n" for v, u in pairs]).encode())
-    if include_positions and graph.positions is not None:
+    if include_positions:
         handle.write(b"%positions\n")
         row = "%d" + "\t%r" * p.dimension + "\n"
         for lo in range(1, graph.n + 1, _BATCH):

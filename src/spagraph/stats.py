@@ -26,7 +26,7 @@ _PRODUCT_CHECK_TOL = 1e-12
 __all__ = [
     "TheoryConstants", "DegreeCensus", "ExponentFit", "TrajectoryCheck",
     "theory_constants", "degree_census", "ball_census", "ball_centers_grid",
-    "powerlaw_exponent", "trajectory_check", "ratio_extremes", "curve_slope",
+    "powerlaw_exponent", "top_vertices", "trajectory_check", "ratio_extremes", "curve_slope",
     "fixed_slope_fit", "default_omega",
 ]
 
@@ -75,6 +75,8 @@ class DegreeCensus:
         return int(self.counts.sum())
 
     def fraction(self, i: int) -> float:
+        if i < 0:
+            raise UsageError(f"in-degree must be >= 0, got {i}")
         if i >= self.counts.size:
             return 0.0
         return float(self.counts[i] / self.total)
@@ -97,8 +99,6 @@ def ball_census(graph: GrownGraph, center, volume: float, i_max: int = 10) -> np
     Returns counts[i] for i in 0..i_max; to be compared against c_i * volume * n.
     `center` must be a point of the torus [0, 1)^m.
     """
-    if graph.positions is None:
-        raise UsageError("graph has no positions; regenerate or load them")
     if not 0.0 < volume <= 1.0:
         raise ParameterError(f"ball volume must be in (0, 1], got {volume}")
     if i_max < 0:
@@ -148,6 +148,11 @@ def powerlaw_exponent(census: DegreeCensus, d_min: int) -> ExponentFit:
     y = np.log(counts[tail])
     ls_slope = float(np.polyfit(x, y, 1)[0])
     return ExponentFit(estimate=estimate, stderr=stderr, n_tail=n_tail, ls_slope=ls_slope)
+
+
+def top_vertices(graph: GrownGraph, top: int) -> np.ndarray:
+    """The `top` vertices of highest in-degree, highest first and ties by ascending id."""
+    return np.argsort(-graph.in_degree[1:], kind="stable")[:top] + 1
 
 
 @dataclass(frozen=True)

@@ -66,22 +66,17 @@ def first_divergent_step(fast: GrownGraph, reference: GrownGraph) -> tuple[int, 
     """Earliest growth step at which the two runs differ, if any.
 
     Equal runs are recognised by three whole-array comparisons; only runs
-    that differ are walked step by step to name the first step. Runs that
-    both lack positions (from `from_edges` or a file without them) are
-    compared by their edges alone; if only one lacks them, step 1 differs.
-    Runs of different n are compared over their common steps; if those
-    agree, the first step only one of them took differs.
+    that differ are walked step by step to name the first step. Runs of
+    different n are compared over their common steps; if those agree, the
+    first step only one of them took differs.
     """
-    if (fast.positions is None) != (reference.positions is None):
-        return 1, "positions missing in one run"
-    placed = fast.positions is not None
-    if ((not placed or np.array_equal(fast.positions[1:], reference.positions[1:]))
+    if (np.array_equal(fast.positions[1:], reference.positions[1:])
             and np.array_equal(fast.out_ptr, reference.out_ptr)
             and np.array_equal(fast.out_targets, reference.out_targets)):
         return None
     common = min(fast.n, reference.n)
     for t in range(1, common + 1):
-        if placed and not np.array_equal(fast.positions[t], reference.positions[t]):
+        if not np.array_equal(fast.positions[t], reference.positions[t]):
             return t, "positions differ"
         if not np.array_equal(fast.out_neighbors(t), reference.out_neighbors(t)):
             return t, (

@@ -9,8 +9,6 @@ def assert_same_graph(got, want):
     Slot 0 of positions is NaN, so positions compare from vertex 1 on.
     """
     assert got.params == want.params
-    assert (got.positions is None) == (want.positions is None)
-    if got.positions is not None:
-        assert np.array_equal(got.positions[1:], want.positions[1:])
+    assert np.array_equal(got.positions[1:], want.positions[1:])
     for name in ("out_ptr", "out_targets", "in_ptr", "in_sources"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -1,31 +1,29 @@
 """Acceptance suite at the reproduction scale: n = 10^5, five seeds.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
-per criterion. Three checks are marked strict-xfail: their thresholds
+Criteria c02-c08 assert the verdicts of `spagraph.claims`. Run with
+`pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
+criterion. Three checks are marked strict-xfail: their thresholds
 cannot be met at this scale by any faithful implementation (the structural
 evidence is in each marker's reason and in the failure output); they run
-at full strength so an unexpected pass would be flagged.
-"""
+at full strength so an unexpected pass would be flagged."""
 
 import itertools
-import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import assert_same_graph
+from spagraph import claims, graph_io
 from spagraph import clustering as cl
-from spagraph import graph_io, stats
-from spagraph.generator import ModelParams, _StaticGrid, generate
+from spagraph.generator import GrownGraph, ModelParams, _StaticGrid, generate
 from spagraph.geometry import Norm, needed_volume, torus_diffs, unit_ball_volume
 from spagraph.verify import verify_equivalence, vertex_walk
 
 N = 100_000
 SEEDS = (1, 2, 3, 4, 5)
 MODEL = dict(p=0.7, a1=1.0, a2=30 / 7, dimension=2, norm=Norm.LINF)
-GAMMA = 1 + 1 / 0.7
-MEAN_OUT = 10.0
 
 
 def params_for(seed, n=N):
@@ -35,6 +33,11 @@ def params_for(seed, n=N):
 def announce(number, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number:02d} {name}: {status} {detail}".rstrip())
+
+
+def check(number, claim):
+    announce(number, claim.name, claim.passed, f"({claim.detail})")
+    assert claim.passed, claim.detail
 
 
 @pytest.fixture(scope="session")
@@ -49,26 +52,15 @@ def grown():
 
 
 @pytest.fixture(scope="session")
-def half_reports(grown):
-    policy = cl.SplitPolicy(mode="half")
-    return [cl.compute_report(g, policy) for g, _ in grown]
+def graphs(grown):
+    return [graph for graph, _ in grown]
 
 
 @pytest.fixture(scope="session")
-def log_reports(grown):
-    policy = cl.SplitPolicy(mode="log")
-    return [cl.compute_report(g, policy) for g, _ in grown]
-
-
-@pytest.fixture(scope="session")
-def pooled_census(grown):
-    counts = np.zeros(1, dtype=np.int64)
-    for g, _ in grown:
-        c = stats.degree_census(g).counts
-        if c.size > counts.size:
-            counts = np.pad(counts, (0, c.size - counts.size))
-        counts[: c.size] += c
-    return stats.DegreeCensus(counts=counts)
+def reports(graphs):
+    """Each graph's clustering report, by split mode."""
+    return {mode: [cl.compute_report(g, cl.SplitPolicy(mode=mode)) for g in graphs]
+            for mode in ("half", "log")}
 
 
 def test_c01_oracle_equivalence():
@@ -81,32 +73,12 @@ def test_c01_oracle_equivalence():
     assert elapsed < 30.0
 
 
-def test_c02_mean_out_degree(grown):
-    pooled = float(np.mean([g.num_edges / g.n for g, _ in grown]))
-    deviation = abs(pooled - MEAN_OUT) / MEAN_OUT
-    ok = deviation < 0.10
-    announce(2, "mean-out-degree", ok, f"(pooled {pooled:.3f}, target 10 +/- 10%)")
-    assert ok, f"pooled mean out-degree {pooled} deviates {deviation:.1%}"
+def test_c02_mean_out_degree(graphs):
+    check(2, claims.mean_out_degree(graphs))
 
 
-def test_c03_degree_fractions(grown, pooled_census):
-    constants = stats.theory_constants(params_for(0), i_max=10)
-    total = pooled_census.total
-    fraction_0 = pooled_census.counts[0] / total
-    dev_0 = abs(fraction_0 - constants.c[0]) / constants.c[0]
-    worst = dev_0
-    assert dev_0 < 0.10, f"degree-0 fraction {fraction_0:.4f} vs {constants.c[0]:.4f}"
-    for i in range(1, 11):
-        if constants.c[i] * N < 1000:
-            continue
-        fraction = pooled_census.counts[i] / total
-        deviation = abs(fraction - constants.c[i]) / constants.c[i]
-        worst = max(worst, deviation)
-        assert deviation < 0.15, (
-            f"degree-{i} fraction {fraction:.5f} vs theory {constants.c[i]:.5f} "
-            f"({deviation:.1%})"
-        )
-    announce(3, "degree-fractions", True, f"(worst relative deviation {worst:.2%})")
+def test_c03_degree_fractions(graphs):
+    check(3, claims.degree_fractions(graphs))
 
 
 @pytest.mark.xfail(
@@ -117,17 +89,8 @@ def test_c03_degree_fractions(grown, pooled_census):
     "exact fractions gives 2.1234); the 2.429 +/- 0.25 band cannot be met "
     "without raising d_min",
 )
-def test_c04_in_degree_exponent(pooled_census):
-    fit = stats.powerlaw_exponent(pooled_census, d_min=10)
-    deviation = abs(fit.estimate - GAMMA)
-    ok = deviation < 0.25
-    announce(4, "in-degree-exponent", ok,
-             f"(MLE {fit.estimate:.4f} vs {GAMMA:.4f}, stderr {fit.stderr:.4f})")
-    assert ok, f"estimate {fit.estimate:.4f} is {deviation:.3f} from {GAMMA:.4f}"
-
-
-def _pooled_banded(reports, variant):
-    return cl.pool_curves([cl.banded_curve_from_report(r, variant, delta=0.1) for r in reports])
+def test_c04_in_degree_exponent(graphs):
+    check(4, claims.in_degree_exponent(graphs))
 
 
 @pytest.mark.xfail(
@@ -140,31 +103,12 @@ def _pooled_banded(reports, variant):
     "n=1e6. The 1/d law shows on the tail, but the all-bin fit will not "
     "reach slope -1 +/- 0.2 with r^2 >= 0.9 at reachable n",
 )
-def test_c05_clustering_decay(half_reports):
-    directed = _pooled_banded(half_reports, "directed")
-    undirected = _pooled_banded(half_reports, "undirected")
-    new = _pooled_banded(half_reports, "new")
-    slope_d, _, _ = stats.curve_slope(directed, min_count=30)
-    slope_u, _, _ = stats.curve_slope(undirected, min_count=30)
-    _, r2_new = stats.fixed_slope_fit(new, slope=-1.0, min_count=30)
-    ok = abs(slope_d + 1.0) <= 0.2 and abs(slope_u + 1.0) <= 0.2 and r2_new >= 0.9
-    announce(5, "clustering-decay", ok,
-             f"(directed {slope_d:.3f}, undirected {slope_u:.3f}, "
-             f"c_new 1/d r2 {r2_new:.3f})")
-    assert abs(slope_d + 1.0) <= 0.2, f"directed banded slope {slope_d:.3f}"
-    assert abs(slope_u + 1.0) <= 0.2, f"undirected banded slope {slope_u:.3f}"
-    assert r2_new >= 0.9, f"c_new fixed-slope fit r^2 {r2_new:.3f}"
+def test_c05_clustering_decay(reports):
+    check(5, claims.clustering_decay(reports["half"]))
 
 
-def test_c06_decomposition_identity(half_reports, log_reports):
-    worst = 0.0
-    for report in (*half_reports, *log_reports):
-        split = report.old.values + report.new.values
-        gap = float(np.abs(report.directed.values - split).max())
-        worst = max(worst, gap)
-    ok = worst <= 1e-12
-    announce(6, "old-new-decomposition", ok, f"(worst |c - (c_old + c_new)| = {worst:.2e})")
-    assert ok
+def test_c06_decomposition_identity(reports):
+    check(6, claims.decomposition_identity(reports["half"] + reports["log"]))
 
 
 @pytest.mark.xfail(
@@ -174,40 +118,21 @@ def test_c06_decomposition_identity(half_reports, log_reports):
     "fluctuate by ~1/sqrt(28) ~ 19%; the worst of 100 checked trajectories "
     "dips to ~0.35, far outside [0.8, 1.25], at any achievable scale",
 )
-def test_c07_trajectory_concentration(grown):
-    omega = cl.default_omega(N)
-    worst_lo, worst_hi = math.inf, -math.inf
-    for graph, _ in grown:
-        top = np.argsort(graph.in_degree)[-20:][::-1]
-        for v in top:
-            check = stats.trajectory_check(graph, int(v), omega)
-            assert not check.vacuous, f"vertex {v} below omega log n"
-            worst_lo = min(worst_lo, check.ratio_min)
-            worst_hi = max(worst_hi, check.ratio_max)
-    ok = worst_lo >= 0.8 and worst_hi <= 1.25
-    announce(7, "trajectory-concentration", ok,
-             f"(ratio range [{worst_lo:.3f}, {worst_hi:.3f}] over top-20 x 5 runs)")
-    assert ok, f"ratios [{worst_lo:.3f}, {worst_hi:.3f}] outside [0.8, 1.25]"
+def test_c07_trajectory_concentration(graphs):
+    check(7, claims.trajectory_concentration(graphs))
 
 
-def test_c08_ball_census(grown):
-    graph, _ = grown[0]
-    constants = stats.theory_constants(graph.params, i_max=3)
-    volume = 0.05
-    centers = stats.ball_centers_grid(2)
-    worst = 0.0
-    for i in (0, 1, 2):
-        scaled = [
-            stats.ball_census(graph, center, volume, i_max=3)[i] / (volume * N)
-            for center in centers
-        ]
-        mean_scaled = float(np.mean(scaled))
-        deviation = abs(mean_scaled - constants.c[i]) / constants.c[i]
-        worst = max(worst, deviation)
-        assert deviation < 0.15, (
-            f"ball census i={i}: {mean_scaled:.4f} vs {constants.c[i]:.4f}"
-        )
-    announce(8, "ball-census", True, f"(worst relative deviation {worst:.2%})")
+def test_c08_ball_census(graphs):
+    check(8, claims.ball_census(graphs[0]))
+
+
+def test_claims_fail_on_a_relabelled_model(graphs):
+    # negative control: the seed-1 graph labelled with a2 x 1.5, a model it does not follow
+    g = graphs[0]
+    wrong = GrownGraph(replace(g.params, a2=1.5 * g.params.a2), g.out_ptr, g.out_targets, g.positions)
+    for claim in (claims.mean_out_degree([wrong]), claims.degree_fractions([wrong]),
+                  claims.ball_census(wrong)):
+        assert not claim.passed, claim
 
 
 def test_c09_property_suites(grown):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spagraph import cli
@@ -335,9 +336,11 @@ def test_config_file_round_trip(tmp_path, monkeypatch):
     assert run(["generate", "--config", str(config)]) == 0
     names = sorted(f for f in os.listdir(tmp_path / "out") if f.endswith(".tsv"))
     assert names == [f"spa_n1500_p0.5_seed{s}.tsv" for s in (7, 8, 9)]
-    graph = read_graph(str(tmp_path / "out" / names[0]))
+    path = tmp_path / "out" / names[0]
+    assert b"%positions" not in path.read_bytes()
+    graph = read_graph(str(path))
     assert graph.params == ModelParams(n=1500, p=0.5, a1=1.0, a2=10.0, seed=7)
-    assert graph.positions is None
+    assert np.array_equal(graph.positions[1:], generate(graph.params).positions[1:])
 
 
 def _config_run(tmp_path, monkeypatch, text):
@@ -375,9 +378,11 @@ def test_command_line_flags_override_config(tmp_path, monkeypatch):
     assert run(argv) == 0
     assert sorted(os.listdir(tmp_path)) == [
         "run.cfg", "spa_n999_p0.7_seed5.manifest.json", "spa_n999_p0.7_seed5.tsv"]
-    graph = read_graph(str(tmp_path / "spa_n999_p0.7_seed5.tsv"))
+    path = tmp_path / "spa_n999_p0.7_seed5.tsv"
+    assert b"%positions" not in path.read_bytes()
+    graph = read_graph(str(path))
     assert graph.params == ModelParams(n=999, p=0.7, a1=1.0, a2=1.0, seed=5)
-    assert graph.positions is None
+    assert np.array_equal(graph.positions[1:], generate(graph.params).positions[1:])
 
 
 def test_config_without_a_key_takes_the_flag_default(tmp_path, monkeypatch):
@@ -554,20 +559,6 @@ def test_stats_on_one_vertex_graph_is_vacuous(tmp_path):
     assert [(row["vertex"], row["final_degree"], row["vacuous"]) for row in rows] == [
         ("1", "0", "1")
     ]
-
-
-def test_top_vertices_break_ties_by_ascending_id(tmp_path):
-    # in-degrees 4, 2, 0, 1, 1, 1, 0 for vertices 1..7
-    edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
-    hand = GrownGraph.from_edges(ModelParams(n=7, p=0.7, a1=1.0, a2=30 / 7, seed=0), edges)
-    for top in range(9):
-        assert cli._top_vertices(hand, top).tolist() == [1, 2, 4, 5, 6, 3, 7][:top]
-    out = str(tmp_path)
-    run(["generate", *ARGS, "--seed", "3", "--out", out])
-    graph = read_graph(os.path.join(out, "spa_n400_p0.7_seed3.tsv"))
-    ranked = sorted(range(1, 401), key=lambda v: (-graph.in_degree[v], v))
-    for top in (1, 5, 20, 399, 400):
-        assert cli._top_vertices(graph, top).tolist() == ranked[:top]
 
 
 @pytest.mark.parametrize("damage", [

@@ -1,14 +1,16 @@
-"""The demos run to completion, and they and the benchmark import only names spagraph has.
+"""The demos run to completion, and they, the benchmark and README's code
+import only names spagraph has.
 
 Each demo runs in its own subprocess, so a renamed attribute fails here as
-well as a deleted import. The benchmark is only parsed: each file's
-`spagraph` imports are resolved.
+well as a deleted import. The benchmark and README's python blocks are only
+parsed: each one's `spagraph` imports are resolved.
 """
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,18 +19,22 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted(ROOT.glob("demos/*.py"))
 SOURCES = DEMOS + sorted(ROOT.glob("perfbench/*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                           re.M | re.S)
 
 
 def test_demo_imports_exist():
-    assert SOURCES
-    for source in SOURCES:
-        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+    assert SOURCES and README_BLOCKS
+    named = [(source.name, source.read_text(encoding="utf-8")) for source in SOURCES]
+    named += [(f"README.md python block {i}", text) for i, text in enumerate(README_BLOCKS, 1)]
+    for name, text in named:
+        tree = ast.parse(text, filename=name)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spagraph":
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), (
-                        f"{source.name} imports {alias.name} from {node.module}, which has no such name"
+                        f"{name} imports {alias.name} from {node.module}, which has no such name"
                     )
             elif isinstance(node, ast.Import):
                 for alias in node.names:

@@ -85,6 +85,14 @@ def test_census_p_zero_all_isolated():
         assert census.counts[0] == t
 
 
+def test_census_fraction_rejects_a_negative_degree():
+    census = stats.DegreeCensus(counts=np.array([5, 3, 2]))
+    assert [census.fraction(i) for i in range(4)] == [0.5, 0.3, 0.2, 0.0]
+    for i in (-1, -4):
+        with pytest.raises(UsageError, match="in-degree must be >= 0"):
+            census.fraction(i)
+
+
 def test_census_conservation(grown):
     census = stats.degree_census(grown)
     assert census.total == grown.n
@@ -175,6 +183,18 @@ def test_powerlaw_mle_guards():
         stats.powerlaw_exponent(degenerate, d_min=10)
     with pytest.raises(ParameterError):
         stats.powerlaw_exponent(degenerate, d_min=0)
+
+
+def test_top_vertices_break_ties_by_ascending_id():
+    # in-degrees 4, 2, 0, 1, 1, 1, 0 for vertices 1..7
+    edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
+    hand = GrownGraph.from_edges(make(7), edges)
+    for top in range(9):
+        assert stats.top_vertices(hand, top).tolist() == [1, 2, 4, 5, 6, 3, 7][:top]
+    graph = generate(make(400, seed=3))
+    ranked = sorted(range(1, 401), key=lambda v: (-graph.in_degree[v], v))
+    for top in (1, 5, 20, 399, 400):
+        assert stats.top_vertices(graph, top).tolist() == ranked[:top]
 
 
 def test_ratio_extremes_exact_law():

@@ -183,9 +183,12 @@ def test_first_divergent_step_without_positions():
     changed = GrownGraph.from_edges(params, [(2, 1), (3, 2)])
     assert first_divergent_step(graph, GrownGraph.from_edges(params, [(2, 1), (3, 1)])) is None
     assert first_divergent_step(graph, changed) == (3, "out-edges differ: [1] vs [2]")
+    # without positions a graph gets the seed's, which differ from these at step 1
     placed = GrownGraph.from_edges(params, [(2, 1), (3, 1)], np.full((4, 2), 0.5))
-    assert first_divergent_step(graph, placed) == (1, "positions missing in one run")
-    assert first_divergent_step(placed, graph) == (1, "positions missing in one run")
+    assert first_divergent_step(graph, placed) == (1, "positions differ")
+    assert first_divergent_step(placed, graph) == (1, "positions differ")
+    seeded = GrownGraph.from_edges(params, [(2, 1), (3, 1)], generate(params).positions)
+    assert first_divergent_step(graph, seeded) is None
 
 
 @pytest.mark.parametrize("fast_n, reference_n", [(300, 200), (200, 300)])
