@@ -73,9 +73,11 @@ class ModelParams:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-        for name in ("p", "a1", "a2"):   # stored as given, so file headers keep their bytes
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ParameterError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name in ("p", "a1", "a2"):   # stored as Python floats, Fractions and numpy reals included
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
@@ -337,7 +339,7 @@ def _grow(params: ModelParams, index) -> GrownGraph:
     positions = _draw_positions(params, stream)
     # Python ints and floats: a1 * k + a2 is the same IEEE product and sum
     # that numpy's float64 gives, at a fraction of its per-edge cost
-    a1, a2 = float(params.a1), float(params.a2)
+    a1, a2 = params.a1, params.a2
     in_degree = [0] * (n + 1)
     update_weight = index.update_weight
     out_ptr = np.zeros(n + 2, dtype=np.int64)
@@ -547,7 +549,7 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStre
             return coin_heads(words[-1], cut)
 
         edge, restart = _resolve(owners, q, tm1, k[:take], bound[:take], heads, coins,
-                                 float(params.a1), float(params.a2))
+                                 params.a1, params.a2)
         edges.append(steps[edge] * n1 + u.take(owners[edge]))
         k[:take] += np.bincount(owners[edge], minlength=take)
         s[:take] = e[:take] + 1

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -65,9 +67,9 @@ def needed_volume(centers, x, norm: Norm) -> np.ndarray:
     for bit. Every membership decision in the package compares this one
     expression against a volume: `SphereIndex` (through `ball_contains`),
     the generator's vertex-centric walk, `verify.vertex_walk` and
-    `stats.ball_census`. All of them pass arrays, so they see bit-identical
-    decisions; with two (m,) points numpy's scalar `**` calls libm's `pow`,
-    which can round a power differently from the array `**`.
+    `stats.ball_census`. Powers are left-to-right chains of `*`, correctly
+    rounded in every numpy kernel as numpy's `**` is not, so every CPU and
+    every input shape gets the same bits.
     """
     centers = np.asarray(centers, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -76,14 +78,11 @@ def needed_volume(centers, x, norm: Norm) -> np.ndarray:
     m = x.shape[-1]
     d = torus_diffs(centers, x)
     if norm is Norm.LINF:
-        return (2.0 * _column_max(d)) ** m
+        return reduce(operator.mul, [2.0 * _column_max(d)] * m)
     # the L2 sum stays one reduction: summing in another order could change
     # the last bit for m >= 3
     s = (d * d).sum(axis=-1)
-    if m % 2 == 0:
-        powered = s ** (m // 2)
-    else:
-        powered = s ** (m // 2) * np.sqrt(s)
+    powered = reduce(operator.mul, [s] * (m // 2) + [np.sqrt(s)] * (m % 2))
     return unit_ball_volume(m, Norm.L2) * powered
 
 

@@ -13,22 +13,24 @@ identical graphs produce identical bytes):
 
 Any other `%` line is a parse error, and so are a repeated section marker,
 a header key that is not a model parameter, a blank line or carriage
-return inside a section, and a coordinate outside [0, 1). The header is
-read line by line, and a manifest's parameters are checked as a header's
-are; each section is parsed by one bulk numpy call and checked as whole
-arrays, and a failed check names the byte offset of the first bad line.
-Serialize -> parse -> serialize is byte-identical.
+return inside a section, a position row out of the writer's order
+(vertices 1..n) and a coordinate outside [0, 1). The header is read line
+by line; each section is parsed by one bulk numpy call and checked as
+whole arrays, and a failed check names the byte offset of the first bad
+line. Serialize -> parse -> serialize is byte-identical.
 
-CSV reports are written column by column: each block of rows is a tuple
-of equal-length columns, a number column is formatted once per distinct
-value (`repr`, the shortest round-trip text) and the rows are joined a
-batch at a time, giving the bytes `csv.writer` would for the same rows.
-A text field that `csv.writer` would quote is refused instead.
+One row writer serves graph files and CSV reports. A block is a tuple of
+equal-length columns, and its text is made a batch of rows at a time,
+each number column formatted once per distinct value in the batch
+(`repr`, the shortest round-trip text). A CSV gets the bytes
+`csv.writer` would write for the same rows; a text field that
+`csv.writer` would quote is refused instead.
 
 All writes go through a temp file plus rename, so readers never observe
 partial files, and a new file gets mode 0o666 less the umask, as `open`
-would give it. Run configs are not a file format here: `cli` reads a
-`generate --config` file as that command's own flags.
+would give it. Nothing here reads a run manifest back. Run configs are
+not a file format here: `cli` reads a `generate --config` file as that
+command's own flags.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ _EDGE_ROW = np.dtype([("edge", np.int64, (2,))])
 
 
 @contextlib.contextmanager
-def _atomic_file(path: str, mode: str = "wb", **options):
-    """A file on a temp name beside `path`, renamed onto it when the block succeeds.
+def _atomic_file(path: str):
+    """A binary file on a temp name beside `path`, renamed onto it when the block succeeds.
 
     The file is made as `open` makes one, with mode 0o666 less the umask.
     """
@@ -88,7 +90,7 @@ def _atomic_file(path: str, mode: str = "wb", **options):
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, mode, **options) as handle:
+        with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -102,28 +104,44 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         handle.write(data)
 
 
-def _format_value(value, kind) -> str:
-    if kind is float:   # numpy and int values too, as the float they are read back as
-        return repr(float(value))
-    return value.value if isinstance(value, Norm) else str(value)
+def _format_value(value) -> str:
+    return value.value if isinstance(value, Norm) else repr(value)
+
+
+def _write_rows(handle, block, sep: str) -> None:
+    """Write the rows of `block`, a tuple of equal-length columns, `sep` between fields.
+
+    The text is made a `_BATCH` of rows at a time. In each batch an int64
+    or float64 column is `repr`'d once per distinct bit pattern, so -0.0
+    and NaN keep their own text and a repeated value costs one lookup; a
+    list of str is written as given.
+    """
+    size = len(block[0]) if block else 0
+    width = 2 * len(block)   # each field, then sep or, last, "\n"
+    for lo in range(0, size, _BATCH):
+        rows = min(_BATCH, size - lo)
+        cells = [sep] * (width * rows)
+        for j, column in enumerate(block):
+            part = column[lo : lo + rows]
+            if isinstance(part, np.ndarray):
+                bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
+                texts = np.array([repr(x) for x in bits.view(part.dtype).tolist()], dtype=object)
+                part = texts[inverse].tolist()
+            cells[2 * j :: width] = part
+        cells[width - 1 :: width] = ["\n"] * rows
+        handle.write("".join(cells).encode())
 
 
 def _write_graph(handle, graph: GrownGraph, include_positions: bool) -> None:
-    """Write the graph file's bytes to `handle`, a batch of lines at a time."""
-    p = graph.params
-    header = [HEADER] + [f"{key}={_format_value(getattr(p, key), kind)}"
-                         for key, kind in _PARAM_TYPES.items()]
+    """Write the graph file's bytes to `handle`."""
+    header = [HEADER] + [f"{key}={_format_value(getattr(graph.params, key))}"
+                         for key in _PARAM_TYPES]
     handle.write("\n".join(header + ["%edges\n"]).encode())
-    sources, targets = graph.edge_sources(), graph.out_targets
-    for lo in range(0, targets.size, _BATCH):
-        pairs = zip(sources[lo : lo + _BATCH].tolist(), targets[lo : lo + _BATCH].tolist())
-        handle.write("".join([f"{v}\t{u}\n" for v, u in pairs]).encode())
+    _write_rows(handle, (graph.edge_sources(), graph.out_targets), "\t")
     if include_positions:
         handle.write(b"%positions\n")
-        row = "%d" + "\t%r" * p.dimension + "\n"
-        for lo in range(1, graph.n + 1, _BATCH):
-            coords = graph.positions[lo : lo + _BATCH].tolist()
-            handle.write("".join([row % (v, *c) for v, c in enumerate(coords, lo)]).encode())
+        vertices = np.arange(1, graph.n + 1, dtype=np.int64)
+        _write_rows(handle, (vertices, *graph.positions[1:].T), "\t")
 
 
 def serialize_graph(graph: GrownGraph, include_positions: bool = True) -> bytes:
@@ -296,25 +314,20 @@ def _line_offset(data: bytes, start: int, row: int) -> int:
 
 
 def _positions(data: bytes, section: tuple[int, int, int], params: ModelParams) -> np.ndarray:
-    """The (n+1, m) position array; slot 0 stays NaN."""
-    marker_offset, start, end = section
+    """The (n+1, m) position array; slot 0 stays NaN. Row k must be vertex k's, k = 1..n."""
+    _, start, end = section
     dtype = np.dtype([("vertex", np.int64), ("coords", np.float64, (params.dimension,))])
     rows = _load_rows(data, "positions", start, end, dtype, params.dimension)
     vertex, coords = rows["vertex"], rows["coords"]
     n = params.n
-    in_range = (vertex >= 1) & (vertex <= n)
-    first_seen = np.zeros(vertex.size, dtype=bool)
-    first_seen[np.unique(np.where(in_range, vertex, 0), return_index=True)[1]] = True
-    bad = np.flatnonzero(~in_range | ~first_seen)
-    if bad.size:
-        row = int(bad[0])
-        kind = "duplicate position" if in_range[row] else "bad position"
-        raise ParseError(f"{kind} row for vertex {vertex[row]}", _line_offset(data, start, row))
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[vertex] = True
-    if not seen[1:].all():
-        missing = int(np.flatnonzero(~seen[1:])[0]) + 1
-        raise ParseError(f"no position row for vertex {missing}", marker_offset)
+    wrong = np.flatnonzero(vertex != np.arange(1, vertex.size + 1))
+    row = min(int(wrong[0]) if wrong.size else vertex.size, n)   # the first row off the layout
+    if row < vertex.size:
+        where = f"where vertex {row + 1}'s belongs" if row < n else f"after vertex n = {n}"
+        raise ParseError(f"position row for vertex {vertex[row]} {where}",
+                         _line_offset(data, start, row))
+    if row < n:
+        raise ParseError(f"no position row for vertex {row + 1}", end)
     outside = np.flatnonzero(~((coords >= 0.0) & (coords < 1.0)).all(axis=1))
     if outside.size:
         row = int(outside[0])
@@ -322,7 +335,7 @@ def _positions(data: bytes, section: tuple[int, int, int], params: ModelParams) 
             f"position of vertex {vertex[row]} outside [0, 1)", _line_offset(data, start, row)
         )
     positions = np.full((n + 1, params.dimension), np.nan)
-    positions[vertex] = coords
+    positions[1:] = coords
     return positions
 
 
@@ -359,13 +372,6 @@ def write_manifest(path: str, graph: GrownGraph, graph_file: str, wall_time_s: f
     atomic_write_bytes(path, (json.dumps(manifest, indent=2) + "\n").encode())
 
 
-def params_from_manifest(path: str) -> ModelParams:
-    """The manifest's parameters, read from their text as a header's are (2000.5 is no n)."""
-    with open(path, "rb") as handle:
-        manifest = json.load(handle)
-    return _parse_params({key: (str(v), 0) for key, v in manifest["params"].items()}, 0)
-
-
 _QUOTED = ',"\r\n'   # a field holding any of these is one csv.writer quotes
 
 
@@ -377,23 +383,6 @@ def _check_text(fields) -> None:
                              f"got {field!r}")
 
 
-def _column_text(column):
-    """A function from a row range [lo, hi) of `column` to its field texts.
-
-    A 64-bit int or float array is `repr`'d once per distinct bit
-    pattern, so -0.0 and NaN keep their own text and a repeated value
-    costs one lookup. A list of str is written as given.
-    """
-    if not isinstance(column, np.ndarray):
-        _check_text(column)
-        return lambda lo, hi: column[lo:hi]
-    if column.dtype.kind not in "if" or column.dtype.itemsize != 8:
-        raise UsageError(f"CSV number columns must be int64 or float64, got {column.dtype}")
-    bits, rows = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array([repr(x) for x in bits.view(column.dtype).tolist()], dtype=object)
-    return lambda lo, hi: texts[rows[lo:hi]].tolist()
-
-
 def write_csv(path: str, header, blocks) -> None:
     """A header line, then the rows of each block; `blocks` may be any iterable, read once.
 
@@ -403,8 +392,8 @@ def write_csv(path: str, header, blocks) -> None:
     numbers as `repr` gives them.
     """
     _check_text(header)
-    with _atomic_file(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
+    with _atomic_file(path) as handle:
+        handle.write((",".join(header) + "\n").encode())
         for block in blocks:
             size = len(block[0]) if block else 0
             if len(block) != len(header) or any(len(column) != size for column in block):
@@ -412,12 +401,10 @@ def write_csv(path: str, header, blocks) -> None:
                     f"a CSV block needs {len(header)} columns of one length, "
                     f"got lengths {[len(column) for column in block]}"
                 )
-            texts = [_column_text(column) for column in block]
-            width = 2 * len(block)   # a row is each field followed by "," or, last, "\n"
-            for lo in range(0, size, _BATCH):
-                rows = min(_BATCH, size - lo)
-                cells = [","] * (width * rows)
-                for j, text in enumerate(texts):
-                    cells[2 * j :: width] = text(lo, lo + rows)
-                cells[width - 1 :: width] = ["\n"] * rows
-                handle.write("".join(cells))
+            for column in block:
+                if not isinstance(column, np.ndarray):
+                    _check_text(column)
+                elif column.dtype.kind not in "if" or column.dtype.itemsize != 8:
+                    raise UsageError(
+                        f"CSV number columns must be int64 or float64, got {column.dtype}")
+            _write_rows(handle, block, ",")

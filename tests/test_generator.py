@@ -86,8 +86,8 @@ def test_integer_params_take_numpy_ints_and_reject_other_types():
 def test_real_params_reject_values_that_are_not_real_numbers(name, value):
     with pytest.raises(ParameterError, match=f"{name} must be a real number"):
         ModelParams(**{**DEFAULTS, "n": 100, name: value})
-    real = np.float64(0.5)   # stored as given, so file headers keep their bytes
-    assert getattr(ModelParams(**{**DEFAULTS, "n": 100, name: real}), name) is real
+    real = np.float64(0.5)   # stored as the Python float it equals
+    assert type(getattr(ModelParams(**{**DEFAULTS, "n": 100, name: real}), name)) is float
 
 
 def test_sphere_volume_formula():

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spagraph.errors import ParameterError, UsageError
 from spagraph.generator import ModelParams, _StaticGrid, generate
@@ -21,19 +23,39 @@ from spagraph.stats import ball_census
 RNG = np.random.default_rng(20240817)
 
 
+def chain(x, k):
+    """x ** k as the left-to-right product x * x * ... * x, and 1.0 for k = 0."""
+    out = 1.0 if k == 0 else x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
 def volume_of(d, norm):
     """Nominal volume of the smallest ball about 0 holding each row of d.
 
     The float expression `needed_volume` documents, applied to separation
-    vectors the caller picks. Rows, not single vectors: numpy's array `**`
-    may round differently from the libm `pow` its scalars call, and every
-    caller of `needed_volume` passes arrays.
+    vectors the caller picks: b ** m for L-inf and s ** (m // 2) for L2,
+    each as a fixed chain of multiplications.
     """
     m = d.shape[-1]
     if norm is Norm.LINF:
-        return (2.0 * d.max(axis=-1)) ** m
+        return chain(2.0 * d.max(axis=-1), m)
     s = (d * d).sum(axis=-1)
-    powered = s ** (m // 2) * np.sqrt(s) if m % 2 else s ** (m // 2)
+    powered = chain(s, m // 2) * np.sqrt(s) if m % 2 else chain(s, m // 2)
+    return unit_ball_volume(m, Norm.L2) * powered
+
+
+def python_volume(center, x, norm):
+    """`needed_volume` for one pair of points, in Python floats and `math` only."""
+    m = len(x)
+    d = [min(abs(c - v), 1.0 - abs(c - v)) for c, v in zip(center, x)]
+    if norm is Norm.LINF:
+        return chain(2.0 * max(d), m)
+    s = 0.0
+    for dj in d:
+        s += dj * dj
+    powered = chain(s, m // 2) * math.sqrt(s) if m % 2 else chain(s, m // 2)
     return unit_ball_volume(m, Norm.L2) * powered
 
 
@@ -131,6 +153,21 @@ def test_distance_equals_brute_force_shifts(norm, m):
     pts[10:20, 1] = (pts[10:20, 0] + 0.5) % 1.0
     got = needed_volume(pts[:, 0], pts[:, 1], norm)
     assert np.array_equal(got, brute_force_volume(pts[:, 0], pts[:, 1], norm))
+
+
+unit_floats = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm=st.sampled_from(list(Norm)), points=st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.lists(unit_floats, min_size=m, max_size=m), min_size=2, max_size=40)))
+def test_needed_volume_equals_python_float_oracle(norm, points):
+    # bit for bit, for array and single-point calls alike
+    x, centers = points[0], points[1:]
+    got = needed_volume(np.array(centers), np.array(x), norm).tolist()
+    single = [float(needed_volume(np.array(c), np.array(x), norm)) for c in centers]
+    want = [python_volume(c, x, norm) for c in centers]
+    assert [v.hex() for v in got] == [v.hex() for v in single] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("norm", list(Norm))
