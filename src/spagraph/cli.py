@@ -87,11 +87,11 @@ def _seed_list(args) -> list[int]:
     return seeds
 
 
-# The flag each config key stands for; include_positions=false is --no-positions.
+# The flag each config key stands for.
 _CONFIG_FLAGS = {
     "n": "--n", "p": "--p", "a1": "--a1", "a2": "--a2", "dimension": "--dim",
     "norm": "--norm", "seed": "--seed", "replicas": "--replicas", "seeds": "--seeds",
-    "output_dir": "--out", "include_positions": "--no-positions",
+    "output_dir": "--out",
 }
 
 
@@ -120,14 +120,7 @@ def _config_flags(path: str) -> list[str]:
         if key in seen:
             raise ParameterError(f"config line {lineno}: repeated key {key!r}")
         seen.add(key)
-        if key != "include_positions":
-            flags.append(f"{_CONFIG_FLAGS[key]}={value}")
-        elif value not in ("true", "false"):
-            raise ParameterError(
-                f"config line {lineno}: include_positions must be true or false, got {value!r}"
-            )
-        elif value == "false":
-            flags.append(_CONFIG_FLAGS[key])
+        flags.append(f"{_CONFIG_FLAGS[key]}={value}")
     return flags
 
 
@@ -162,13 +155,13 @@ def _graph_stem(params: ModelParams) -> str:
 
 
 def _generate_one(task):
-    params, out_dir, include_positions = task
+    params, out_dir = task
     started = time.perf_counter()
     graph = generate(params)
     wall = time.perf_counter() - started
     stem = _graph_stem(params)
     graph_path = os.path.join(out_dir, stem + ".tsv")
-    graph_io.write_graph(graph, graph_path, include_positions=include_positions)
+    graph_io.write_graph(graph, graph_path)
     graph_io.write_manifest(
         os.path.join(out_dir, stem + ".manifest.json"), graph, stem + ".tsv", wall
     )
@@ -177,10 +170,7 @@ def _generate_one(task):
 
 def cmd_generate(args) -> int:
     model = _model_from_args(args)
-    tasks = [
-        (replace(model, seed=seed), args.out, not args.no_positions)
-        for seed in _seed_list(args)
-    ]
+    tasks = [(replace(model, seed=seed), args.out) for seed in _seed_list(args)]
     os.makedirs(args.out, exist_ok=True)
     for path in _map(_generate_one, tasks):
         print(path)
@@ -333,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--replicas", type=int, help="replica count (default 1)")
     gen.add_argument("--seeds", help="comma-separated explicit seeds")
     gen.add_argument("--out", default=".", help="output directory")
-    gen.add_argument("--no-positions", action="store_true")
     gen.add_argument("--config", help="key=value file of generate flags; "
                      "flags on the command line override it")
     gen.set_defaults(func=cmd_generate)

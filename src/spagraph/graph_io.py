@@ -8,16 +8,19 @@ identical graphs produce identical bytes):
     ...
     %edges
     <source>TAB<target>         # one line per edge, generation order
-    %positions                  # optional; without it, the seed's positions are drawn
+    %positions                  # required; one row per vertex 1..n, in that order
     <vertex>TAB<coord>...       # repr() floats in [0, 1), shortest round-trip form
 
-Any other `%` line is a parse error, and so are a repeated section marker,
-a header key that is not a model parameter, a blank line or carriage
-return inside a section, a position row out of the writer's order
-(vertices 1..n) and a coordinate outside [0, 1). The header is read line
-by line; each section is parsed by one bulk numpy call and checked as
-whole arrays, and a failed check names the byte offset of the first bad
-line. Serialize -> parse -> serialize is byte-identical.
+The writer has this one layout and the parser accepts only it: the
+header, then `%edges`, then `%positions`, and a newline at the end of
+the data. So a file cut anywhere is a parse error, and so are a missing,
+repeated or out-of-order section marker, any other `%` line, a header key
+that is not a model parameter, a blank line or carriage return inside a
+section, a position row out of the writer's order (vertices 1..n) and a
+coordinate outside [0, 1). The header is read line by line; each section
+is parsed by one bulk numpy call and checked as whole arrays, and a
+failed check names the byte offset of the first bad line. Serialize ->
+parse -> serialize is byte-identical.
 
 One row writer serves graph files and CSV reports. A block is a tuple of
 equal-length columns, and its text is made a batch of rows at a time,
@@ -132,32 +135,31 @@ def _write_rows(handle, block, sep: str) -> None:
         handle.write("".join(cells).encode())
 
 
-def _write_graph(handle, graph: GrownGraph, include_positions: bool) -> None:
+def _write_graph(handle, graph: GrownGraph) -> None:
     """Write the graph file's bytes to `handle`."""
     header = [HEADER] + [f"{key}={_format_value(getattr(graph.params, key))}"
                          for key in _PARAM_TYPES]
     handle.write("\n".join(header + ["%edges\n"]).encode())
     _write_rows(handle, (graph.edge_sources(), graph.out_targets), "\t")
-    if include_positions:
-        handle.write(b"%positions\n")
-        vertices = np.arange(1, graph.n + 1, dtype=np.int64)
-        _write_rows(handle, (vertices, *graph.positions[1:].T), "\t")
+    handle.write(b"%positions\n")
+    vertices = np.arange(1, graph.n + 1, dtype=np.int64)
+    _write_rows(handle, (vertices, *graph.positions[1:].T), "\t")
 
 
-def serialize_graph(graph: GrownGraph, include_positions: bool = True) -> bytes:
+def serialize_graph(graph: GrownGraph) -> bytes:
     buffer = io.BytesIO()
-    _write_graph(buffer, graph, include_positions)
+    _write_graph(buffer, graph)
     return buffer.getvalue()
 
 
-def write_graph(graph: GrownGraph, path: str, include_positions: bool = True) -> None:
+def write_graph(graph: GrownGraph, path: str) -> None:
     """Stream the graph file to `path`; a `.gz` path is gzipped with a zeroed mtime and no name."""
     with _atomic_file(path) as handle:
         if path.endswith(".gz"):
             with gzip.GzipFile(filename="", fileobj=handle, mode="wb", mtime=0) as zipped:
-                _write_graph(zipped, graph, include_positions)
+                _write_graph(zipped, graph)
         else:
-            _write_graph(handle, graph, include_positions)
+            _write_graph(handle, graph)
 
 
 def _parse_params(fields: dict, offset: int) -> ModelParams:
@@ -177,55 +179,62 @@ def _parse_params(fields: dict, offset: int) -> ModelParams:
 def parse_graph(data: bytes) -> GrownGraph:
     """Parse graph bytes; errors carry the byte offset of the bad line.
 
-    Header lines are read one at a time. The `%edges` and `%positions`
-    sections are each parsed by one bulk numpy call and checked as whole
-    arrays; when a check fails, the first offending line is located and
-    named.
+    The layout is checked first (see `_sections`). Header lines are then
+    read one at a time, and the `%edges` and `%positions` sections are
+    each parsed by one bulk numpy call and checked as whole arrays; when a
+    check fails, the first offending line is located and named.
     """
     newline = data.find(b"\n")
     first = data if newline < 0 else data[:newline]
     if first.decode("utf-8", "replace") != HEADER:
         raise ParseError(f"expected header {HEADER!r}", 0)
     params_offset = len(first) + 1
-    sections = _sections(data, params_offset)
-    params = _parse_params(_header_fields(data, *sections["header"][1:]), params_offset)
-    edges = np.empty((0, 2), dtype=np.int64)
-    if "edges" in sections:
-        _, start, end = sections["edges"]
-        edges = _load_rows(data, "edges", start, end, _EDGE_ROW, params.dimension)["edge"]
-    positions = None
-    if "positions" in sections:
-        positions = _positions(data, sections["positions"], params)
+    header, edge_rows, position_rows = _sections(data, params_offset)
+    params = _parse_params(_header_fields(data, *header), params_offset)
+    edges = _load_rows(data, "edges", *edge_rows, _EDGE_ROW, params.dimension)["edge"]
+    positions = _positions(data, position_rows, params)
     try:
         return GrownGraph.from_edges(params, edges, positions)
     except UsageError as exc:
         row = first_bad_edge(params.n, edges)[0]
-        offset = _line_offset(data, sections["edges"][1], row)
+        offset = _line_offset(data, edge_rows[0], row)
         raise ParseError(f"inconsistent edge list: {exc}", offset) from None
 
 
-def _sections(data: bytes, start: int) -> dict[str, tuple[int, int, int]]:
-    """(marker offset, first byte, end byte) of the header and of each marked section.
+_MARKERS = ("%edges", "%positions")
 
-    The header runs from `start` to the first `%` line; a section runs
-    from its marker line to the next one or the end of the data.
+
+def _sections(data: bytes, start: int) -> list[tuple[int, int]]:
+    """(first byte, end byte) of the header, the edges and the positions.
+
+    The header runs from `start` to the `%edges` line, the edges to the
+    `%positions` line and the positions to the end of the data, which
+    must end with a newline. A marker missing, repeated or out of order,
+    or any other `%` line, is an error at the line where the layout breaks.
     """
-    sections: dict[str, tuple[int, int, int]] = {}
-    name, marker_offset = "header", start
-    while True:
+    if not data.endswith(b"\n"):
+        raise ParseError("the data ends inside a line: the file is cut short",
+                         data.rfind(b"\n") + 1)
+    ranges = []
+    for i, expected in enumerate(_MARKERS + (None,)):
         hit = data.find(b"\n%", start - 1)
         end = len(data) if hit < 0 else hit + 1
-        sections[name] = (marker_offset, start, end)
+        ranges.append((start, end))
         if hit < 0:
-            return sections
-        line_end = data.find(b"\n", end)
-        line_end = len(data) if line_end < 0 else line_end
+            if expected is None:
+                return ranges
+            why = " or was written without positions, which every graph file holds"
+            raise ParseError(f"no {expected!r} line: the file is cut short"
+                             f"{why if expected == '%positions' else ''}", end)
+        line_end = data.index(b"\n", end)
         marker = data[end:line_end].decode("utf-8", "replace")
-        if marker not in ("%edges", "%positions"):
+        if marker not in _MARKERS:
             raise ParseError(f"unknown section marker {marker!r}", end)
-        if marker[1:] in sections:
+        if marker in _MARKERS[:i]:
             raise ParseError(f"repeated section marker {marker!r}", end)
-        name, marker_offset, start = marker[1:], end, line_end + 1
+        if marker != expected:
+            raise ParseError(f"section marker {marker!r} where {expected!r} belongs", end)
+        start = line_end + 1
 
 
 def _header_fields(data: bytes, start: int, end: int) -> dict[str, tuple[str, int]]:
@@ -313,9 +322,9 @@ def _line_offset(data: bytes, start: int, row: int) -> int:
     return start
 
 
-def _positions(data: bytes, section: tuple[int, int, int], params: ModelParams) -> np.ndarray:
+def _positions(data: bytes, section: tuple[int, int], params: ModelParams) -> np.ndarray:
     """The (n+1, m) position array; slot 0 stays NaN. Row k must be vertex k's, k = 1..n."""
-    _, start, end = section
+    start, end = section
     dtype = np.dtype([("vertex", np.int64), ("coords", np.float64, (params.dimension,))])
     rows = _load_rows(data, "positions", start, end, dtype, params.dimension)
     vertex, coords = rows["vertex"], rows["coords"]

@@ -9,12 +9,12 @@ local to the (step, vertex) pair that caused it.
 
 The stream function is the keyed BLAKE2b PRF from hashlib (RFC 7693),
 which is stable across platforms and Python versions. `words` hashes many
-little-endian 64-bit words w in one loop, and `heads` tests one coin at a
-time; each w gives the exact float (w >> 11) * 2^-53, which `uniforms`
-returns. A coin word w is heads at p when w >> 11 < coin_cut(p) =
-ceil(p * 2^53) (`coin_heads` for uint64 arrays), which equals that float
-< p for every p in [0, 1] without computing a float, and keeps the cut
-within a uint64 even at p = 1 (where cut << 11 would be 2^64).
+little-endian 64-bit words w in one loop; each w gives the exact float
+(w >> 11) * 2^-53, which `uniforms` returns. The coin at (t, u) is heads
+at p when that float is < p. `generate` tests the word instead: w >> 11 <
+coin_cut(p) = ceil(p * 2^53) (`coin_heads` for uint64 arrays) equals the
+float test for every p in [0, 1] without computing a float, and keeps the
+cut within a uint64 even at p = 1 (where cut << 11 would be 2^64).
 """
 
 from __future__ import annotations
@@ -76,17 +76,6 @@ class CounterStream:
     def uniforms(self, lane: int, steps, counters) -> np.ndarray:
         """The uniform in [0, 1) at (lane, steps[i], counters[i]) for every i."""
         return (self.words(lane, steps, counters) >> 11) * _TO_UNIT
-
-    def heads(self, p: float):
-        """The coin test `uniforms(LANE_COIN, [t], [u])[0] < p` as a function of (t, u)."""
-        cut, copy, from_bytes = coin_cut(p), self._keyed.copy, int.from_bytes
-
-        def heads(t: int, u: int) -> bool:
-            state = copy()
-            state.update(_PACK(LANE_COIN, t, u))
-            return from_bytes(state.digest(), "little") >> 11 < cut
-
-        return heads
 
     def position(self, t: int, m: int) -> np.ndarray:
         """The m position coordinates consumed at step t."""

@@ -30,7 +30,7 @@ from .generator import (
     GrownGraph, ModelParams, check_vertex, generate, generate_naive, sphere_volume,
 )
 from .geometry import needed_volume
-from .rng import CounterStream
+from .rng import LANE_COIN, CounterStream
 
 VERIFY_GUARD = 5000
 
@@ -92,17 +92,18 @@ def vertex_walk(params: ModelParams, positions: np.ndarray, v: int) -> np.ndarra
     """In-neighbours of vertex v, ascending, from the model's definition alone.
 
     Step t > v links to v when v's sphere at time t - 1, at v's in-degree
-    so far, holds x_t and the coin at (t, v) is heads. Steps are scanned
-    in windows [s, 2s]: the numpy pass keeps the steps covered at a degree
-    bound 2k + 16 that no degree tested in the window exceeds, and the
-    scan restarts after a step that takes the degree past it, so a vertex
-    of final in-degree d costs O(n log d). Shares only `needed_volume`,
-    `sphere_volume` and `CounterStream` with `generate`, so it checks the
-    grid walk at any n.
+    so far, holds x_t and the coin at (t, v) is heads: its uniform is < p.
+    Steps are scanned in windows [s, 2s]: the numpy pass keeps the steps
+    covered at a degree bound 2k + 16 that no degree tested in the window
+    exceeds, draws their coins in one call, and the scan restarts after a
+    step that takes the degree past the bound, so a vertex of final
+    in-degree d costs O(n log d). Shares only `needed_volume`,
+    `sphere_volume` and the `CounterStream` words with `generate`, not its
+    integer coin test, so it checks the grid walk at any n.
     """
     n = params.n
     check_vertex(n, v)
-    heads = CounterStream(params.seed).heads(params.p)
+    stream = CounterStream(params.seed)
     arrivals: list[int] = []
     s = v + 1
     while s <= n:
@@ -113,8 +114,10 @@ def vertex_walk(params: ModelParams, positions: np.ndarray, v: int) -> np.ndarra
         tm1 = (steps - 1).astype(float)
         near = q <= sphere_volume(bound, tm1, params)
         s = int(steps[-1]) + 1
-        for t, q_t, t_1 in zip(steps[near].tolist(), q[near].tolist(), tm1[near].tolist()):
-            if q_t <= sphere_volume(len(arrivals), t_1, params) and heads(t, v):
+        ts = steps[near].tolist()
+        heads = stream.uniforms(LANE_COIN, ts, [v] * len(ts)) < params.p
+        for t, q_t, t_1, head in zip(ts, q[near].tolist(), tm1[near].tolist(), heads.tolist()):
+            if q_t <= sphere_volume(len(arrivals), t_1, params) and head:
                 arrivals.append(t)
                 if len(arrivals) > bound:
                     s = t + 1

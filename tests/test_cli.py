@@ -248,7 +248,7 @@ def test_stats_handcrafted_values(tmp_path):
     params = ModelParams(n=7, p=0.7, a1=1.0, a2=30 / 7, seed=0)
     edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
     path = str(tmp_path / "hand.tsv")
-    write_graph(GrownGraph.from_edges(params, edges), path, include_positions=False)
+    write_graph(GrownGraph.from_edges(params, edges), path)
     out = str(tmp_path / "r")
     assert run(["stats", path, "--out", out, "--top", "2"]) == 0
     with open(os.path.join(out, "curves_hand.csv")) as handle:
@@ -331,13 +331,11 @@ def test_config_file_round_trip(tmp_path, monkeypatch):
     seed=7
     replicas=3
     output_dir=out
-    include_positions=false
     """)
     assert run(["generate", "--config", str(config)]) == 0
     names = sorted(f for f in os.listdir(tmp_path / "out") if f.endswith(".tsv"))
     assert names == [f"spa_n1500_p0.5_seed{s}.tsv" for s in (7, 8, 9)]
     path = tmp_path / "out" / names[0]
-    assert b"%positions" not in path.read_bytes()
     graph = read_graph(str(path))
     assert graph.params == ModelParams(n=1500, p=0.5, a1=1.0, a2=10.0, seed=7)
     assert np.array_equal(graph.positions[1:], generate(graph.params).positions[1:])
@@ -355,7 +353,7 @@ def _config_run(tmp_path, monkeypatch, text):
 
 def test_config_explicit_seeds_and_validation(tmp_path, monkeypatch, capsys):
     code, grown = _config_run(tmp_path, monkeypatch, "n=10\nseeds=4,5,6\na2=1.0")
-    assert code == 0 and [params.seed for params, _, _ in grown] == [4, 5, 6]
+    assert code == 0 and [params.seed for params, _ in grown] == [4, 5, 6]
     for text, message in [
         ("n=10\nseeds=4,5,6\nreplicas=3\na2=1.0", "give --seeds or --replicas, not both"),
         ("n=10\nseeds=4,4\na2=1.0", "pairwise distinct"),
@@ -374,12 +372,11 @@ def test_command_line_flags_override_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.cfg"
     config.write_text("n=50\na2=1.0\nseed=2\n")
-    argv = ["generate", "--config", str(config), "--n", "999", "--seed", "5", "--no-positions"]
+    argv = ["generate", "--config", str(config), "--n", "999", "--seed", "5"]
     assert run(argv) == 0
     assert sorted(os.listdir(tmp_path)) == [
         "run.cfg", "spa_n999_p0.7_seed5.manifest.json", "spa_n999_p0.7_seed5.tsv"]
     path = tmp_path / "spa_n999_p0.7_seed5.tsv"
-    assert b"%positions" not in path.read_bytes()
     graph = read_graph(str(path))
     assert graph.params == ModelParams(n=999, p=0.7, a1=1.0, a2=1.0, seed=5)
     assert np.array_equal(graph.positions[1:], generate(graph.params).positions[1:])
@@ -388,24 +385,23 @@ def test_command_line_flags_override_config(tmp_path, monkeypatch):
 def test_config_without_a_key_takes_the_flag_default(tmp_path, monkeypatch):
     code, grown = _config_run(tmp_path, monkeypatch, "seed=3\n")
     assert code == 0
-    assert [params for params, _, _ in grown] == [
-        ModelParams(n=100_000, p=0.7, a1=1.0, a2=30 / 7, seed=3)]
-    assert grown[0][1:] == (".", True)
+    assert grown == [(ModelParams(n=100_000, p=0.7, a1=1.0, a2=30 / 7, seed=3), ".")]
 
 
-@pytest.mark.parametrize("value, include", [
-    ("true", True), ("false", False),
-    ("0", None), ("1", None), ("False", None), ("yes", None), ("", None),
-])
-def test_config_include_positions_takes_only_true_or_false(
-    tmp_path, monkeypatch, capsys, value, include
-):
+@pytest.mark.parametrize("value", ["true", "false", "0", "1", "False", "yes", ""])
+def test_config_include_positions_is_an_unknown_key(tmp_path, monkeypatch, capsys, value):
+    # every graph file holds its positions, so no config line chooses the layout
     code, grown = _config_run(tmp_path, monkeypatch, f"n=10\ninclude_positions={value}\n")
-    if include is None:
-        assert (code, grown) == (1, [])
-        assert "include_positions must be true or false" in capsys.readouterr().err
-    else:
-        assert code == 0 and grown[0][2] is include
+    assert (code, grown) == (1, [])
+    assert "config line 2: unknown key 'include_positions'" in capsys.readouterr().err
+
+
+def test_generate_no_positions_flag_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["generate", *ARGS, "--out", str(tmp_path), "--no-positions"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-positions" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("key, flag, value", [
@@ -540,7 +536,7 @@ def test_top_at_least_n_never_selects_slot_zero(tmp_path, command):
     params = ModelParams(n=7, p=0.7, a1=1.0, a2=30 / 7, seed=0)
     edges = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 4), (6, 5), (7, 6)]
     path = str(tmp_path / "hand.tsv")
-    write_graph(GrownGraph.from_edges(params, edges), path, include_positions=False)
+    write_graph(GrownGraph.from_edges(params, edges), path)
     for top in (7, 8, 50):
         out = str(tmp_path / f"{command}{top}")
         assert run([command, path, "--out", out, "--top", str(top)]) == 0
@@ -587,6 +583,23 @@ def test_damaged_graph_file_exits_2(tmp_path, capsys, damage):
     assert "byte offset" in err
     if damage.startswith("coordinate"):
         assert f"position of vertex 17 outside [0, 1) (byte offset {start})" in err
+
+
+def test_stats_on_a_cut_graph_file_exits_2(tmp_path, capsys):
+    out = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", out])
+    path = os.path.join(out, "spa_n400_p0.7_seed3.tsv")
+    data = Path(path).read_bytes()
+    # cut at the first line break after a third of the bytes: whole lines, no positions
+    cut = data.index(b"\n", len(data) // 3) + 1
+    with open(path, "wb") as handle:
+        handle.write(data[:cut])
+    reports = tmp_path / "reports"
+    assert run(["stats", path, "--out", str(reports)]) == 2
+    err = capsys.readouterr().err
+    assert "no '%positions' line: the file is cut short" in err
+    assert f"(byte offset {cut})" in err
+    assert os.listdir(reports) == []
 
 
 @pytest.mark.parametrize("omega", ["-1", "0", "nan", "inf"])

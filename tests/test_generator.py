@@ -28,6 +28,7 @@ from spagraph.graph_io import serialize_graph
 from spagraph.rng import LANE_COIN, CounterStream, coin_cut, coin_heads
 from spagraph.spatial_index import SphereIndex
 from spagraph.verify import vertex_walk
+from test_rng import _keyed_blake2b_word
 
 DEFAULTS = dict(p=0.7, a1=1.0, a2=30 / 7, dimension=2, norm=Norm.LINF)
 
@@ -633,12 +634,12 @@ def test_coin_table_matches_heads_at_every_cut():
     table = _CoinTable()
     table.add(keys[::2], words[::2])
     table.add(keys[1::2], words[1::2])
-    coins = (words >> 11) * 2.0 ** -53
+    coins = stream.uniforms(LANE_COIN, t.tolist(), u.tolist())
+    assert words.tolist() == [_keyed_blake2b_word(21, LANE_COIN, a, b) for a, b in zip(t, u)]
     query = np.append(keys[::-1], 60 * n1 + 1)
     for p in (0.0, 1.0, 0.5, coins[0], np.nextafter(coins[0], 2), coins.max(), coins.min()):
-        heads = stream.heads(p)
         got = table.known(query, coin_cut(p))
-        assert got.tolist() == [int(heads(a, b)) for a, b in zip(t[::-1], u[::-1])] + [-1]
+        assert got.tolist() == (coins[::-1] < p).astype(int).tolist() + [-1]
     assert _CoinTable().known(query, coin_cut(0.5)).tolist() == [-1] * query.size
 
 
@@ -647,9 +648,10 @@ def test_uint64_coin_heads_equal_scalar_heads_at_the_edges():
     t, u = [5, 9, 2 ** 40, 2 ** 63], [1, 4, 17, 2 ** 64 - 1]
     words = stream.words(LANE_COIN, t, u)
     for i, w in enumerate(words.tolist()):
+        assert w == _keyed_blake2b_word(23, LANE_COIN, t[i], u[i])
         coin = (w >> 11) * 2.0 ** -53
         # cut 0 (p = 0), cut 2^53 (p = 1), and one ulp either side of the word's value
         for p in (0.0, 1.0, np.nextafter(coin, 0), coin, np.nextafter(coin, 2)):
-            assert coin_heads(words, coin_cut(p))[i] == stream.heads(p)(t[i], u[i]), (i, p)
+            assert coin_heads(words, coin_cut(p))[i] == (coin < p), (i, p)
     assert coin_cut(1.0) == 2 ** 53 and coin_heads(words, 2 ** 53).all()
     assert not coin_heads(words, 0).any()

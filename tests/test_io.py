@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import assert_same_graph
 from spagraph import graph_io, stats
 from spagraph.errors import ParseError, UsageError
-from spagraph.generator import ModelParams, generate, generate_naive
+from spagraph.generator import GrownGraph, ModelParams, generate, generate_naive
 from spagraph.geometry import Norm
 
 PARAMS = dict(p=0.7, a1=1.0, a2=30 / 7)
@@ -53,16 +53,18 @@ def test_round_trip_gzip(grown, tmp_path):
 
 
 def test_round_trip_without_positions(grown, tmp_path):
+    # a graph built without positions gets the seed's, the ones the run drew, and writes them
+    built = GrownGraph.from_edges(grown.params, np.column_stack(
+        [grown.edge_sources(), grown.out_targets]))
     path = str(tmp_path / "g.tsv")
-    graph_io.write_graph(grown, path, include_positions=False)
-    assert b"%positions" not in Path(path).read_bytes()
-    # a file without positions reads back with the seed's, the ones the run drew
+    graph_io.write_graph(built, path)
+    assert Path(path).read_bytes() == graph_io.serialize_graph(grown)
     assert_same_graph(graph_io.read_graph(path), grown)
 
 
 def test_parse_error_reports_byte_offset(grown, tmp_path):
     path = str(tmp_path / "g.tsv")
-    graph_io.write_graph(grown, path, include_positions=False)
+    graph_io.write_graph(grown, path)
     data = Path(path).read_bytes()
     corrupted = data.replace(b"%edges\n", b"%edges\nnot-an-edge\n", 1)
     with pytest.raises(ParseError) as info:
@@ -78,7 +80,7 @@ def test_parse_rejects_wrong_header():
 
 def test_parse_rejects_missing_params():
     with pytest.raises(ParseError, match="missing parameter"):
-        graph_io.parse_graph(b"%spa-graph v1\np=0.7\n%edges\n")
+        graph_io.parse_graph(b"%spa-graph v1\np=0.7\n%edges\n%positions\n")
 
 
 def test_manifest_reproduces_graph(grown, tmp_path):
@@ -261,11 +263,16 @@ def test_header_of_any_real_params_round_trips(params, tmp_path):
     assert ModelParams(**{**written, "norm": Norm(written["norm"])}) == params
 
 
-def test_positionless_file_gives_the_grown_ball_census(grown, tmp_path):
-    path = str(tmp_path / "g.tsv")
-    graph_io.write_graph(grown, path, include_positions=False)
-    parsed = graph_io.read_graph(path)
-    assert np.array_equal(stats.ball_census(parsed, [0.5, 0.5], 0.1),
+def test_positionless_file_gives_the_grown_ball_census(grown):
+    # a file without its positions section is refused; its edges alone give the grown census
+    data = graph_io.serialize_graph(grown)
+    cut = data.index(b"%positions\n")
+    with pytest.raises(ParseError, match="no '%positions' line") as info:
+        graph_io.parse_graph(data[:cut])
+    assert info.value.byte_offset == cut
+    edges = np.column_stack([grown.edge_sources(), grown.out_targets])
+    built = GrownGraph.from_edges(grown.params, edges)
+    assert np.array_equal(stats.ball_census(built, [0.5, 0.5], 0.1),
                           stats.ball_census(grown, [0.5, 0.5], 0.1))
 
 
@@ -289,7 +296,8 @@ def test_parse_rejects_missing_position_row(grown, v):
 
 
 def test_parse_rejects_empty_positions_section(grown):
-    data = graph_io.serialize_graph(grown, include_positions=False) + b"%positions\n"
+    data = graph_io.serialize_graph(grown)
+    data = data[: data.index(b"%positions\n") + len(b"%positions\n")]
     with pytest.raises(ParseError, match="no position row for vertex 1"):
         graph_io.parse_graph(data)
 
@@ -324,6 +332,48 @@ def test_parse_rejects_trajectories_section(grown):
     assert info.value.byte_offset == len(data)
 
 
+def test_parse_rejects_sections_out_of_the_layout(grown):
+    data = graph_io.serialize_graph(grown)
+    edges, positions = data.index(b"%edges\n"), data.index(b"%positions\n")
+    marker = len(b"%edges\n")
+    out_of_order = "section marker '%positions' where '%edges' belongs"
+    for damaged, offset, message in [
+        (data[:edges] + data[positions:] + data[edges:positions], edges, out_of_order),
+        (data[:edges], edges, "no '%edges' line: the file is cut short"),   # header only
+        (data[:edges] + data[edges + marker:], positions - marker, out_of_order),
+        (data[:positions], positions,
+         "no '%positions' line: the file is cut short or was written without positions"),
+    ]:
+        with pytest.raises(ParseError, match=message) as info:
+            graph_io.parse_graph(damaged)
+        assert info.value.byte_offset == offset
+
+
+@pytest.mark.parametrize("params", [
+    make(1), make(2, seed=3), make(9, seed=1, dimension=1), make(14, seed=2, norm=Norm.L2),
+], ids=["n1", "n2", "n9-m1", "n14-l2"])
+def test_every_proper_prefix_is_a_parse_error(params):
+    data = graph_io.serialize_graph(generate(params))
+    for cut in range(len(data)):
+        with pytest.raises(ParseError):
+            graph_io.parse_graph(data[:cut])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+@example(fraction=1 / 3)
+def test_a_cut_graph_file_is_a_parse_error(grown, fraction):
+    data = graph_io.serialize_graph(grown)
+    cut = int(fraction * len(data))
+    with pytest.raises(ParseError):
+        graph_io.parse_graph(data[:cut])
+    # cut at the line break after the point: every section before it is whole
+    line_end = data.index(b"\n", cut) + 1
+    if line_end < len(data):
+        with pytest.raises(ParseError):
+            graph_io.parse_graph(data[:line_end])
+
+
 def test_parse_rejects_duplicate_header_key(grown):
     data = graph_io.serialize_graph(grown)
     damaged = data.replace(b"p=0.7\n", b"p=0.7\np=0.5\n", 1)
@@ -342,20 +392,20 @@ small_graphs = st.builds(
 
 
 @settings(max_examples=30, deadline=None)
-@given(graph=small_graphs, include_positions=st.booleans(),
-       suffix=st.sampled_from([".tsv", ".tsv.gz"]), batch=st.sampled_from([1, 2, 3, 1 << 13]))
-def test_round_trip_property(graph, include_positions, suffix, batch):
-    data = graph_io.serialize_graph(graph, include_positions)
+@given(graph=small_graphs, suffix=st.sampled_from([".tsv", ".tsv.gz"]),
+       batch=st.sampled_from([1, 2, 3, 1 << 13]))
+def test_round_trip_property(graph, suffix, batch):
+    data = graph_io.serialize_graph(graph)
     with tempfile.TemporaryDirectory() as directory, \
             mock.patch.object(graph_io, "_BATCH", batch):
         # rows split across batches, down to one row a batch, give the same bytes
-        assert graph_io.serialize_graph(graph, include_positions) == data
-        assert graph_io.serialize_graph(graph_io.parse_graph(data), include_positions) == data
+        assert graph_io.serialize_graph(graph) == data
+        assert graph_io.serialize_graph(graph_io.parse_graph(data)) == data
         path = os.path.join(directory, "g" + suffix)
-        graph_io.write_graph(graph, path, include_positions)
+        graph_io.write_graph(graph, path)
         first = Path(path).read_bytes()
-        assert graph_io.serialize_graph(graph_io.read_graph(path), include_positions) == data
-        graph_io.write_graph(graph_io.read_graph(path), path, include_positions)
+        assert graph_io.serialize_graph(graph_io.read_graph(path)) == data
+        graph_io.write_graph(graph_io.read_graph(path), path)
         assert Path(path).read_bytes() == first
 
 

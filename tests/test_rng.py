@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spagraph.errors import ParameterError
-from spagraph.rng import LANE_COIN, LANE_POSITION, CounterStream
+from spagraph.rng import LANE_COIN, LANE_POSITION, CounterStream, coin_cut, coin_heads
 
 
 def one(stream, lane, t, counter):
@@ -82,8 +82,8 @@ def test_scalar_coin_equals_word_and_coin_uniforms():
     for (t, u), coin in zip(pairs, want):
         assert s.coin_uniforms(t, [u])[0] == coin
     for p in (0.0, 0.3, 0.7, 1.0):
-        heads = s.heads(p)
-        assert [heads(t, u) for t, u in pairs] == [coin < p for coin in want]
+        got = coin_heads(np.array(words, dtype=np.uint64), coin_cut(p))
+        assert got.tolist() == [coin < p for coin in want]
 
 
 def test_batch_draws_match_keyed_blake2b_on_random_64_bit_counters(monkeypatch):
@@ -102,18 +102,19 @@ def test_batch_draws_match_keyed_blake2b_on_random_64_bit_counters(monkeypatch):
             want = [(w >> 11) * 2.0 ** -53 for w in words]
             assert s.uniforms(lane, steps, ids).tolist() == want
         coins = s.uniforms(LANE_COIN, steps, ids)
-        heads = s.heads(0.5)
-        assert [heads(t, u) for t, u in pairs] == (coins < 0.5).tolist()
+        heads = coin_heads(s.words(LANE_COIN, steps, ids), coin_cut(0.5))
+        assert heads.tolist() == (coins < 0.5).tolist()
 
 
 def test_heads_flips_exactly_at_the_coin_value():
-    s = CounterStream(11)
     for t, u in [(1, 1), (2, 1), (9, 4), (2 ** 63, 2 ** 64 - 1)]:
-        coin = (_keyed_blake2b_word(11, LANE_COIN, t, u) >> 11) * 2.0 ** -53
-        assert not s.heads(coin)(t, u)
-        assert s.heads(np.nextafter(coin, 2))(t, u)
-        assert not s.heads(0.0)(t, u)
-        assert s.heads(1.0)(t, u)
+        word = _keyed_blake2b_word(11, LANE_COIN, t, u)
+        coin = (word >> 11) * 2.0 ** -53
+        words = np.array([word], dtype=np.uint64)
+        assert not coin_heads(words, coin_cut(coin))[0]
+        assert coin_heads(words, coin_cut(np.nextafter(coin, 2)))[0]
+        assert not coin_heads(words, coin_cut(0.0))[0]
+        assert coin_heads(words, coin_cut(1.0))[0]
 
 
 def test_empty_batch_draws():
