@@ -193,6 +193,7 @@ def _report_graph(task) -> dict:
     except UsageError:
         fit = None   # the exponent file then holds its header alone
     checks = [stats.trajectory_check(graph, int(v), omega) for v in stats.top_vertices(graph, top)]
+    os.makedirs(out, exist_ok=True)   # only once the graph is read and analysed
 
     def write(kind, columns, blocks):
         graph_io.write_csv(os.path.join(out, f"{kind}_{stem}.csv"), columns, blocks)
@@ -241,12 +242,12 @@ def cmd_stats(args) -> int:
         if stem in paths:
             raise UsageError(f"{paths[stem]} and {path} would both write the CSVs of {stem!r}")
         paths[stem] = path
-    os.makedirs(args.out, exist_ok=True)
     curves = _map(_report_graph, [
         (path, stem, args.out, args.split, args.omega_mode, args.d_min, args.top, args.delta)
         for stem, path in paths.items()
     ])
     pooled = {v: clustering.pool_curves([c[v] for c in curves]) for v in clustering.VARIANTS}
+    os.makedirs(args.out, exist_ok=True)
     graph_io.write_csv(os.path.join(args.out, "curves_pooled.csv"), graph_io.CURVE_COLUMNS, [
         ([v] * c.d.size, c.d, c.count, c.mean) for v, c in pooled.items()
     ])

@@ -29,7 +29,8 @@ over an index of the caller's choosing (`SphereIndex` or a subclass),
 which keeps a seam for injecting a broken or instrumented index. All
 paths read the same counter-based streams and compare the same
 membership expression, so for equal parameters and seed they produce
-bit-identical graphs; any disagreement is a bug.
+bit-identical graphs; any disagreement is a bug. Each returns a `GrownGraph`
+that stores out-edges and positions and builds its other views on first read.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import math
 import numbers
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -114,41 +116,49 @@ def sphere_volume(in_degree, t, params: ModelParams):
 
 @dataclass
 class GrownGraph:
-    """A finished run: positions, birth-ordered edges, and degree views.
+    """A finished run: positions and birth-ordered edges; degree views on first read.
 
     Vertices are identified by their birth step, 1..n. Every edge points
     from its (younger) source to an older target, and a vertex's out-edges
     are fixed at its birth step. Because of that, the in-neighbors of v
     arrive exactly at their own birth steps, so the full in-degree
     trajectory of any vertex is recoverable from its sorted in-neighbor
-    list; nothing extra needs recording during growth. The in-neighbor
-    lists come from sorting one key per edge in place, in the array that
-    becomes `in_sources`, so building them needs no other edge-sized array.
+    list; nothing extra needs recording during growth. Only the four fields
+    are stored; the degree views (by vertex id, slot 0 unused) and the
+    in-neighbor lists are each built on first read and kept. The lists come
+    from sorting one key per edge in place, in the array that becomes
+    `in_sources`, so building them needs no other edge-sized array.
     """
 
     params: ModelParams
     out_ptr: np.ndarray
     out_targets: np.ndarray
     positions: np.ndarray
-    in_ptr: np.ndarray = field(init=False)
-    in_sources: np.ndarray = field(init=False)
-    in_degree: np.ndarray = field(init=False)   # indexed by vertex id, slot 0 unused
-    out_degree: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        n = self.params.n
-        nk = np.int64(n + 1)
-        self.out_degree = np.diff(self.out_ptr)
-        self.in_degree = np.bincount(self.out_targets, minlength=n + 1)
-        self.in_ptr = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(self.in_degree, out=self.in_ptr[1:])
+    @cached_property
+    def out_degree(self) -> np.ndarray:
+        return np.diff(self.out_ptr)
+
+    @cached_property
+    def in_degree(self) -> np.ndarray:
+        return np.bincount(self.out_targets, minlength=self.n + 1)
+
+    @cached_property
+    def in_ptr(self) -> np.ndarray:
+        in_ptr = np.zeros(self.n + 2, dtype=np.int64)
+        np.cumsum(self.in_degree, out=in_ptr[1:])
+        return in_ptr
+
+    @cached_property
+    def in_sources(self) -> np.ndarray:
+        nk = np.int64(self.n + 1)
         # The keys target * (n + 1) + source are unique, so sorting them
         # lists every vertex's in-neighbors ascending by birth.
         keys = self.edge_sources()
         for lo in range(0, keys.size, _FILL):
             keys[lo : lo + _FILL] += self.out_targets[lo : lo + _FILL] * nk
         keys.sort()
-        self.in_sources = np.remainder(keys, nk, out=keys)
+        return np.remainder(keys, nk, out=keys)
 
     @property
     def n(self) -> int:

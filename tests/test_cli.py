@@ -599,7 +599,22 @@ def test_stats_on_a_cut_graph_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no '%positions' line: the file is cut short" in err
     assert f"(byte offset {cut})" in err
-    assert os.listdir(reports) == []
+    assert not reports.exists()
+
+
+def test_stats_on_a_40000_degree_hub_reports_its_theory_fraction(tmp_path):
+    # the census reads c_i up to i = 40,000, past i = 36,163, where the c_i
+    # recurrence and product form first differ by more than 1e-12 relative
+    n = 40_001
+    params = ModelParams(n=n, p=0.9, a1=1.0, a2=10 / 9)
+    star = GrownGraph.from_edges(params, [(s, 1) for s in range(2, n + 1)])
+    path = str(tmp_path / "star.tsv")
+    write_graph(star, path)
+    out = tmp_path / "out"
+    assert run(["stats", path, "--out", str(out)]) == 0
+    with open(out / "census_star.csv", newline="") as handle:
+        rows = {int(row["degree"]): row for row in csv.DictReader(handle)}
+    assert int(rows[n - 1]["count"]) == 1 and float(rows[n - 1]["theory_c"]) > 0
 
 
 @pytest.mark.parametrize("omega", ["-1", "0", "nan", "inf"])
@@ -632,7 +647,7 @@ def test_bad_header_parameter_exits_2_and_writes_nothing(tmp_path, capsys, old, 
     assert run(["stats", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and f"(byte offset {data.index(at)})" in err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad,message,good", [

@@ -30,15 +30,19 @@ def test_theory_constants_values():
 
 
 def test_theory_constants_recurrence_vs_product():
-    # the product form is recomputed here independently of the module
-    for p, a1, a2 in [(0.7, 1.0, 30 / 7), (0.3, 2.0, 5.0), (0.9, 0.5, 1.0)]:
-        tc = stats.theory_constants(make(10, p=p, a1=a1, a2=a2), i_max=200)
-        for i in (0, 1, 7, 50, 200):
-            product = math.prod(
-                (j * a1 + a2) / (1 + p * a2 + j * p * a1) for j in range(i)
-            )
-            expected = p ** i / (1 + p * a2 + i * p * a1) * product
-            assert tc.c[i] == pytest.approx(expected, rel=1e-12)
+    # the product form is computed here, independently of the module's
+    # recurrence; the last two points are the acceptance model and the
+    # sweep's p = 0.9 point, with a2 = 10 (1 - p) / p as `spa-model sweep`
+    # computes it
+    i_max = 200_000
+    i = np.arange(i_max + 1)
+    for p, a1, a2 in [(0.3, 2.0, 5.0), (0.9, 0.5, 1.0), (0.7, 1.0, 30 / 7),
+                      (0.9, 1.0, 10.0 * (1.0 - 0.9) / 0.9)]:
+        tc = stats.theory_constants(make(10, p=p, a1=a1, a2=a2), i_max=i_max)
+        terms = p * (i[:-1] * a1 + a2) / (1 + p * a2 + i[:-1] * p * a1)
+        expected = np.concatenate(([1.0], np.cumprod(terms))) / (1 + p * a2 + i * p * a1)
+        # rounding grows by about one unit in the last place per factor
+        assert np.all(np.abs(tc.c - expected) <= 4 * i * 2.0 ** -52 * expected)
         assert np.all(tc.c > 0)
         assert tc.c.sum() <= 1.0 + 1e-12
 
