@@ -52,7 +52,7 @@ from .rng import LANE_COIN, LANE_POSITION, CounterStream, coin_cut, coin_heads
 from .spatial_index import SphereIndex
 
 NAIVE_GUARD = 10_000
-_FILL = 1 << 16   # edges per block when filling the in-neighbor sort keys
+_FILL = 1 << 16   # edges per block when filling the in-neighbor sort keys or checking order
 _DRAW = 1 << 12   # position words per batch draw; 2^14 left 3 MB more resident at n = 10^6
 
 
@@ -231,19 +231,23 @@ def first_bad_edge(n: int, edges: np.ndarray) -> tuple[int, str] | None:
     """(index, message) of the first of `edges` that breaks birth or generation order.
 
     An edge (s, u) needs 1 <= u < s <= n, and its key s*(n+1) + u must
-    exceed the previous edge's; None when every edge passes.
+    exceed the previous edge's; None when every edge passes. The edges
+    are checked in blocks of `_FILL`, so no temporary is E-sized.
     """
-    s, u = edges[:, 0], edges[:, 1]
-    unborn = (s < 1) | (s > n) | (u < 1) | (u >= s)
-    keys = s * np.int64(n + 1) + u
-    unordered = np.zeros(s.size, dtype=bool)
-    unordered[1:] = keys[1:] <= keys[:-1]
-    bad = np.flatnonzero(unborn | unordered)
-    if bad.size == 0:
-        return None
-    i = int(bad[0])
-    reason = "violates birth ordering" if unborn[i] else "out of generation order"
-    return i, f"edge ({s[i]}, {u[i]}) {reason}"
+    nk = np.int64(n + 1)
+    for lo in range(0, len(edges), _FILL):
+        start = max(lo - 1, 0)   # the edge before the block passed, so it re-checks clean
+        s, u = edges[start : lo + _FILL, 0], edges[start : lo + _FILL, 1]
+        unborn = (s < 1) | (s > n) | (u < 1) | (u >= s)
+        keys = s * nk + u
+        unordered = np.zeros(s.size, dtype=bool)
+        unordered[1:] = keys[1:] <= keys[:-1]
+        bad = np.flatnonzero(unborn | unordered)
+        if bad.size:
+            i = int(bad[0])
+            reason = "violates birth ordering" if unborn[i] else "out of generation order"
+            return start + i, f"edge ({s[i]}, {u[i]}) {reason}"
+    return None
 
 
 def generate(params: ModelParams, index_factory=None) -> GrownGraph:

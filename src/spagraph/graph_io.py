@@ -255,11 +255,19 @@ def _header_fields(data: bytes, start: int, end: int) -> dict[str, tuple[str, in
     return fields
 
 
-def _rows(block: bytes, dtype: np.dtype) -> np.ndarray:
-    """One row of `dtype` per tab-separated line of `block`, else ValueError."""
-    if b"\r" in block or block.startswith(b"\n") or b"\n\n" in block:
+def _rows(data: bytes, start: int, end: int, dtype: np.dtype) -> np.ndarray:
+    """One row of `dtype` per tab-separated line of data[start:end], else ValueError.
+
+    The lines are parsed in place, from a stream over `data` that stops
+    after the last of them, so the section is never copied.
+    """
+    if (data.find(b"\r", start, end) >= 0 or data.startswith(b"\n", start, end)
+            or data.find(b"\n\n", start, end) >= 0):
         raise ValueError("blank line or carriage return")
-    return np.loadtxt(io.BytesIO(block), dtype=dtype, delimiter="\t", comments=None, ndmin=1)
+    stream = io.BytesIO(data)
+    stream.seek(start)
+    return np.loadtxt(stream, dtype=dtype, delimiter="\t", comments=None, ndmin=1,
+                      max_rows=data.count(b"\n", start, end))
 
 
 def _load_rows(
@@ -270,21 +278,21 @@ def _load_rows(
     Each line parses or fails on its own, so bisection over the lines
     finds the first one the bulk parse rejects.
     """
-    block = data[start:end]
-    if not block:
+    if start == end:
         return np.empty(0, dtype)
     try:
-        return _rows(block, dtype)
+        return _rows(data, start, end, dtype)
     except ValueError:
         pass
-    lines = block.split(b"\n")
-    if block.endswith(b"\n"):
+    lines = data[start:end].split(b"\n")
+    if data.endswith(b"\n", start, end):
         lines.pop()
     lo, hi = 0, len(lines)          # the first bad line is in lines[lo:hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
+        block = b"\n".join(lines[lo:mid]) + b"\n"
         try:
-            _rows(b"\n".join(lines[lo:mid]) + b"\n", dtype)
+            _rows(block, 0, len(block), dtype)
             lo = mid
         except ValueError:
             hi = mid
@@ -292,7 +300,7 @@ def _load_rows(
     message = _line_error(section, line, dimension)
     if message is None:   # int() and float() accept it; say what the bulk parse said
         try:
-            _rows(lines[lo] + b"\n", dtype)
+            _rows(lines[lo] + b"\n", 0, len(lines[lo]) + 1, dtype)
         except ValueError as exc:
             message = f"bad {section} line {line!r}: {str(exc).split(' at row ')[0]}"
     raise ParseError(message, start + sum(len(x) + 1 for x in lines[:lo]))

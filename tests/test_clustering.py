@@ -224,6 +224,91 @@ def test_triangle_counts_budget_free_edge_cases(n, edges):
     assert_budget_free(graph_from(n, edges))
 
 
+def reference_listing(graph):
+    """One list of rows (x, y, z) per edge, in generation order.
+
+    Edge z->y gets a row for each x in out(y), ascending, that is also in out(z).
+    """
+    out = [graph.out_neighbors(v).tolist() for v in range(1, graph.n + 1)]
+    return [
+        [(x, y, z) for x in out[y - 1] if x in linked]
+        for z, targets in enumerate(out, start=1)
+        for linked in [set(targets)]
+        for y in targets
+    ]
+
+
+def assert_listing_is_reference(graph, budgets=(1, 2, 3, cl._CHUNK)):
+    """At every wedge budget, each chunk of `_triangles` holds exactly the reference's rows."""
+    want = reference_listing(graph)
+    for budget in budgets:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cl, "_CHUNK", budget)
+            chunks = list(cl._wedge_chunks(graph))
+            listed = list(cl._triangles(graph))
+        assert len(listed) == len(chunks)
+        for (lo, hi), columns in zip(chunks, listed):
+            assert all(column.dtype == np.int64 for column in columns)
+            rows = list(zip(*(column.tolist() for column in columns)))
+            assert rows == [row for edge in want[lo:hi] for row in edge]
+
+
+@st.composite
+def banded_graphs(draw):
+    """Random birth-ordered graphs on up to 300 vertices whose edges span at most 80 ids.
+
+    Ids past 64 make targets share signature bits, and short edges close
+    many triangles among them.
+    """
+    n = draw(st.integers(1, 300))
+    width = draw(st.integers(1, 80))
+    density = draw(st.floats(0.05, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [(s, u) for s in range(2, n + 1) for u in range(max(1, s - width), s)]
+    return graph_from(n, [edge for edge in edges if rng.random() < density])
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.one_of(dense_graphs(), banded_graphs()))
+def test_triangle_listing_equals_reference_listing(graph):
+    assert_listing_is_reference(graph)
+
+
+def _saturated_graph():
+    # 65 links to all of 1..64 and 101 to all of 1..100, so every bit of
+    # their signatures is set; 102 and 103 head wedges through both
+    edges = [(65, t) for t in range(1, 65)] + [(101, t) for t in range(1, 101)]
+    edges += [(102, t) for t in (3, 40, 64, 65, 70, 101)] + [(103, 65), (103, 101), (103, 102)]
+    return graph_from(104, edges)
+
+
+def _congruent_graph():
+    # out(200) and out(300) share bits 1 and 3 through ids 1, 65, 129, 193
+    # and 3, 67, 131, so most wedges of 300 pass the signature and miss
+    edges = [(67, 3), (131, 3), (131, 67), (193, 65), (193, 129)]
+    edges += [(200, t) for t in (1, 65, 67, 129, 131, 193)]
+    edges += [(300, t) for t in (3, 129, 131, 193, 200)]
+    return graph_from(300, edges)
+
+
+def _idle_sources_graph():
+    # sources 3, 5 and 6 have no out-edges and fall inside chunks at
+    # budgets 2, 3 and _CHUNK; vertex 9, the last, has none either
+    edges = [(2, 1), (4, 1), (4, 2), (4, 3), (7, 2), (7, 4), (8, 1), (8, 4), (8, 7)]
+    return graph_from(9, edges)
+
+
+@pytest.mark.parametrize("make", [_saturated_graph, _congruent_graph, _idle_sources_graph])
+def test_triangle_listing_equals_reference_at_signature_edge_cases(make):
+    graph = make()
+    assert_listing_is_reference(graph)
+    assert sum(x.size for x, _, _ in cl._triangles(graph)) > 0
+
+
+def test_triangle_listing_equals_reference_on_grown_graph(grown):
+    assert_listing_is_reference(grown, budgets=(1, 3, 64, cl._CHUNK))
+
+
 def test_compute_report_memory_stays_within_edge_budget():
     """compute_report's traced peak stays under 6 int64 arrays of E entries plus 4 MiB.
 

@@ -18,6 +18,7 @@ from spagraph.generator import (
     _StaticGrid,
     _draw_positions,
     _gather,
+    first_bad_edge,
     generate,
     generate_many,
     generate_naive,
@@ -205,6 +206,33 @@ def test_from_edges_round_trip_and_validation():
         GrownGraph.from_edges(params, [(1, 2)])
     with pytest.raises(UsageError):
         GrownGraph.from_edges(params, [(4, 3), (2, 1)])
+
+
+def scanned_bad_edge(n, edges):
+    """first_bad_edge's answer from one pass over the edges as Python pairs."""
+    previous = None
+    for i, (s, u) in enumerate(edges):
+        if not 1 <= u < s <= n:
+            return i, f"edge ({s}, {u}) violates birth ordering"
+        if previous is not None and (s, u) <= previous:
+            return i, f"edge ({s}, {u}) out of generation order"
+        previous = (s, u)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sparse_edge_lists(), data=st.data())
+def test_first_bad_edge_equals_a_scan_at_every_block_size(case, data):
+    n, edges = case
+    for _ in range(data.draw(st.integers(0, 2)) if edges else 0):
+        i = data.draw(st.integers(0, len(edges) - 1))
+        edges[i] = data.draw(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)))
+    want = scanned_bad_edge(n, edges)
+    array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    for fill in (1, 2, 3, generator._FILL):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generator, "_FILL", fill)
+            assert first_bad_edge(n, array) == want
 
 
 def test_mean_out_degree_desk_scale():
