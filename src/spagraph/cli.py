@@ -368,9 +368,6 @@ def main(argv=None) -> int:
             at = argv.index("generate") + 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.func(args)
-    except (ParameterError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ParseError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

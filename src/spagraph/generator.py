@@ -92,10 +92,9 @@ class ModelParams:
             raise ParameterError(f"p*a1 must be < 1, got {self.p * self.a1}")
         if self.a2 <= 0:
             raise ParameterError(f"a2 must be > 0, got {self.a2}")
-        if self.dimension < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.dimension}")
         if not isinstance(self.norm, Norm):
             raise ParameterError(f"norm must be a Norm, got {self.norm!r}")
+        unit_ball_volume(self.dimension, self.norm)   # dimension >= 1, and the volume a float
         if not 0 <= self.seed < 2 ** 64:
             raise ParameterError(f"seed must be a 64-bit unsigned int, got {self.seed}")
 

@@ -32,12 +32,21 @@ class Norm(enum.Enum):
 
 
 def unit_ball_volume(m: int, norm: Norm) -> float:
-    """Volume of the radius-1 ball in R^m (no wraparound)."""
+    """Volume of the radius-1 ball in R^m (no wraparound).
+
+    ParameterError unless it is a finite positive float, which holds for
+    1 <= m <= 341 in L2 and 1 <= m <= 1023 in L-infinity.
+    """
     if m < 1:
         raise ParameterError(f"dimension must be >= 1, got {m}")
-    if norm is Norm.LINF:
-        return 2.0 ** m
-    return math.pi ** (m / 2) / math.gamma(m / 2 + 1)
+    try:
+        volume = 2.0 ** m if norm is Norm.LINF else math.pi ** (m / 2) / math.gamma(m / 2 + 1)
+    except OverflowError:
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise ParameterError(f"dimension {m} is too large for {norm.value}: "
+                             f"the unit ball's volume is not a finite positive float")
+    return volume
 
 
 def torus_diffs(x, y) -> np.ndarray:

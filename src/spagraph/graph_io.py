@@ -18,9 +18,11 @@ repeated or out-of-order section marker, any other `%` line, a header key
 that is not a model parameter, a blank line or carriage return inside a
 section, a position row out of the writer's order (vertices 1..n) and a
 coordinate outside [0, 1). The header is read line by line; each section
-is parsed by one bulk numpy call and checked as whole arrays, and a
-failed check names the byte offset of the first bad line. Serialize ->
-parse -> serialize is byte-identical.
+is parsed in place by one bulk numpy call and checked as whole arrays.
+An error names the byte offset of the first bad line. A line numpy
+cannot parse is found by bisecting the section on its own bytes and is
+quoted with numpy's message for that line alone. Serialize -> parse ->
+serialize is byte-identical.
 
 One row writer serves graph files and CSV reports. A block is a tuple of
 equal-length columns, and its text is made a batch of rows at a time,
@@ -162,18 +164,35 @@ def write_graph(graph: GrownGraph, path: str) -> None:
             _write_graph(handle, graph)
 
 
-def _parse_params(fields: dict, offset: int) -> ModelParams:
-    """ModelParams from key -> (value, byte offset of its line); the block starts at `offset`."""
-    unknown = [key for key in fields if key not in _PARAM_TYPES]
-    if unknown:
-        raise ParseError(f"unknown parameter key {unknown[0]!r}", fields[unknown[0]][1])
-    missing = [key for key in _PARAM_TYPES if key not in fields]
+def _parse_params(data: bytes, start: int, end: int) -> ModelParams:
+    """ModelParams from the header block data[start:end], one key=value line each.
+
+    One pass in file order: the first line without `=`, with a repeated
+    key or with a key that is not a model parameter raises at its own
+    offset. A missing key or a bad value raises at the block's offset.
+    """
+    values: dict[str, str] = {}
+    offset = start
+    for raw in data[start:end].split(b"\n"):
+        line_offset, offset = offset, offset + len(raw) + 1
+        line = raw.decode("utf-8", "replace")
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError(f"bad header line {line!r}: expected key=value", line_offset)
+        if key in values:
+            raise ParseError(f"bad header line {line!r}: duplicate key {key!r}", line_offset)
+        if key not in _PARAM_TYPES:
+            raise ParseError(f"unknown parameter key {key!r}", line_offset)
+        values[key] = value
+    missing = [key for key in _PARAM_TYPES if key not in values]
     if missing:
-        raise ParseError(f"missing parameter keys {missing}", offset)
+        raise ParseError(f"missing parameter keys {missing}", start)
     try:
-        return ModelParams(**{key: _PARAM_TYPES[key](value) for key, (value, _) in fields.items()})
+        return ModelParams(**{key: _PARAM_TYPES[key](value) for key, value in values.items()})
     except ValueError as exc:
-        raise ParseError(f"bad parameter block: {exc}", offset) from None
+        raise ParseError(f"bad parameter block: {exc}", start) from None
 
 
 def parse_graph(data: bytes) -> GrownGraph:
@@ -181,17 +200,19 @@ def parse_graph(data: bytes) -> GrownGraph:
 
     The layout is checked first (see `_sections`). Header lines are then
     read one at a time, and the `%edges` and `%positions` sections are
-    each parsed by one bulk numpy call and checked as whole arrays; when a
-    check fails, the first offending line is located and named.
+    each parsed by one bulk numpy call and checked as whole arrays. An
+    error names the byte offset of the first offending line; a line the
+    bulk call cannot parse is also quoted, with numpy's message for that
+    line alone, such as "the dtype passed requires 2 columns but 3 were
+    found".
     """
     newline = data.find(b"\n")
     first = data if newline < 0 else data[:newline]
     if first.decode("utf-8", "replace") != HEADER:
         raise ParseError(f"expected header {HEADER!r}", 0)
-    params_offset = len(first) + 1
-    header, edge_rows, position_rows = _sections(data, params_offset)
-    params = _parse_params(_header_fields(data, *header), params_offset)
-    edges = _load_rows(data, "edges", *edge_rows, _EDGE_ROW, params.dimension)["edge"]
+    header, edge_rows, position_rows = _sections(data, len(first) + 1)
+    params = _parse_params(data, *header)
+    edges = _load_rows(data, "edges", *edge_rows, _EDGE_ROW)["edge"]
     positions = _positions(data, position_rows, params)
     try:
         return GrownGraph.from_edges(params, edges, positions)
@@ -237,24 +258,6 @@ def _sections(data: bytes, start: int) -> list[tuple[int, int]]:
         start = line_end + 1
 
 
-def _header_fields(data: bytes, start: int, end: int) -> dict[str, tuple[str, int]]:
-    """key -> (value, byte offset of its line) for the key=value lines of the header."""
-    fields: dict[str, tuple[str, int]] = {}
-    offset = start
-    for raw in data[start:end].split(b"\n"):
-        line_offset, offset = offset, offset + len(raw) + 1
-        line = raw.decode("utf-8", "replace")
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError(f"bad header line {line!r}: expected key=value", line_offset)
-        if key in fields:
-            raise ParseError(f"bad header line {line!r}: duplicate key {key!r}", line_offset)
-        fields[key] = (value, line_offset)
-    return fields
-
-
 def _rows(data: bytes, start: int, end: int, dtype: np.dtype) -> np.ndarray:
     """One row of `dtype` per tab-separated line of data[start:end], else ValueError.
 
@@ -270,13 +273,13 @@ def _rows(data: bytes, start: int, end: int, dtype: np.dtype) -> np.ndarray:
                       max_rows=data.count(b"\n", start, end))
 
 
-def _load_rows(
-    data: bytes, section: str, start: int, end: int, dtype: np.dtype, dimension: int
-) -> np.ndarray:
+def _load_rows(data: bytes, section: str, start: int, end: int, dtype: np.dtype) -> np.ndarray:
     """Parse data[start:end] in one call; if that fails, raise at the first bad line.
 
-    Each line parses or fails on its own, so bisection over the lines
-    finds the first one the bulk parse rejects.
+    Each line parses or fails on its own, so bisection over the line
+    boundaries of `data` finds the first one the bulk parse rejects,
+    parsing in place as the bulk call does. The error names that line's
+    byte offset and what `_rows` says of the line alone.
     """
     if start == end:
         return np.empty(0, dtype)
@@ -284,43 +287,20 @@ def _load_rows(
         return _rows(data, start, end, dtype)
     except ValueError:
         pass
-    lines = data[start:end].split(b"\n")
-    if data.endswith(b"\n", start, end):
-        lines.pop()
-    lo, hi = 0, len(lines)          # the first bad line is in lines[lo:hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        block = b"\n".join(lines[lo:mid]) + b"\n"
+    lo, hi = start, end   # data[lo:hi] fails, and no line before lo does
+    while True:
+        half = (lo + hi) // 2   # split at a line start near it; hi when one line is left
+        mid = data.rfind(b"\n", lo, half) + 1 or data.find(b"\n", half, hi - 1) + 1 or hi
         try:
-            _rows(block, 0, len(block), dtype)
-            lo = mid
-        except ValueError:
-            hi = mid
-    line = lines[lo].decode("utf-8", "replace")
-    message = _line_error(section, line, dimension)
-    if message is None:   # int() and float() accept it; say what the bulk parse said
-        try:
-            _rows(lines[lo] + b"\n", 0, len(lines[lo]) + 1, dtype)
+            _rows(data, lo, mid, dtype)
         except ValueError as exc:
-            message = f"bad {section} line {line!r}: {str(exc).split(' at row ')[0]}"
-    raise ParseError(message, start + sum(len(x) + 1 for x in lines[:lo]))
-
-
-def _line_error(section: str, line: str, dimension: int) -> str | None:
-    """What is wrong with one edge or position line, in int()/float() terms."""
-    fields = line.split("\t")
-    try:
-        if section == "edges":
-            source, target = fields
-            int(source), int(target)
-            return None
-        vertex = int(fields[0])
-        [float(c) for c in fields[1:]]
-    except ValueError as exc:
-        return f"bad {section} line {line!r}: {exc}"
-    if len(fields) - 1 != dimension:
-        return f"bad position row for vertex {vertex}"
-    return None
+            if mid == hi:
+                line = data[lo : hi - 1].decode("utf-8", "replace")
+                raise ParseError(f"bad {section} line {line!r}: {str(exc).split(' at row ')[0]}",
+                                 lo) from None
+            hi = mid
+        else:
+            lo = mid
 
 
 def _line_offset(data: bytes, start: int, row: int) -> int:
@@ -334,7 +314,7 @@ def _positions(data: bytes, section: tuple[int, int], params: ModelParams) -> np
     """The (n+1, m) position array; slot 0 stays NaN. Row k must be vertex k's, k = 1..n."""
     start, end = section
     dtype = np.dtype([("vertex", np.int64), ("coords", np.float64, (params.dimension,))])
-    rows = _load_rows(data, "positions", start, end, dtype, params.dimension)
+    rows = _load_rows(data, "positions", start, end, dtype)
     vertex, coords = rows["vertex"], rows["coords"]
     n = params.n
     wrong = np.flatnonzero(vertex != np.arange(1, vertex.size + 1))

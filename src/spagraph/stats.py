@@ -75,9 +75,9 @@ def degree_census(graph: GrownGraph) -> DegreeCensus:
     return DegreeCensus(counts=np.bincount(graph.in_degree[1:]))
 
 
-def ball_centers_grid(m: int, per_axis: int = 3) -> np.ndarray:
-    """Deterministic ball centers: the regular per_axis^m grid on the torus."""
-    axis = (2 * np.arange(per_axis) + 1) / (2 * per_axis)
+def ball_centers_grid(m: int) -> np.ndarray:
+    """Deterministic ball centers: the regular 3^m grid on the torus."""
+    axis = np.array([1, 3, 5]) / 6
     return np.array(list(itertools.product(axis, repeat=m)))
 
 
@@ -140,6 +140,8 @@ def powerlaw_exponent(census: DegreeCensus, d_min: int) -> ExponentFit:
 
 def top_vertices(graph: GrownGraph, top: int) -> np.ndarray:
     """The `top` vertices of highest in-degree, highest first and ties by ascending id."""
+    if top < 0:
+        raise ParameterError(f"top must be >= 0, got {top}")
     return np.argsort(-graph.in_degree[1:], kind="stable")[:top] + 1
 
 
@@ -198,36 +200,33 @@ def trajectory_check(graph: GrownGraph, vertex: int, omega: float | None = None)
 
 
 def curve_slope(
-    curve: Curve, d_lo: float = 0.0, d_hi: float = math.inf, min_count: int = 1
+    curve: Curve, d_lo: float = 0.0, min_count: int = 1
 ) -> tuple[float, float, float]:
     """Least-squares fit of log(mean) against log(d) over usable bins.
 
-    Bins need d in [d_lo, d_hi], at least min_count vertices, and a
-    positive mean (zero means cannot appear on a log-log plot). Returns
-    (slope, intercept, r_squared); requires at least 5 usable bins.
+    Bins need d >= d_lo, at least min_count vertices, and a positive mean
+    (zero means cannot appear on a log-log plot). Returns (slope,
+    intercept, r_squared); requires at least 5 usable bins.
     """
-    x, y = _usable_bins(curve, d_lo, d_hi, min_count)
+    x, y = _usable_bins(curve, d_lo, min_count)
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept), _r_squared(y, slope * x + intercept)
 
 
 def fixed_slope_fit(
-    curve: Curve, slope: float, d_lo: float = 0.0, d_hi: float = math.inf,
-    min_count: int = 1,
+    curve: Curve, slope: float, d_lo: float = 0.0, min_count: int = 1
 ) -> tuple[float, float]:
     """Best intercept and r-squared for a fixed log-log slope."""
-    x, y = _usable_bins(curve, d_lo, d_hi, min_count)
+    x, y = _usable_bins(curve, d_lo, min_count)
     intercept = float(np.mean(y - slope * x))
     return intercept, _r_squared(y, slope * x + intercept)
 
 
-def _usable_bins(curve, d_lo, d_hi, min_count):
-    usable = (
-        (curve.d >= d_lo) & (curve.d <= d_hi) & (curve.count >= min_count) & (curve.mean > 0)
-    )
+def _usable_bins(curve, d_lo, min_count):
+    usable = (curve.d >= d_lo) & (curve.count >= min_count) & (curve.mean > 0)
     have = np.count_nonzero(usable)
     if have < 5:
-        raise UsageError(f"need at least 5 usable bins in [{d_lo}, {d_hi}], have {have}")
+        raise UsageError(f"need at least 5 usable bins with d >= {d_lo}, have {have}")
     return np.log(curve.d[usable]), np.log(curve.mean[usable])
 
 

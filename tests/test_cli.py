@@ -104,6 +104,22 @@ def test_invalid_params_exit_code_1(tmp_path, capsys):
     code = run(["generate", "--n", "10", "--p", "0.9", "--a1", "2.0", "--out", str(tmp_path)])
     assert code == 1
     assert "p*a1" in capsys.readouterr().err
+    # a dimension whose unit ball overflows a float, in every command that grows a graph
+    out = str(tmp_path / "out")
+    for argv in (["generate", "--n", "3", "--dim", "342", "--norm", "l2", "--out", out],
+                 ["verify", "--n", "3", "--dim", "342", "--norm", "l2"],
+                 ["generate", "--n", "3", "--dim", "1024", "--out", out],
+                 ["verify", "--n", "3", "--dim", "1024"],
+                 ["sweep", "--n", "3", "--dim", "1100", "--p-list", "0.5", "--out", out]):
+        assert run(argv) == 1
+        assert "is too large" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    # the largest dimension of each norm grows, verifies and reports
+    for dim, norm in (("341", "l2"), ("1023", "linf")):
+        model = ["--n", "3", "--dim", dim, "--norm", norm]
+        assert run(["generate", *model, "--out", out]) == 0
+        assert run(["verify", *model]) == 0
+        assert run(["stats", os.path.join(out, "spa_n3_p0.7_seed0.tsv"), "--out", out]) == 0
 
 
 def test_unreadable_graph_exit_code_2(tmp_path, capsys):
@@ -633,7 +649,9 @@ def test_bad_omega_mode_exits_1(tmp_path, capsys, omega):
     (b"a2=4.285714285714286\n", b"a2=nan\n", "bad parameter block: a1 and a2 must be finite",
      b"p=0.7\n"),
     (b"%edges\n", b"foo=bar\n%edges\n", "unknown parameter key 'foo'", b"foo=bar\n"),
-], ids=["a2=nan", "unknown key"])
+    (b"dimension=2\n", b"dimension=1000000000\n",
+     "bad parameter block: dimension 1000000000 is too large", b"p=0.7\n"),
+], ids=["a2=nan", "unknown key", "dimension=1e9"])
 def test_bad_header_parameter_exits_2_and_writes_nothing(tmp_path, capsys, old, new, message, at):
     src = str(tmp_path)
     run(["generate", *ARGS, "--seed", "3", "--out", src])

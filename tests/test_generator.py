@@ -70,6 +70,11 @@ def test_param_domain():
         with pytest.raises(ParameterError, match="a1 and a2 must be finite"):
             make(10, p=p, a1=a1, a2=a2)
     make(10, p=1.0, a1=0.99)  # open boundary p*a1 < 1
+    # the dimension's unit ball must have a finite volume
+    for dimension, norm in [(342, Norm.L2), (1024, Norm.LINF), (10 ** 9, Norm.LINF)]:
+        with pytest.raises(ParameterError, match="too large"):
+            make(10, dimension=dimension, norm=norm)
+    make(10, dimension=341, norm=Norm.L2), make(10, dimension=1023, norm=Norm.LINF)
 
 
 def test_integer_params_take_numpy_ints_and_reject_other_types():

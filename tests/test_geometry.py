@@ -216,6 +216,12 @@ def test_volume_domain_errors():
     for norm in Norm:
         with pytest.raises(ParameterError):
             unit_ball_volume(0, norm)
+    # the volume must be a finite float: gamma overflows past m = 341, 2.0 ** m past 1023
+    for m, norm in [(342, Norm.L2), (1024, Norm.LINF), (10 ** 9, Norm.L2), (10 ** 9, Norm.LINF)]:
+        with pytest.raises(ParameterError, match=f"dimension {m} is too large"):
+            unit_ball_volume(m, norm)
+    assert 0.0 < unit_ball_volume(341, Norm.L2) < math.inf
+    assert unit_ball_volume(1023, Norm.LINF) == 2.0 ** 1023
     # the one caller that takes a ball volume from outside is ball_census
     graph = generate(ModelParams(n=10, p=0.7, a1=1.0, a2=1.0))
     for bad in (0.0, -0.5, 1.0001):

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import stat
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -448,6 +450,72 @@ def test_damaged_edge_line_raises_at_its_offset(graph, damage, pick):
     with pytest.raises(ParseError) as info:
         graph_io.parse_graph(damaged)
     assert info.value.byte_offset == start + sum(len(line) + 1 for line in lines[:i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=small_graphs,
+    section=st.sampled_from(["edges", "positions"]),
+    damage=st.sampled_from(
+        ["bad field", "extra field", "missing field", "blank line", "carriage return"]
+    ),
+    pick=st.integers(0, 10 ** 6),
+)
+def test_one_damaged_line_is_named_at_its_own_offset(graph, section, damage, pick):
+    # the line's own offset and text, with numpy's message for that line alone
+    data = graph_io.serialize_graph(graph)
+    start = data.index(f"%{section}\n".encode()) + len(section) + 2
+    end = data.index(b"%positions\n") if section == "edges" else len(data)
+    lines = data[start:end].split(b"\n")[:-1]
+    assume(lines)
+    i = pick % len(lines)
+    fields = lines[i].split(b"\t")
+    if damage == "bad field":
+        fields[pick % len(fields)] = b"x"
+        lines[i] = b"\t".join(fields)
+    elif damage == "extra field":
+        lines[i] += b"\t" + fields[-1]
+    elif damage == "missing field":
+        lines[i] = b"\t".join(fields[:-1])
+    elif damage == "blank line":
+        lines.insert(i, b"")
+    else:
+        lines[i] += b"\r"
+    damaged = data[:start] + b"".join(line + b"\n" for line in lines) + data[end:]
+    quoted = re.escape(repr(lines[i].decode()))
+    with pytest.raises(ParseError, match=f"^bad {section} line {quoted}: [^(]+ \\(byte offset"
+                       ) as info:
+        graph_io.parse_graph(damaged)
+    assert info.value.byte_offset == start + sum(len(line) + 1 for line in lines[:i])
+
+
+def _parse_peak(data: bytes) -> tuple[int, ParseError | None]:
+    """Peak bytes traced while parsing `data`, and the ParseError it raised, if any."""
+    tracemalloc.start()
+    try:
+        graph_io.parse_graph(data)
+        error = None
+    except ParseError as exc:
+        error = exc
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak, error
+
+
+def test_naming_a_bad_line_takes_no_more_memory_than_parsing_the_file():
+    # the bisection parses the file's own bytes in place: no copy or list of its lines
+    data = graph_io.serialize_graph(generate(make(3000, seed=0)))
+    intact, error = _parse_peak(data)
+    assert error is None
+    positions = data.index(b"%positions\n")
+    last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
+    for damaged, offset in [
+        (data[:positions] + b"1\t2\t3\n" + data[positions:], positions),   # the last edge line
+        (data[:-1] + b"\t0.5\n", last_row),                              # the last position row
+    ]:
+        peak, error = _parse_peak(damaged)
+        assert error is not None and error.byte_offset == offset
+        assert peak <= intact
 
 
 @pytest.mark.parametrize("damage,message", [

@@ -199,6 +199,9 @@ def test_top_vertices_break_ties_by_ascending_id():
     ranked = sorted(range(1, 401), key=lambda v: (-graph.in_degree[v], v))
     for top in (1, 5, 20, 399, 400):
         assert stats.top_vertices(graph, top).tolist() == ranked[:top]
+    for top in (-1, -3, -400):   # a slice would give the n - |top| highest
+        with pytest.raises(ParameterError, match="top must be >= 0"):
+            stats.top_vertices(graph, top)
 
 
 def test_ratio_extremes_exact_law():
