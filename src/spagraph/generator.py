@@ -8,15 +8,18 @@ grow with in-degree and shrink with time.
 Positions do not depend on the graph, and a sphere depends only on its own
 vertex's in-degree, so once all positions are drawn each vertex's in-edges
 form an independent process. `generate_many` exploits this: it draws every
-position first, buckets them once into one key array sorted by cell side,
-cell and step, and walks each vertex forward through doubling windows,
-testing the model's membership expression on each step it gathers and
-reading the coin of (step, vertex) only when the vertex covers the step.
+position first, buckets them once per cell side into int32 rows ordered
+by cell and step, beside a table of where each cell's time buckets (each
+half a doubling of t) start, and walks each vertex forward through
+windows that end where a bucket ends, so a cell's steps in a window are
+one range read from the table. It tests the model's membership expression on each step
+it gathers and reads the coin of (step, vertex) only when the vertex
+covers the step.
 Each round resolves every vertex's in-order scan at once, in a few numpy
 passes that each hash the newly covered steps' coin words in one batch; a
 word read past a vertex's restart is kept for its next round, so every
-coin word the walk reads is hashed once (n = 10^5 in 2.4-3.7 s and
-n = 10^6 in 33-35 s on one core of a 2-vCPU Xeon virtual machine). Positions and
+coin word the walk reads is hashed once (n = 10^5 in 2.6-3.7 s and
+n = 10^6 in 32-36 s on one core of a 2-vCPU Xeon virtual machine). Positions and
 coin words depend only on the seed, so models that differ only in p, a1
 and a2 share the positions, the grid and, block by block, every coin
 word already hashed (a nine-p sweep at n = 2000 hashes 195,068 words
@@ -213,8 +216,14 @@ class GrownGraph:
         bad = first_bad_edge(n, edges)
         if bad is not None:
             raise UsageError(bad[1])
+        # out_ptr[s + 1] counts source s's edges, then their running sum; the
+        # sources ascend, so each block's counts fill one slice, and no
+        # temporary is E-sized (a strided edges[:, 0] would be copied whole)
         out_ptr = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(np.bincount(edges[:, 0], minlength=n + 1), out=out_ptr[1:])
+        for lo in range(0, len(edges), _FILL):
+            sources = edges[lo : lo + _FILL, 0]
+            out_ptr[sources[0] + 1 : sources[-1] + 2] += np.bincount(sources - sources[0])
+        np.cumsum(out_ptr, out=out_ptr)
         if positions is None:
             positions = _draw_positions(params, CounterStream(params.seed))
         positions = np.asarray(positions, dtype=float)
@@ -385,60 +394,123 @@ def _grow(params: ModelParams, index) -> GrownGraph:
 # Given all positions, vertex u's in-edges depend only on u's own degree:
 # u covers x_t at degree k iff Q <= min((a1*k + a2) / (t-1), 1) with
 # Q = needed_volume(x_u, x_t). Each u therefore walks forward through
-# windows t in [s, 2s]: it gathers from a static grid every step whose
-# position lies within the radius for a degree bound K >= k, keeps those
-# covered at degree K, and scans them in t order, testing Q against u's
-# sphere at its current degree and reading the coin at (t, u) only for a
-# step it covers. Once the degree passes K the window restarts just after
-# that step. A round gathers for a block of vertices, each at the level its
-# radius picks, with one search of the grid's single key array, and
-# `_resolve` does all the block's scans at once, as a fixed point.
+# windows [s, e] that end where a time bucket ends, at most at 2s: it
+# gathers from a static grid every step whose position lies within the
+# radius for a degree bound K >= k, keeps those covered at degree K, and
+# scans them in t order, testing Q against u's sphere at its current degree
+# and reading the coin at (t, u) only for a step it covers. Once the degree
+# passes K the window restarts just after that step. A round gathers for a
+# block of vertices, each at the level its radius picks, reading where each
+# cell's steps lie from the grid's offsets table, and `_resolve` does all
+# the block's scans at once, as a fixed point.
 # Rows of (k, m) arrays are read with take(axis=0), not a[idx]: with m this
 # small, 2-D fancy indexing costs 10x more (157 gathers of 10.5k rows: 0.036
 # s against 0.003 s on a 2.1 GHz Xeon VM), as do .all(axis=-1) and int64 @.
 
 BLOCK = 512            # vertices advanced in lockstep
-MAX_PAIRS = 32_768     # (vertex, step) pairs gathered per round, unless one vertex needs more
+MAX_PAIRS = 32_768     # grid entries read per round, unless one vertex needs more
 _MAX_CELLS = 3 ** 6    # cells per query; beyond this every query scans its whole window
+_SPLIT = 2             # time buckets per doubling of t: a window reads under s / 2 steps before s
+_TABLE = 16            # offsets per vertex the grid's table may hold; finer levels are dropped
+
+
+def _bucket(t):
+    """The time bucket of each step t >= 1, as int64.
+
+    Bucket _SPLIT * j + i holds the steps t in [2^j (1 + i / _SPLIT),
+    2^j (1 + (i + 1) / _SPLIT)), so a bucket from 2^j on holds at most
+    2^j / _SPLIT steps; some buckets below t = _SPLIT hold none.
+    """
+    mantissa, exponent = np.frexp(t)   # t = mantissa * 2^exponent, mantissa in [1/2, 1)
+    return ((exponent - 1).astype(np.int64) * _SPLIT
+            + (mantissa * (2 * _SPLIT)).astype(np.int64) - _SPLIT)
+
+
+def _bucket_start(b: np.ndarray) -> np.ndarray:
+    """The first step of each bucket b, or of an empty one the first step after it."""
+    octave, part = np.divmod(b, _SPLIT)
+    return np.left_shift(1, octave) + (np.left_shift(part, octave) + _SPLIT - 1) // _SPLIT
+
+
+def _window_end(s: np.ndarray, n: int) -> np.ndarray:
+    """The last step of the window from step s: the last bucket end at or before 2s, or n.
+
+    The window ends 0.6 s to s steps after s, so a walk takes about as many
+    rounds as with windows [s, 2s]; one that follows a whole window starts
+    where a bucket starts, and reads no step before its s.
+    """
+    return np.minimum(_bucket_start(_bucket(2 * s + 1)) - 1, n)
 
 
 class _StaticGrid:
-    """All positions, bucketed once per cell side 2^-l into one ascending key array.
+    """All positions, bucketed once per cell side 2^-l, and a table of where each bucket starts.
 
-    Cells are numbered across levels: level l's 2^(m*l) cells follow those
-    of every coarser level, from first_cell[l], and step t in cell c of
-    level l has the key (first_cell[l] + c) * (n + 1) + t. So the steps in
-    [s, e] whose position lies in one cell form a contiguous run, and one
-    search finds the runs of every query, each at its own level. A query
-    reads the runs of every cell that meets the box of half-width r around
-    its center; the level only trades cells per query against steps
-    gathered, so any level gives the same (complete) answer.
+    Level l cuts the torus into 2^(m*l) cells and holds every step in one
+    int32 row of n, ordered by cell and then by step, which is to say by
+    (cell, time bucket, step) (see `_bucket`). An int32 offsets table,
+    indexed by (level, cell, bucket), holds where each cell's bucket starts
+    in the rows, so the steps of a cell in a window [s, e] lie in one range
+    of its row, from the start of s's bucket to the end of e's, read from the
+    table without a search. The range can also hold steps of those buckets
+    outside [s, e], which `steps` drops. A bucket whose queries, even at the
+    smallest sphere of the grid's model, all pick a level coarser than l is
+    merged at level l with every bucket before it into one prefix bucket:
+    the finest levels, whose cells are many, keep few buckets each, and the
+    table stays O(n). A query reads the ranges of every cell that meets the
+    box of half-width r around its center; the level only trades cells per
+    query against steps gathered, so any level gives the same (complete)
+    answer.
     """
 
     def __init__(self, positions: np.ndarray, params: ModelParams):
         n, m = params.n, params.dimension
         self.positions = positions
-        self.n1 = n + 1
         self._unit = unit_ball_volume(m, params.norm)
         self._m = m
-        levels = 1
-        if 3 ** m <= _MAX_CELLS:
-            # No query is finer than a fresh vertex's sphere at step n, and every
-            # key, below 2^(m * levels) * (n + 1), must fit in an int64.
-            smallest = self.radii(np.array([sphere_volume(0, max(n - 1, 1), params)]))
-            finest = int(np.floor(-np.log2(smallest[0])))
-            levels = 1 + min(max(finest, 0), (62 - self.n1.bit_length()) // m)
-        sizes = np.left_shift(1, m * np.arange(levels, dtype=np.int64))
-        self._first_cell = np.cumsum(sizes) - sizes
-        # one (levels, n) allocation: each row sorted and above the row before
-        keys = np.empty((levels, n), dtype=np.int64)
-        for level, row in enumerate(keys):
+        buckets = int(_bucket(n)) + 1
+        # The finest level any query starting in bucket b picks, that of a fresh
+        # vertex's sphere at the bucket's last query time, one step before its end.
+        last = np.clip(_bucket_start(np.arange(1, buckets + 1)) - 2, 1, max(n - 1, 1))
+        radii = self.radii(sphere_volume(0, last.astype(float), params))
+        finest = np.maximum(np.floor(-np.log2(radii)), 0)
+        # Level l merges the buckets finest[b] < l into its prefix bucket. No level is
+        # finer than the last bucket's, and levels stop before the table passes
+        # _TABLE * (n + 1) offsets.
+        widths, size = [], 0
+        for level in range(1 + int(finest[-1]) if 3 ** m <= _MAX_CELLS else 1):
+            width = buckets - max(int(np.count_nonzero(finest < level)) - 1, 0)
+            if level and size + (width << (m * level)) > _TABLE * (n + 1):
+                break
+            widths.append(width)
+            size += width << (m * level)
+        levels = len(widths)
+        self._width = np.array(widths, dtype=np.int64)   # table slots per cell, at each level
+        self._shift = buckets - self._width   # bucket b is slot max(b - shift, 0) of its cell
+        slots = self._width << (m * np.arange(levels))   # table slots at each level
+        self._base = np.cumsum(slots) - slots   # each level's first slot
+        dtype = np.int32 if levels * n < 2 ** 31 else np.int64
+        steps = np.arange(1, n + 1)
+        bucket = _bucket(steps)
+        self._steps = np.empty((levels, n), dtype=dtype)
+        self._offsets = np.empty(size + 1, dtype=dtype)   # ends with the end of the last row
+        self._offsets[-1] = levels * n
+        for level, row in enumerate(self._steps):
             side = 1 << level
-            cells = np.minimum((positions[1:] * side).astype(np.int64), side - 1)
-            np.add((self._first_cell[level] + self._flat(cells, side)) * self.n1,
-                   np.arange(1, self.n1), out=row)
-            row.sort()
-        self._keys = keys.reshape(-1)
+            cells = self._flat(np.minimum((positions[1:] * side).astype(np.int64), side - 1), side)
+            slots = np.maximum(bucket - self._shift[level], 0)
+            slots += cells * self._width[level]
+            counts = np.bincount(slots, minlength=self._width[level] << (m * level))
+            del slots
+            table = self._offsets[self._base[level] : self._base[level] + counts.size]
+            np.cumsum(counts, out=table)
+            table -= counts
+            del counts
+            table += level * n
+            cells *= n + 1   # keys: one sort orders the row by cell, then step
+            cells += steps
+            cells.sort()
+            np.remainder(cells, n + 1, out=row, casting="unsafe")
+        self._steps = self._steps.reshape(-1)
 
     def radii(self, volumes: np.ndarray) -> np.ndarray:
         """Half-widths of boxes holding every point of each ball.
@@ -450,13 +522,15 @@ class _StaticGrid:
     def levels(self, radii: np.ndarray) -> np.ndarray:
         """Finest level whose cell side is at least each radius: 3^m cells or fewer."""
         levels = np.floor(-np.log2(radii))
-        return np.clip(levels, 0, self._first_cell.size - 1).astype(np.int64)
+        return np.clip(levels, 0, self._width.size - 1).astype(np.int64)
 
     def runs(self, levels, centers, radii, s, e):
-        """Key index runs [lo, hi) of the steps in [s, e] near each center.
+        """Index ranges [lo, hi) of the steps near each center, in the buckets of s to e.
 
         Row i is queried at level levels[i]. Returns (row, lo, hi), one entry
-        per non-empty cell run, ascending by row, where row indexes `centers`.
+        per non-empty cell range, ascending by row, where row indexes
+        `centers`. A range holds every step of [s[i], e[i]] in its cell, and
+        can hold other steps of the same buckets.
         """
         side = np.left_shift(1, levels)   # cells a side at each row's level
         first = np.floor((centers - radii[:, None]) * side[:, None]).astype(np.int64)
@@ -470,16 +544,31 @@ class _StaticGrid:
         for j in range(1, self._m):
             inside &= offsets[:, j] < counts[:, None, j]
         row, cell = np.nonzero(inside)
+        # each row's cell 0 slots of bucket(s) and of the bucket after e's
+        shift, width = self._shift.take(levels), self._width.take(levels)
+        base = self._base.take(levels)
+        start = base + np.maximum(_bucket(s) - shift, 0)
+        stop = base + np.maximum(_bucket(e) - shift, 0) + 1
         side = side.take(row)
         cells = (first.take(row, axis=0) + offsets.take(cell, axis=0)) % side[:, None]
-        base = (self._first_cell.take(levels.take(row)) + self._flat(cells, side)) * self.n1
-        lo = np.searchsorted(self._keys, base + s.take(row))
-        hi = np.searchsorted(self._keys, base + e.take(row), side="right")
+        slot = self._flat(cells, side) * width.take(row)
+        lo = self._offsets.take(start.take(row) + slot)
+        hi = self._offsets.take(stop.take(row) + slot)
         nonempty = hi > lo
         return row[nonempty], lo[nonempty], hi[nonempty]
 
-    def steps(self, index: np.ndarray) -> np.ndarray:
-        return self._keys.take(index) % self.n1
+    def steps(self, row, lo, hi, s, e):
+        """(owners, steps): the steps of the ranges [lo, hi) that lie in [s, e] of their row.
+
+        Owners are ascending, as the ranges are by row; steps are int64.
+        """
+        sizes = hi - lo
+        ends = np.cumsum(sizes)
+        index = np.arange(ends[-1] if ends.size else 0) + np.repeat(lo - ends + sizes, sizes)
+        owners, steps = np.repeat(row, sizes), self._steps.take(index)
+        s, e = s.astype(steps.dtype), e.astype(steps.dtype)
+        inside = np.flatnonzero((steps >= s.take(owners)) & (steps <= e.take(owners)))
+        return owners.take(inside), steps.take(inside).astype(np.int64)
 
     def _flat(self, cells: np.ndarray, side) -> np.ndarray:
         """Row-major cell number of each row of (k, m) cell coordinates, `side` cells a side."""
@@ -537,7 +626,7 @@ def _advance_block(first: int, stop: int, grid: _StaticGrid, stream: CounterStre
     while u.size:
         # headroom that grows with the degree keeps restarts per vertex logarithmic
         bound = k + np.maximum(4, k // 2)
-        e = np.minimum(2 * s, n)
+        e = _window_end(s, n)
         take, owners, steps = _gather(grid, u, s, e, bound, params)
         positions = grid.positions
         q = needed_volume(positions.take(u.take(owners), axis=0), positions.take(steps, axis=0),
@@ -622,16 +711,14 @@ def _gather(grid: _StaticGrid, u, s, e, bound, params: ModelParams):
     Returns (take, owners, steps): for every row i < take, each step in
     [s[i], e[i]] whose position lies in the box around u[i] that holds
     u[i]'s sphere at degree bound[i] and time s[i] - 1, its largest in
-    the window. Rows are taken while the pairs stay within MAX_PAIRS.
+    the window. Rows are taken while the grid entries they read stay
+    within MAX_PAIRS.
     """
     volumes = sphere_volume(bound, (s - 1).astype(float), params)
     radii = grid.radii(volumes)
     centers = grid.positions.take(u, axis=0)
     row, lo, hi = grid.runs(grid.levels(radii), centers, radii, s, e)
-    pairs = np.bincount(row, hi - lo, minlength=u.size)
-    take = max(1, int(np.searchsorted(np.cumsum(pairs), MAX_PAIRS, side="right")))
+    entries = np.bincount(row, hi - lo, minlength=u.size)
+    take = max(1, int(np.searchsorted(np.cumsum(entries), MAX_PAIRS, side="right")))
     keep = row < take
-    row, lo, sizes = row[keep], lo[keep], hi[keep] - lo[keep]
-    ends = np.cumsum(sizes)
-    index = np.arange(ends[-1] if ends.size else 0) + np.repeat(lo - ends + sizes, sizes)
-    return take, np.repeat(row, sizes), grid.steps(index)
+    return (take, *grid.steps(row[keep], lo[keep], hi[keep], s, e))

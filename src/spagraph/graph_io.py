@@ -304,10 +304,21 @@ def _load_rows(data: bytes, section: str, start: int, end: int, dtype: np.dtype)
 
 
 def _line_offset(data: bytes, start: int, row: int) -> int:
-    """Byte offset of line `row` (0-based) of the section starting at `start`."""
-    for _ in range(row):
-        start = data.index(b"\n", start) + 1
-    return start
+    """Byte offset of line `row` (0-based) of the section starting at `start`.
+
+    Line `row` starts just after the row-th newline from `start`, so
+    bisection on the newline count of data[start:mid] finds it, counting
+    in place as `_load_rows` parses in place.
+    """
+    lo, hi, below = start, len(data), 0   # data[start:lo] holds `below` < row newlines
+    while row and hi - lo > 1:              # and data[start:hi] holds at least row
+        mid = (lo + hi) // 2
+        seen = below + data.count(b"\n", lo, mid)
+        if seen < row:
+            lo, below = mid, seen
+        else:
+            hi = mid
+    return hi if row else start
 
 
 def _positions(data: bytes, section: tuple[int, int], params: ModelParams) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,28 @@ def test_from_edges_round_trip_and_validation():
         GrownGraph.from_edges(params, [(4, 3), (2, 1)])
 
 
+def test_from_edges_takes_no_edge_or_vertex_sized_temporary():
+    # a strided (E, 2) array, as parsing gives: a whole-column bincount would copy its
+    # sources and count into an n-sized array, 7.6 MB each here, where blocks take 0.5 MB
+    n = 10 ** 6
+    rows = np.empty((n - 1, 3), dtype=np.int64)
+    rows[:, 0] = np.arange(2, n + 1)
+    rows[:, 1] = rows[:, 0] - 1
+    edges = rows[:, :2]
+    assert not edges.flags.c_contiguous
+    positions = np.full((n + 1, 2), 0.5)
+    tracemalloc.start()
+    try:
+        graph = GrownGraph.from_edges(make(n), edges, positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.out_degree[1:].tolist() == [0] + [1] * (n - 1)
+    assert np.array_equal(graph.out_targets, rows[:, 1])
+    kept = graph.out_ptr.nbytes + graph.out_targets.nbytes
+    assert peak <= kept + 4 * 8 * generator._FILL
+
+
 def scanned_bad_edge(n, edges):
     """first_bad_edge's answer from one pass over the edges as Python pairs."""
     previous = None
@@ -264,6 +287,11 @@ ORACLE_GRID = [
     # the largest dimensions that still use the grid (3^6 cells = _MAX_CELLS)
     make(500, seed=10, dimension=4, norm=Norm.L2),
     make(500, seed=11, dimension=6),
+    # the level cap, where one more level would pass the grid's table
+    *(make(300, seed=12 + m, p=1.0, a1=0.5, a2=1e-300, dimension=m) for m in range(2, 7)),
+    # a last time bucket of two steps, 2^k and 2^k + 1
+    make(1025, seed=18),
+    make(2049, seed=19, p=0.3, a1=1.5, a2=40.0, dimension=3, norm=Norm.L2),
 ]
 
 
@@ -291,6 +319,32 @@ def test_vertex_centric_equals_naive_property(params):
     assert_same_graph(generate(params), generate_naive(params))
 
 
+def test_time_buckets_and_window_ends():
+    t = np.arange(1, 2 ** 16 + 1)
+    bucket = generator._bucket(t)
+    assert (np.diff(bucket) >= 0).all()
+    # _bucket_start(b) is the first step in bucket b or after it
+    b = np.arange(bucket[-1] + 1)
+    assert np.array_equal(generator._bucket_start(b), t[np.searchsorted(bucket, b)])
+    # a bucket from 2^j on holds at most 2^j / _SPLIT steps
+    sizes = np.bincount(bucket)
+    octave = np.floor(np.log2(t[np.searchsorted(bucket, b)]))
+    assert (sizes[b] <= np.maximum(2 ** octave // generator._SPLIT, 1)).all()
+    # a window ends at a bucket end, within [s, 2s], or at n
+    s = t[: 2 ** 15]
+    e = generator._window_end(s, 2 ** 16)
+    assert ((s <= e) & (e <= 2 * s)).all()
+    assert (generator._bucket(e + 1) > generator._bucket(e)).all()
+    assert np.array_equal(generator._window_end(s, 1000), np.minimum(e, 1000))
+
+
+def grid_cells(positions, level, dimension):
+    """Row-major cell number of each position at a level of `_StaticGrid`."""
+    side = 1 << level
+    cells = np.minimum((positions * side).astype(np.int64), side - 1)
+    return np.ravel_multi_index(tuple(cells.T), (side,) * dimension)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 200),
@@ -300,12 +354,15 @@ def test_vertex_centric_equals_naive_property(params):
     snap=st.integers(0, 4),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-# a2 = 1e-300 takes the level count to its int64 cap, (62 - bit_length(n + 1)) // m
+# a2 = 1e-300 merges no bucket and takes the level count to its cap: one more
+# level would pass the table's _TABLE * (n + 1) offsets
 @example(n=2, dimension=2, norm=Norm.LINF, a2=1e-300, snap=0, seed=0)
 @example(n=300, dimension=3, norm=Norm.L2, a2=1e-300, snap=0, seed=1)
 @example(n=5000, dimension=4, norm=Norm.L2, a2=1e-300, snap=2, seed=2)
 @example(n=300, dimension=5, norm=Norm.LINF, a2=1e-300, snap=0, seed=3)
 @example(n=2, dimension=6, norm=Norm.L2, a2=1e-300, snap=0, seed=4)
+# prefix buckets at the finer levels, and windows across several buckets
+@example(n=4000, dimension=2, norm=Norm.LINF, a2=30 / 7, snap=0, seed=5)
 def test_static_grid_runs_hold_every_covered_step_at_every_level(
     n, dimension, norm, a2, snap, seed
 ):
@@ -317,11 +374,38 @@ def test_static_grid_runs_hold_every_covered_step_at_every_level(
         positions[1:] = np.floor(positions[1:] * 2 ** snap) / 2 ** snap
     params = make(n, a2=a2, dimension=dimension, norm=norm)
     grid = _StaticGrid(positions, params)
-    levels = grid._first_cell.size
+    levels, buckets = grid._width.size, int(generator._bucket(n)) + 1
+    cap = generator._TABLE * (n + 1)
+    # each level's int32 row holds steps 1..n by (cell, step), and the O(n) int32
+    # table starts each (cell, bucket) slot, the prefix bucket's included
+    assert grid._steps.dtype == grid._offsets.dtype == np.int32
+    assert grid._offsets.size - 1 <= max(cap, buckets)
+    assert grid._offsets[-1] == levels * n
+    for level, row in enumerate(grid._steps.reshape(levels, n)):
+        cells = grid_cells(positions[row], level, dimension)
+        assert np.array_equal(np.sort(row), np.arange(1, n + 1))
+        assert (np.diff(cells * (n + 1) + row) > 0).all()
+        width = grid._width[level]
+        slots = cells * width + np.maximum(generator._bucket(row) - grid._shift[level], 0)
+        table = grid._offsets[grid._base[level] : grid._base[level] + (width << dimension * level)]
+        assert np.array_equal(table - level * n, np.searchsorted(slots, np.arange(table.size)))
+    # level l merges into its prefix bucket the buckets where even the smallest
+    # sphere, at the bucket's last query time, picks a level coarser than l
+    t = np.arange(1, n + 1)
+    last = np.clip(np.searchsorted(generator._bucket(t), np.arange(buckets), side="right") - 1,
+                   1, max(n - 1, 1))
+    finest = np.maximum(np.floor(-np.log2(grid.radii(sphere_volume(0, last * 1.0, params)))), 0)
+    for level in range(levels):
+        assert grid._shift[level] == max(np.count_nonzero(finest < level) - 1, 0)
+        assert grid._width[level] == buckets - grid._shift[level]
     if a2 == 1e-300:
-        assert levels == 1 + (62 - (n + 1).bit_length()) // dimension
-    assert (np.diff(grid._keys) > 0).all()
-    k = 4
+        assert (grid._width == buckets).all()
+
+        def size(count):
+            return buckets * sum(1 << (dimension * level) for level in range(count))
+
+        assert (levels == 1 or size(levels) <= cap) and size(levels + 1) > cap
+    k = 6
     centers = positions[rng.integers(1, n + 1, size=k)]
     # random volumes, or balls whose surface passes exactly through a position,
     # and last the smallest ball a walk queries, which sets the finest level
@@ -333,6 +417,11 @@ def test_static_grid_runs_hold_every_covered_step_at_every_level(
     volumes[-1] = sphere_volume(0, max(n - 1, 1), params)
     s = rng.integers(1, n + 1, size=k)
     e = rng.integers(s, n + 1)
+    # a window from the last step of one octave into the next, across a bucket end,
+    # and one from step 1, which lies in the prefix bucket of every level that merges
+    b = rng.integers(0, n.bit_length())
+    s[-3], e[-3] = max((1 << b) - 1, 1), min((2 << b) + 1, n)
+    s[-2], e[-2] = 1, rng.integers(1, n + 1)
     radii = grid.radii(volumes)
     # Above a row's own level its box meets up to (2 r 2^l + 2)^m cells; each
     # row is forced through the levels where that stays within 2^16.
@@ -340,18 +429,26 @@ def test_static_grid_runs_hold_every_covered_step_at_every_level(
     allowed = spans ** dimension <= 2 ** 16
     allowed[:, 0] = True
 
-    def gathered(row, lo, hi, i):
-        got = [grid.steps(np.arange(a, b)) for a, b in zip(lo[row == i], hi[row == i])]
-        return np.concatenate([np.empty(0, dtype=np.int64), *got])
+    def gathered(runs, window, i):
+        """Row i's steps as its ranges hold them, and as `steps` trims them to [s, e]."""
+        row, lo, hi = runs
+        held = [grid._steps[a:b] for a, b in zip(lo[row == i], hi[row == i])]
+        owners, steps = grid.steps(row, lo, hi, *window)
+        return np.concatenate([np.empty(0, dtype=np.int32), *held]), steps[owners == i]
 
     by_level = {}
     for level in range(levels):
         rows = np.flatnonzero(allowed[:, level])
         runs = grid.runs(np.full(rows.size, level), centers[rows], radii[rows], s[rows], e[rows])
         for j, i in enumerate(rows):
-            got = by_level[level, i] = gathered(*runs, j)
-            assert np.unique(got).size == got.size
-            assert ((got >= s[i]) & (got <= e[i])).all()
+            held, got = gathered(runs, (s[rows], e[rows]), j)
+            by_level[level, i] = got
+            assert np.unique(held).size == held.size
+            # ranges end with e's bucket, or with the prefix bucket, buckets 0..shift,
+            # and the trim drops only steps outside [s, e]
+            last = max(generator._bucket(e[i]), grid._shift[level])
+            assert (generator._bucket(held) <= last).all()
+            assert np.array_equal(got, held[(held >= s[i]) & (held <= e[i])])
             window = np.arange(s[i], e[i] + 1)
             covered = window[needed_volume(positions[window], centers[i], norm) <= volumes[i]]
             assert np.isin(covered, got).all(), f"level {level} misses steps"
@@ -359,7 +456,7 @@ def test_static_grid_runs_hold_every_covered_step_at_every_level(
     mixed = rng.integers(0, allowed.sum(axis=1))
     runs = grid.runs(mixed, centers, radii, s, e)
     for i in range(k):
-        assert np.array_equal(gathered(*runs, i), by_level[mixed[i], i])
+        assert np.array_equal(gathered(runs, (s, e), i)[1], by_level[mixed[i], i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,22 +481,23 @@ def test_gather_takes_a_maximal_prefix_of_complete_rows(n, dimension, norm, a2, 
     grid = _StaticGrid(positions, params)
     u = np.sort(rng.choice(np.arange(1, n), size=min(rows, n - 1), replace=False))
     s = rng.integers(u + 1, n + 1)
-    e = np.minimum(2 * s, n)
+    # windows to 2s, most across a bucket boundary, or ending at a bucket end as the walk's
+    e = np.where(rng.random(u.size) < 0.5, np.minimum(2 * s, n), generator._window_end(s, n))
     bound = rng.integers(0, 20, size=u.size)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(generator, "MAX_PAIRS", cap)
         take, owners, steps = _gather(grid, u, s, e, bound, params)
+    # the grid entries each row reads, before the trim to [s, e]: the cap counts these
+    radii = grid.radii(sphere_volume(bound, (s - 1).astype(float), params))
+    row, lo, hi = grid.runs(grid.levels(radii), positions[u], radii, s, e)
+    entries = np.bincount(row, hi - lo, minlength=u.size)
     assert 1 <= take <= u.size
     assert owners.size == steps.size and ((owners >= 0) & (owners < take)).all()
     assert owners.size <= cap or take == 1
-    sizes = np.zeros(u.size, dtype=np.int64)
-    for i in range(u.size):
-        # every row's steps, whether or not the cap lets the row in
-        rest = _gather(grid, u[i:i + 1], s[i:i + 1], e[i:i + 1], bound[i:i + 1], params)[2]
-        sizes[i] = rest.size
-        if i >= take:
-            continue
+    assert entries[:take].sum() <= cap or take == 1
+    for i in range(take):
         got = steps[owners == i]
+        rest = _gather(grid, u[i:i + 1], s[i:i + 1], e[i:i + 1], bound[i:i + 1], params)[2]
         assert np.array_equal(np.sort(got), np.sort(rest))
         assert np.unique(got).size == got.size
         assert ((got >= s[i]) & (got <= e[i])).all()
@@ -408,7 +506,7 @@ def test_gather_takes_a_maximal_prefix_of_complete_rows(n, dimension, norm, a2, 
         covered = window[q <= sphere_volume(bound[i], float(s[i] - 1), params)]
         assert np.isin(covered, got).all()
     # maximal: one more row would pass the cap
-    assert take == u.size or sizes[: take + 1].sum() > cap
+    assert take == u.size or entries[: take + 1].sum() > cap
 
 
 def test_index_factory_runs_the_step_centric_walk():
@@ -462,8 +560,8 @@ def long_run():
 
 @pytest.mark.parametrize("short", [1, 2, 3, 63, 64, 65, 511, 512, 513, 700, 1000])
 def test_shorter_run_is_exact_prefix(long_run, short):
-    # windows end at 2s clipped to n; the clip must not change earlier steps,
-    # so out-edges never change after their birth step
+    # windows end where a time bucket ends, clipped to n; the clip must not change
+    # earlier steps, so out-edges never change after their birth step
     assert_same_graph(long_run.prefix(short), generate(make(short, seed=13)))
 
 

@@ -518,6 +518,55 @@ def test_naming_a_bad_line_takes_no_more_memory_than_parsing_the_file():
         assert peak <= intact
 
 
+@pytest.fixture(scope="module")
+def large_file():
+    return graph_io.serialize_graph(generate(make(3000, seed=0)))
+
+
+def _swap_lines(data: bytes, first: int) -> bytes:
+    """`data` with the line starting at `first` and the line after it swapped."""
+    second = data.index(b"\n", first) + 1
+    end = data.index(b"\n", second) + 1
+    return data[:first] + data[second:end] + data[first:second] + data[end:]
+
+
+@pytest.mark.parametrize("damage", ["edge out of order", "position row out of place",
+                                    "coordinate outside [0, 1)"])
+def test_a_check_failing_near_the_end_of_a_large_section_names_its_line(large_file, damage):
+    # rows that parse but fail a whole-array check, thousands of lines into their section
+    data, n = large_file, 3000
+    positions = data.index(b"%positions\n")
+    last_edge = data.rindex(b"\n", 0, positions - 1) + 1
+    last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
+    second_last_row = data.rindex(b"\n", 0, last_row - 1) + 1
+    if damage == "edge out of order":
+        second_last_edge = data.rindex(b"\n", 0, last_edge - 1) + 1
+        damaged = _swap_lines(data, second_last_edge)
+        offset = second_last_edge + (positions - last_edge)   # where the smaller edge lands
+        message = "inconsistent edge list: edge .* out of generation order"
+    elif damage == "position row out of place":
+        damaged, offset = _swap_lines(data, second_last_row), second_last_row
+        message = f"position row for vertex {n} where vertex {n - 1}'s belongs"
+    else:
+        vertex, rest = data[last_row:].split(b"\t", 1)
+        damaged = data[:last_row] + vertex + b"\t1.0\t" + rest.split(b"\t", 1)[1]
+        offset, message = last_row, f"position of vertex {n} outside \\[0, 1\\)"
+    assert data.count(b"\n", 0, offset) > 2 * n   # far past the first lines
+    with pytest.raises(ParseError, match=message) as info:
+        graph_io.parse_graph(damaged)
+    assert info.value.byte_offset == offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(st.binary(max_size=5).filter(lambda b: b"\n" not in b), max_size=40),
+       head=st.binary(max_size=5).filter(lambda b: b"\n" not in b), data=st.data())
+def test_line_offset_equals_a_scan_of_the_lines(lines, head, data):
+    text = head + b"\n" + b"".join(line + b"\n" for line in lines)
+    start = len(head) + 1
+    row = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+    assert graph_io._line_offset(text, start, row) == start + sum(len(x) + 1 for x in lines[:row])
+
+
 @pytest.mark.parametrize("damage,message", [
     ("blank line", "bad edges line ''"),
     ("trailing blank line", "bad positions line ''"),
