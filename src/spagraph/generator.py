@@ -26,14 +26,12 @@ word already hashed (a nine-p sweep at n = 2000 hashes 195,068 words
 instead of 521,630). `generate` is its one-model case.
 `generate_naive` is the step-centric O(n^2) oracle: step t asks a
 linear-scan `SphereIndex` which prior spheres, at their volumes for time
-t - 1, cover the newcomer.
-Passing `index_factory` to `generate` runs the same step-centric walk
-over an index of the caller's choosing (`SphereIndex` or a subclass),
-which keeps a seam for injecting a broken or instrumented index. All
-paths read the same counter-based streams and compare the same
-membership expression, so for equal parameters and seed they produce
-bit-identical graphs; any disagreement is a bug. Each returns a `GrownGraph`
-that stores out-edges and positions and builds its other views on first read.
+t - 1, cover the newcomer; `generate(params, index_factory)` runs that
+walk over any such index. All paths read the same counter-based streams
+and compare the same membership expression, so for equal parameters and
+seed they produce bit-identical graphs; any disagreement is a bug. Each
+returns a `GrownGraph` that stores out-edges and positions and builds its
+other views on first read.
 """
 
 from __future__ import annotations

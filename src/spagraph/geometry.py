@@ -77,8 +77,8 @@ def needed_volume(centers, x, norm: Norm) -> np.ndarray:
     expression against a volume: `SphereIndex` (through `ball_contains`),
     the generator's vertex-centric walk, `verify.vertex_walk` and
     `stats.ball_census`. Powers are left-to-right chains of `*`, correctly
-    rounded in every numpy kernel as numpy's `**` is not, so every CPU and
-    every input shape gets the same bits.
+    rounded in every numpy kernel as numpy's `**` is not, and the L2 sum
+    runs in one order, so every CPU, input shape and layout gets the same bits.
     """
     centers = np.asarray(centers, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -88,9 +88,9 @@ def needed_volume(centers, x, norm: Norm) -> np.ndarray:
     d = torus_diffs(centers, x)
     if norm is Norm.LINF:
         return reduce(operator.mul, [2.0 * _column_max(d)] * m)
-    # the L2 sum stays one reduction: summing in another order could change
-    # the last bit for m >= 3
-    s = (d * d).sum(axis=-1)
+    # one reduction along a contiguous last axis: summing in another order, as
+    # numpy does over a column-major d from m = 8 on, can change the last bit
+    s = np.ascontiguousarray(d * d).sum(axis=-1)
     powered = reduce(operator.mul, [s] * (m // 2) + [np.sqrt(s)] * (m % 2))
     return unit_ball_volume(m, Norm.L2) * powered
 

@@ -1,14 +1,11 @@
 """Linear-scan index over spheres of influence on the torus.
 
-Answers "which inserted vertices' spheres contain the point x at time t"
-by testing every inserted vertex, O(t) per query. `generate_naive` walks
-steps over this index, and `generate` does so too when it is passed
-`index_factory`, the seam through which harnesses inject a broken or
-instrumented index (a subclass of `SphereIndex`); its default
-vertex-centric walk needs no dynamic index.
-
-Each entry stores its sphere's volume numerator w; a query at time t
-tests membership at volume min(w / t, 1).
+Each entry stores its sphere's volume numerator w; `covering_spheres(x, t)`
+tests every inserted vertex at volume min(w / t, 1), O(t) per query.
+`generate_naive` walks steps over this index, and `generate` does so too
+when passed `index_factory`, the seam through which harnesses inject a
+broken or instrumented subclass. Centres are stored column-major, so the
+numpy loops of a query run along the t entries, not along the m axes.
 """
 
 from __future__ import annotations
@@ -25,11 +22,10 @@ class SphereIndex:
     def __init__(self, m: int, norm: Norm, capacity: int):
         if capacity < 1:
             raise UsageError(f"capacity must be >= 1, got {capacity}")
-        self.m = m
         self.norm = norm
         self.capacity = capacity
         # slots never inserted keep NaN centers, which no ball contains
-        self._positions = np.full((capacity + 1, m), np.nan)
+        self._positions = np.full((m, capacity + 1), np.nan).T
         self._weights = np.zeros(capacity + 1)
         self._present = bytearray(capacity + 1)
         self._end = 1   # one past the largest inserted id
@@ -62,4 +58,4 @@ class SphereIndex:
         """
         end = self._end
         volumes = np.minimum(self._weights[1:end] / float(t), 1.0)
-        return np.flatnonzero(ball_contains(self._positions[1:end], volumes, x, self.norm)) + 1
+        return ball_contains(self._positions[1:end], volumes, x, self.norm).nonzero()[0] + 1

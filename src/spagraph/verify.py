@@ -1,20 +1,17 @@
 """Equivalence harness: fast generator against the linear-scan reference.
 
 Runs the generator under test (`generate` unless the caller passes
-another) and `generate_naive` from the same seed and demands
-bit-identical positions and edges, which fix every degree; then
-recomputes every clustering coefficient with the one exhaustive
-pair-enumeration oracle, `brute_force_clustering`, and compares it
-exactly with the vectorized `compute_report`. Any generation mismatch
-is reported with the first divergent growth step.
+another) and `generate_naive` from the same seed, demands bit-identical
+positions and edges (which fix every degree) or names the first divergent
+growth step, then compares every clustering coefficient of `compute_report`
+exactly with the exhaustive pair-counting oracle `brute_force_clustering`.
 
-The naive generator costs O(n^2) time and the oracle's dense adjacency
-matrix (n + 1)^2 bytes, so `VERIFY_GUARD` caps n at 5000 (25 MB). At
-n = 2000 one seed takes about 0.2 s in a warm process on a 2-vCPU Xeon VM:
-0.09-0.10 s in the naive generator, 0.05 s in the vertex-centric one and
-0.03-0.04 s in the oracle. Beyond the guard, `vertex_walk` derives one
-vertex's in-neighbours exactly from the positions and the coin stream,
-at any n.
+`VERIFY_GUARD` caps n at 5000 by time, not memory: one seed at the guard
+takes 0.4-0.5 s in a warm process on a 2-vCPU Xeon VM, most of it in the
+O(n^2) naive generator, and the oracle peaks at 9 MB. At n = 2000 a seed
+takes 0.13-0.17 s: 0.07-0.08 s naive, 0.04-0.05 s vertex-centric and
+0.02 s in the oracle. Beyond the guard, `vertex_walk` derives one vertex's
+in-neighbours exactly from the positions and the coin stream, at any n.
 """
 
 from __future__ import annotations
@@ -126,38 +123,47 @@ def vertex_walk(params: ModelParams, positions: np.ndarray, v: int) -> np.ndarra
 
 
 def brute_force_clustering(graph: GrownGraph, t_hat: np.ndarray) -> dict:
-    """Exhaustive pair enumeration; the oracle `compute_report` is held to.
+    """Exhaustive pair counting; the oracle `compute_report` is held to.
 
-    `t_hat` holds the id-indexed split times (see `split_times`). Returns
-    {variant: {v: c}} over the vertices where each variant is defined.
-
-    Every pair of v's in-neighbours (and, for the undirected coefficient,
-    of its in- and out-neighbours) is looked up in a dense bool adjacency
-    matrix, one block per vertex, so the oracle shares nothing with
-    `compute_report`'s triangle listing. The matrix takes (n + 1)^2 bytes:
-    4 MB at n = 2000 and 25 MB at VERIFY_GUARD. At n = 2000 the whole
-    pass takes about 0.03 s.
+    `t_hat` holds the id-indexed split times (see `split_times`), shape
+    (n + 1,) or UsageError. Returns {variant: {v: c}} over the vertices
+    where each variant is defined. Over Python-int bitsets out(v), in(v)
+    and N(v) = out(v) | in(v), v's linked in-neighbour pairs number
+    sum_{y in in(v)} popcount(out(y) & in(v)), the old ones the same with the
+    bits above t_hat[v] masked off, and its linked neighbour pairs
+    sum_{a in N(v)} popcount(out(a) & N(v)): edges run young to old, so each
+    is counted once. Nothing is shared with `compute_report`'s triangle
+    listing. The bitsets take about 3n^2/16 bytes, 4.7 MB at VERIFY_GUARD.
     """
-    adj = np.zeros((graph.n + 1, graph.n + 1), dtype=bool)
-    adj[graph.edge_sources(), graph.out_targets] = True
+    if np.shape(t_hat) != (graph.n + 1,):
+        raise UsageError(f"t_hat must have shape ({graph.n + 1},), got {np.shape(t_hat)}")
+    out_ptr, in_ptr = graph.out_ptr.tolist(), graph.in_ptr.tolist()
+    targets, sources = graph.out_targets.tolist(), graph.in_sources.tolist()
+    out, into = [0] * (graph.n + 1), [0] * (graph.n + 1)
+    for y, z in zip(graph.edge_sources().tolist(), targets):
+        out[y] |= 1 << z
+        into[z] |= 1 << y
     result = {variant: {} for variant in VARIANTS}
-    in_ptr, out_ptr = graph.in_ptr.tolist(), graph.out_ptr.tolist()
-    for v in range(1, graph.n + 1):
-        incoming = graph.in_sources[in_ptr[v] : in_ptr[v + 1]]
-        if incoming.size >= 2:
-            pairs = math.comb(incoming.size, 2)
-            hits = adj[incoming][:, incoming]   # hits[i, j]: edge incoming[i] -> incoming[j]
-            total = int(np.count_nonzero(hits))
-            old = int(np.count_nonzero(hits[:, incoming <= t_hat[v]]))
+    for v, split in enumerate(np.asarray(t_hat).tolist()[1:], start=1):
+        incoming = sources[in_ptr[v] : in_ptr[v + 1]]
+        if len(incoming) >= 2:
+            pairs = math.comb(len(incoming), 2)
+            arrived = into[v] & ((2 << math.floor(split)) - 1)   # the bits z <= t_hat[v]
+            total = old = 0
+            for y in incoming:
+                total += (out[y] & into[v]).bit_count()
+                old += (out[y] & arrived).bit_count()
             result["directed"][v] = total / pairs
             result["old"][v] = old / pairs
             result["new"][v] = (total - old) / pairs
         # out-neighbours are older than v and in-neighbours younger: the lists are disjoint
-        neighborhood = np.concatenate((graph.out_targets[out_ptr[v] : out_ptr[v + 1]], incoming))
-        if neighborhood.size >= 2:
-            hits = adj[neighborhood][:, neighborhood]
-            count = int(np.count_nonzero(hits | hits.T)) // 2   # no self-loops: each pair twice
-            result["undirected"][v] = count / math.comb(neighborhood.size, 2)
+        neighborhood = targets[out_ptr[v] : out_ptr[v + 1]] + incoming
+        if len(neighborhood) >= 2:
+            around = out[v] | into[v]
+            count = 0
+            for a in neighborhood:
+                count += (out[a] & around).bit_count()
+            result["undirected"][v] = count / math.comb(len(neighborhood), 2)
     return result
 
 

@@ -284,6 +284,9 @@ ORACLE_GRID = [
     make(500, seed=7, p=1.0, a1=0.5, a2=2.0, dimension=3, norm=Norm.L2),
     make(400, seed=8, p=0.3, a1=1.5, a2=40.0, norm=Norm.L2),
     make(200, seed=9, p=0.5, a1=1.0, a2=0.5, dimension=7),
+    # L2 from m = 8 on, where numpy's coordinate sum would depend on memory layout
+    make(300, seed=20, dimension=8, norm=Norm.L2),
+    make(300, seed=21, p=0.3, a1=1.5, a2=40.0, dimension=9, norm=Norm.L2),
     # the largest dimensions that still use the grid (3^6 cells = _MAX_CELLS)
     make(500, seed=10, dimension=4, norm=Norm.L2),
     make(500, seed=11, dimension=6),

@@ -171,6 +171,25 @@ def test_needed_volume_equals_python_float_oracle(norm, points):
 
 
 @pytest.mark.parametrize("norm", list(Norm))
+@pytest.mark.parametrize("m", range(1, 13))
+def test_needed_volume_does_not_depend_on_memory_layout(norm, m):
+    # numpy sums the L2 coordinates of a column-major array in another order
+    # from m = 8 on, so a layout-dependent sum would move the last bit here
+    rng = np.random.default_rng(m)   # RNG's draws for the other tests stay as they were
+    centers = rng.random((5000, m))
+    wide = np.zeros((5000, 2 * m + 1))
+    wide[:, 1::2] = centers
+    layouts = [centers, np.asfortranarray(centers), wide[:, 1::2]]
+    x = rng.random(m)
+    want = needed_volume(centers, x, norm)
+    pairwise = needed_volume(centers, centers[::-1], norm)
+    for layout in layouts:
+        assert np.array_equal(layout, centers)
+        assert needed_volume(layout, x, norm).tobytes() == want.tobytes()
+        assert needed_volume(layout, layout[::-1], norm).tobytes() == pairwise.tobytes()
+
+
+@pytest.mark.parametrize("norm", list(Norm))
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_needed_volume_is_monotone_in_each_wrapped_separation(norm, m):
     x = RNG.random(m)

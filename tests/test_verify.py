@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -258,3 +259,28 @@ def test_brute_force_clustering_equals_a_count_over_sets(case, mode):
     assert graph.in_degree[2] > 0 and graph.out_degree[2] > 0
     t_hat = split_times(graph, SplitPolicy(mode))
     assert brute_force_clustering(graph, t_hat) == dict_of_sets_clustering(n, edges, t_hat)
+
+
+def test_brute_force_clustering_holds_less_than_half_a_dense_matrix():
+    # a dense bool adjacency matrix alone takes (n + 1)^2 bytes, 25 MB here
+    n = verify.VERIFY_GUARD
+    graph = generate(ModelParams(n=n, seed=0, **PARAMS))
+    t_hat = split_times(graph, SplitPolicy("half"))   # builds the in-lists the oracle reads
+    tracemalloc.start()
+    try:
+        oracle = brute_force_clustering(graph, t_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(oracle["directed"]) > n // 2
+    assert peak <= (n + 1) ** 2 // 2
+
+
+@pytest.mark.parametrize("size", [0, 100, 300, 302])
+def test_brute_force_clustering_rejects_split_times_of_the_wrong_shape(size):
+    graph = generate(ModelParams(n=300, seed=0, **PARAMS))
+    t_hat = np.resize(split_times(graph, SplitPolicy("half")), size)
+    with pytest.raises(UsageError, match=rf"t_hat must have shape \(301,\), got \({size},\)"):
+        brute_force_clustering(graph, t_hat)
+    with pytest.raises(UsageError):
+        brute_force_clustering(graph, t_hat.reshape(1, -1))
