@@ -53,7 +53,7 @@ from .rng import LANE_COIN, LANE_POSITION, CounterStream, coin_cut, coin_heads
 from .spatial_index import SphereIndex
 
 NAIVE_GUARD = 10_000
-_FILL = 1 << 16   # edges per block when filling the in-neighbor sort keys or checking order
+_FILL = 1 << 16   # edges per block when filling the in-neighbor sort keys or an edge list
 _DRAW = 1 << 12   # position words per batch draw; 2^14 left 3 MB more resident at n = 10^6
 
 
@@ -202,7 +202,7 @@ class GrownGraph:
 
     @classmethod
     def from_edges(cls, params: ModelParams, edges, positions=None) -> "GrownGraph":
-        """Build a graph from an explicit edge list (tests, file parsing).
+        """Build a graph from an explicit edge list, checked and filled by `EdgeFill`.
 
         `edges` is a sequence of (source, target) pairs or an (E, 2) integer
         array, in generation order: grouped by ascending source, targets
@@ -211,17 +211,9 @@ class GrownGraph:
         """
         n = params.n
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        bad = first_bad_edge(n, edges)
-        if bad is not None:
-            raise UsageError(bad[1])
-        # out_ptr[s + 1] counts source s's edges, then their running sum; the
-        # sources ascend, so each block's counts fill one slice, and no
-        # temporary is E-sized (a strided edges[:, 0] would be copied whole)
-        out_ptr = np.zeros(n + 2, dtype=np.int64)
-        for lo in range(0, len(edges), _FILL):
-            sources = edges[lo : lo + _FILL, 0]
-            out_ptr[sources[0] + 1 : sources[-1] + 2] += np.bincount(sources - sources[0])
-        np.cumsum(out_ptr, out=out_ptr)
+        fill = _fill(n, edges)
+        if fill.bad is not None:
+            raise UsageError(fill.bad[1])
         if positions is None:
             positions = _draw_positions(params, CounterStream(params.seed))
         positions = np.asarray(positions, dtype=float)
@@ -229,31 +221,76 @@ class GrownGraph:
             raise UsageError(
                 f"positions must have shape {(n + 1, params.dimension)}, got {positions.shape}"
             )
-        return cls(params=params, out_ptr=out_ptr,
-                   out_targets=np.ascontiguousarray(edges[:, 1]), positions=positions)
+        out_ptr, out_targets = fill.finish()
+        return cls(params=params, out_ptr=out_ptr, out_targets=out_targets, positions=positions)
+
+
+class EdgeFill:
+    """A graph's `out_ptr` and `out_targets`, filled from its edges a block at a time.
+
+    The edges arrive in generation order (see `GrownGraph.from_edges`),
+    in blocks of any size, each a column of sources and one of targets. An
+    edge (s, u) needs 1 <= u < s <= n, and its key s*(n+1) + u must exceed
+    the previous edge's, the previous block's last edge included. A block
+    that passes has its targets copied into `out_targets` and its sources
+    counted into one slice of `out_ptr`: the sources ascend, so no
+    temporary is larger than the block. Otherwise `bad` holds the first
+    failing edge as (index, message), and no further block may be added.
+    """
+
+    def __init__(self, n: int, size: int):
+        self.n = n
+        self.out_ptr = np.zeros(n + 2, dtype=np.int64)   # out_ptr[s + 1] counts source s's edges
+        self.out_targets = np.empty(size, dtype=np.int64)
+        self.taken = 0
+        self.bad: tuple[int, str] | None = None
+        self._last = -1   # the key of the last edge taken; every edge's key exceeds it at first
+
+    def add(self, sources: np.ndarray, targets: np.ndarray) -> bool:
+        """Take one non-empty block of edges; False, with `bad` set, when one of them fails."""
+        n, size = self.n, sources.size
+        unborn = (sources < 1) | (sources > n) | (targets < 1) | (targets >= sources)
+        keys = np.multiply(sources, n + 1, dtype=np.int64)
+        keys += targets
+        unordered = np.empty(size, dtype=bool)
+        unordered[0] = keys[0] <= self._last
+        np.less_equal(keys[1:], keys[:-1], out=unordered[1:])
+        bad = np.flatnonzero(unborn | unordered)
+        if bad.size:
+            i = int(bad[0])
+            reason = "violates birth ordering" if unborn[i] else "out of generation order"
+            self.bad = self.taken + i, f"edge ({sources[i]}, {targets[i]}) {reason}"
+            return False
+        self._last = int(keys[-1])
+        first = sources[0]
+        offsets = np.subtract(sources, first, out=keys)   # the keys' buffer, no longer read
+        self.out_ptr[first + 1 : sources[-1] + 2] += np.bincount(offsets)
+        self.out_targets[self.taken : self.taken + size] = targets
+        self.taken += size
+        return True
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """(out_ptr, out_targets), once every edge is taken; call it once."""
+        np.cumsum(self.out_ptr, out=self.out_ptr)
+        return self.out_ptr, self.out_targets
+
+
+def _fill(n: int, edges: np.ndarray) -> EdgeFill:
+    """An (E, 2) edge array taken in blocks of `_FILL` rows, up to its first bad edge."""
+    fill = EdgeFill(n, len(edges))
+    for lo in range(0, len(edges), _FILL):
+        if not fill.add(edges[lo : lo + _FILL, 0], edges[lo : lo + _FILL, 1]):
+            break
+    return fill
 
 
 def first_bad_edge(n: int, edges: np.ndarray) -> tuple[int, str] | None:
     """(index, message) of the first of `edges` that breaks birth or generation order.
 
-    An edge (s, u) needs 1 <= u < s <= n, and its key s*(n+1) + u must
-    exceed the previous edge's; None when every edge passes. The edges
-    are checked in blocks of `_FILL`, so no temporary is E-sized.
+    None when every edge passes. The rule is `EdgeFill`'s, applied in
+    blocks of `_FILL` as `from_edges` applies it.
     """
-    nk = np.int64(n + 1)
-    for lo in range(0, len(edges), _FILL):
-        start = max(lo - 1, 0)   # the edge before the block passed, so it re-checks clean
-        s, u = edges[start : lo + _FILL, 0], edges[start : lo + _FILL, 1]
-        unborn = (s < 1) | (s > n) | (u < 1) | (u >= s)
-        keys = s * nk + u
-        unordered = np.zeros(s.size, dtype=bool)
-        unordered[1:] = keys[1:] <= keys[:-1]
-        bad = np.flatnonzero(unborn | unordered)
-        if bad.size:
-            i = int(bad[0])
-            reason = "violates birth ordering" if unborn[i] else "out of generation order"
-            return start + i, f"edge ({s[i]}, {u[i]}) {reason}"
-    return None
+    return _fill(n, edges).bad
 
 
 def generate(params: ModelParams, index_factory=None) -> GrownGraph:

@@ -17,12 +17,14 @@ the data. So a file cut anywhere is a parse error, and so are a missing,
 repeated or out-of-order section marker, any other `%` line, a header key
 that is not a model parameter, a blank line or carriage return inside a
 section, a position row out of the writer's order (vertices 1..n) and a
-coordinate outside [0, 1). The header is read line by line; each section
-is parsed in place by one bulk numpy call and checked as whole arrays.
-An error names the byte offset of the first bad line. A line numpy
-cannot parse is found by bisecting the section on its own bytes and is
-quoted with numpy's message for that line alone. Serialize -> parse ->
-serialize is byte-identical.
+coordinate outside [0, 1). The header is read line by line. Each section
+is read a block of whole lines at a time, in place, into the arrays the
+graph keeps, and each block is checked as whole arrays: a block of edge
+lines in the writer's own form is parsed by one `np.fromstring` call,
+any other block by `np.loadtxt`. An error names the byte offset of the
+first bad line. A line numpy cannot parse is found by bisecting its block
+on the file's own bytes and is quoted with numpy's message for that line
+alone. Serialize -> parse -> serialize is byte-identical.
 
 One row writer serves graph files and CSV reports. A block is a tuple of
 equal-length columns, and its text is made a batch of rows at a time,
@@ -58,7 +60,7 @@ except ImportError:   # not on Windows
 
 from ._version import __version__
 from .errors import ParseError, UsageError
-from .generator import GrownGraph, ModelParams, first_bad_edge
+from .generator import EdgeFill, GrownGraph, ModelParams
 from .geometry import Norm
 
 HEADER = "%spa-graph v1"
@@ -77,6 +79,7 @@ SWEEP_COLUMNS = ("variant", "p", "d", "count", "mean_c")
 
 _BATCH = 1 << 13   # lines formatted per batch when writing a graph or a CSV
 _EDGE_ROW = np.dtype([("edge", np.int64, (2,))])
+_BLOCK = 1 << 16   # bytes of a section parsed per block, cut back to a line end
 
 
 @contextlib.contextmanager
@@ -199,12 +202,16 @@ def parse_graph(data: bytes) -> GrownGraph:
     """Parse graph bytes; errors carry the byte offset of the bad line.
 
     The layout is checked first (see `_sections`). Header lines are then
-    read one at a time, and the `%edges` and `%positions` sections are
-    each parsed by one bulk numpy call and checked as whole arrays. An
-    error names the byte offset of the first offending line; a line the
-    bulk call cannot parse is also quoted, with numpy's message for that
-    line alone, such as "the dtype passed requires 2 columns but 3 were
-    found".
+    read one at a time. The `%edges` and `%positions` sections are each
+    read a block of whole lines at a time (see `_blocks`), straight into
+    the arrays the graph keeps, which are sized by counting the lines
+    first. Edge lines in the writer's form are parsed by one C call per
+    block, any other block by `_load_rows`. An error names the byte offset
+    of the first offending line; a line that does not parse is also
+    quoted, with numpy's message for that line alone, such as "the dtype
+    passed requires 2 columns but 3 were found". A line that does not
+    parse outranks a position error, and a position error outranks an
+    edge out of order, wherever in their sections they stand.
     """
     newline = data.find(b"\n")
     first = data if newline < 0 else data[:newline]
@@ -212,14 +219,10 @@ def parse_graph(data: bytes) -> GrownGraph:
         raise ParseError(f"expected header {HEADER!r}", 0)
     header, edge_rows, position_rows = _sections(data, len(first) + 1)
     params = _parse_params(data, *header)
-    edges = _load_rows(data, "edges", *edge_rows, _EDGE_ROW)["edge"]
+    edge_blocks, edge_count = _edge_blocks(data, *edge_rows)
     positions = _positions(data, position_rows, params)
-    try:
-        return GrownGraph.from_edges(params, edges, positions)
-    except UsageError as exc:
-        row = first_bad_edge(params.n, edges)[0]
-        offset = _line_offset(data, edge_rows[0], row)
-        raise ParseError(f"inconsistent edge list: {exc}", offset) from None
+    out_ptr, out_targets = _edges(data, edge_blocks, edge_count, params.n)
+    return GrownGraph(params=params, out_ptr=out_ptr, out_targets=out_targets, positions=positions)
 
 
 _MARKERS = ("%edges", "%positions")
@@ -321,29 +324,115 @@ def _line_offset(data: bytes, start: int, row: int) -> int:
     return hi if row else start
 
 
+def _blocks(data: bytes, start: int, end: int):
+    """(lo, hi) of consecutive blocks of whole lines that cover data[start:end].
+
+    A block runs to the last line end within `_BLOCK` bytes of its start,
+    or to the end of its first line when that line is longer. Each line
+    parses or fails on its own, so a section parses block by block as it
+    would whole, and its first bad line is the first bad line of the first
+    block that fails.
+    """
+    lo = start
+    while lo < end:
+        hi = data.rfind(b"\n", lo, min(lo + _BLOCK, end)) + 1 or data.index(b"\n", lo + _BLOCK) + 1
+        yield lo, hi
+        lo = hi
+
+
+def _writer_lines(data: bytes, lo: int, hi: int) -> int:
+    """How many edge lines data[lo:hi] holds, if all are in the writer's form; else 0.
+
+    That form is `digits TAB digits LF`, each field 1 to 18 ASCII digits,
+    and nothing else. `np.fromstring` reads such a field as the same int64
+    `np.loadtxt` does, and none can overflow; any other line is left to
+    `_load_rows` and its messages.
+    """
+    text = np.frombuffer(data, np.uint8, hi - lo, lo)
+    ends = np.flatnonzero(text < ord("0"))   # each field's end: TAB or LF, or a byte that fails
+    if (ends.size % 2 or text.max() > ord("9") or not 1 <= ends[0] <= 18
+            or (text[ends[0::2]] != ord("\t")).any() or (text[ends[1::2]] != ord("\n")).any()):
+        return 0
+    widths = np.diff(ends)   # each later field's digits, plus its end byte
+    return ends.size // 2 if widths.min() >= 2 and widths.max() <= 19 else 0
+
+
+def _edge_blocks(data: bytes, start: int, end: int) -> tuple[list[tuple[int, int, bool]], int]:
+    """The `%edges` section's blocks, as (lo, hi, whether in the writer's form), and its lines.
+
+    A block not in that form is parsed here by `_load_rows`, so a line that
+    does not parse is named before any position row is read: its error
+    outranks theirs. Nothing edge-sized is kept.
+    """
+    blocks, size = [], 0
+    for lo, hi in _blocks(data, start, end):
+        lines = _writer_lines(data, lo, hi)
+        blocks.append((lo, hi, lines > 0))
+        size += lines or _load_rows(data, "edges", lo, hi, _EDGE_ROW).size
+    return blocks, size
+
+
+def _edges(data: bytes, blocks, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`out_ptr` and `out_targets` of the `size` edges in `blocks`, parsed into an `EdgeFill`.
+
+    Every line parses (see `_edge_blocks`), so the first edge out of birth
+    or generation order is the error, at its own line.
+    """
+    fill = EdgeFill(n, size)
+    for lo, hi, form in blocks:
+        if form:
+            # one flat list, source then target: LF is whitespace the TAB
+            # separator may carry; numpy >= 2.4 takes bytes here, not a memoryview
+            numbers = np.fromstring(data[lo:hi], dtype=np.int64, sep="\t")
+        else:
+            numbers = _load_rows(data, "edges", lo, hi, _EDGE_ROW)["edge"].reshape(-1)
+        if not fill.add(numbers[0::2], numbers[1::2]):
+            row, message = fill.bad
+            raise ParseError(f"inconsistent edge list: {message}",
+                             _line_offset(data, lo, row - fill.taken))
+        del numbers   # before the next block is parsed
+    return fill.finish()
+
+
 def _positions(data: bytes, section: tuple[int, int], params: ModelParams) -> np.ndarray:
-    """The (n+1, m) position array; slot 0 stays NaN. Row k must be vertex k's, k = 1..n."""
+    """The (n+1, m) position array; slot 0 stays NaN. Row k must be vertex k's, k = 1..n.
+
+    Blocks are parsed to the section's end, so a line that does not parse
+    outranks a row out of place, which outranks a missing row, which
+    outranks a coordinate outside [0, 1).
+    """
     start, end = section
-    dtype = np.dtype([("vertex", np.int64), ("coords", np.float64, (params.dimension,))])
-    rows = _load_rows(data, "positions", start, end, dtype)
-    vertex, coords = rows["vertex"], rows["coords"]
     n = params.n
-    wrong = np.flatnonzero(vertex != np.arange(1, vertex.size + 1))
-    row = min(int(wrong[0]) if wrong.size else vertex.size, n)   # the first row off the layout
-    if row < vertex.size:
-        where = f"where vertex {row + 1}'s belongs" if row < n else f"after vertex n = {n}"
-        raise ParseError(f"position row for vertex {vertex[row]} {where}",
-                         _line_offset(data, start, row))
+    dtype = np.dtype([("vertex", np.int64), ("coords", np.float64, (params.dimension,))])
+    positions = np.full((n + 1, params.dimension), np.nan)
+    misplaced = outside = None   # the first row out of place, and the first outside [0, 1)
+    row = 0   # rows read so far
+    for lo, hi in _blocks(data, start, end):
+        rows = _load_rows(data, "positions", lo, hi, dtype)
+        vertex, coords = rows["vertex"], rows["coords"]
+        if misplaced is None:
+            expected = np.arange(row + 1, row + vertex.size + 1)
+            wrong = np.flatnonzero((vertex != expected) | (expected > n))
+            if wrong.size:
+                i = int(wrong[0])
+                k = row + i   # the row's index in the section
+                where = f"where vertex {k + 1}'s belongs" if k < n else f"after vertex n = {n}"
+                misplaced = ParseError(f"position row for vertex {vertex[i]} {where}",
+                                       _line_offset(data, lo, i))
+            else:
+                positions[row + 1 : row + 1 + vertex.size] = coords
+                away = np.flatnonzero(~((coords >= 0.0) & (coords < 1.0)).all(axis=1))
+                if away.size and outside is None:
+                    i = int(away[0])
+                    outside = ParseError(f"position of vertex {vertex[i]} outside [0, 1)",
+                                         _line_offset(data, lo, i))
+        row += vertex.size
+    if misplaced is not None:
+        raise misplaced
     if row < n:
         raise ParseError(f"no position row for vertex {row + 1}", end)
-    outside = np.flatnonzero(~((coords >= 0.0) & (coords < 1.0)).all(axis=1))
-    if outside.size:
-        row = int(outside[0])
-        raise ParseError(
-            f"position of vertex {vertex[row]} outside [0, 1)", _line_offset(data, start, row)
-        )
-    positions = np.full((n + 1, params.dimension), np.nan)
-    positions[1:] = coords
+    if outside is not None:
+        raise outside
     return positions
 
 

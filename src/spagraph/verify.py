@@ -8,7 +8,7 @@ exactly with the exhaustive pair-counting oracle `brute_force_clustering`.
 
 `VERIFY_GUARD` caps n at 5000 by time, not memory: one seed at the guard
 takes 0.4-0.5 s in a warm process on a 2-vCPU Xeon VM, most of it in the
-O(n^2) naive generator, and the oracle peaks at 9 MB. At n = 2000 a seed
+O(n^2) naive generator, and the oracle peaks at 5.4 MB. At n = 2000 a seed
 takes 0.13-0.17 s: 0.07-0.08 s naive, 0.04-0.05 s vertex-centric and
 0.02 s in the oracle. Beyond the guard, `vertex_walk` derives one vertex's
 in-neighbours exactly from the positions and the coin stream, at any n.
@@ -122,13 +122,22 @@ def vertex_walk(params: ModelParams, positions: np.ndarray, v: int) -> np.ndarra
     return np.array(arrivals, dtype=np.int64)
 
 
+def _bitset(members) -> int:
+    """The int with bit m set for each m in `members`."""
+    bits = 0
+    for m in members:
+        bits |= 1 << m
+    return bits
+
+
 def brute_force_clustering(graph: GrownGraph, t_hat: np.ndarray) -> dict:
     """Exhaustive pair counting; the oracle `compute_report` is held to.
 
     `t_hat` holds the id-indexed split times (see `split_times`), shape
     (n + 1,) or UsageError. Returns {variant: {v: c}} over the vertices
     where each variant is defined. Over Python-int bitsets out(v), in(v)
-    and N(v) = out(v) | in(v), v's linked in-neighbour pairs number
+    (each built from v's own slice of `out_targets` or `in_sources`) and
+    N(v) = out(v) | in(v), v's linked in-neighbour pairs number
     sum_{y in in(v)} popcount(out(y) & in(v)), the old ones the same with the
     bits above t_hat[v] masked off, and its linked neighbour pairs
     sum_{a in N(v)} popcount(out(a) & N(v)): edges run young to old, so each
@@ -138,14 +147,13 @@ def brute_force_clustering(graph: GrownGraph, t_hat: np.ndarray) -> dict:
     if np.shape(t_hat) != (graph.n + 1,):
         raise UsageError(f"t_hat must have shape ({graph.n + 1},), got {np.shape(t_hat)}")
     out_ptr, in_ptr = graph.out_ptr.tolist(), graph.in_ptr.tolist()
-    targets, sources = graph.out_targets.tolist(), graph.in_sources.tolist()
-    out, into = [0] * (graph.n + 1), [0] * (graph.n + 1)
-    for y, z in zip(graph.edge_sources().tolist(), targets):
-        out[y] |= 1 << z
-        into[z] |= 1 << y
+    # views, so no edge-sized list of Python ints is made: a slice yields ints as read
+    targets, sources = memoryview(graph.out_targets), memoryview(graph.in_sources)
+    out = [_bitset(targets[out_ptr[v] : out_ptr[v + 1]]) for v in range(graph.n + 1)]
+    into = [_bitset(sources[in_ptr[v] : in_ptr[v + 1]]) for v in range(graph.n + 1)]
     result = {variant: {} for variant in VARIANTS}
     for v, split in enumerate(np.asarray(t_hat).tolist()[1:], start=1):
-        incoming = sources[in_ptr[v] : in_ptr[v + 1]]
+        incoming = sources[in_ptr[v] : in_ptr[v + 1]].tolist()
         if len(incoming) >= 2:
             pairs = math.comb(len(incoming), 2)
             arrived = into[v] & ((2 << math.floor(split)) - 1)   # the bits z <= t_hat[v]
@@ -157,7 +165,7 @@ def brute_force_clustering(graph: GrownGraph, t_hat: np.ndarray) -> dict:
             result["old"][v] = old / pairs
             result["new"][v] = (total - old) / pairs
         # out-neighbours are older than v and in-neighbours younger: the lists are disjoint
-        neighborhood = targets[out_ptr[v] : out_ptr[v + 1]] + incoming
+        neighborhood = targets[out_ptr[v] : out_ptr[v + 1]].tolist() + incoming
         if len(neighborhood) >= 2:
             around = out[v] | into[v]
             count = 0

@@ -588,3 +588,111 @@ def test_parse_rejects_blank_lines_and_repeated_markers(grown, damage, message):
     with pytest.raises(ParseError, match=message) as info:
         graph_io.parse_graph(damaged)
     assert info.value.byte_offset == at
+
+
+def _outcome(data: bytes):
+    """The parsed graph's arrays, or the ParseError's text and byte offset."""
+    try:
+        graph = graph_io.parse_graph(data)
+    except ParseError as exc:
+        return str(exc), exc.byte_offset
+    return (graph.params, graph.out_ptr.tolist(), graph.out_targets.tolist(),
+            graph.positions[1:].tolist())
+
+
+def _with_edge_line(data: bytes, i: int, line: bytes) -> tuple[bytes, int]:
+    """`data` with edge line i replaced by `line`, and that line's byte offset."""
+    start, end, lines = _edge_lines(data)
+    lines[i] = line
+    offset = start + sum(len(x) + 1 for x in lines[:i])
+    return data[:start] + b"".join(x + b"\n" for x in lines) + data[end:], offset
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda s, u: b"00" + s + b"\t000" + u, None),                       # leading zeros
+    (lambda s, u: s.rjust(19, b"0") + b"\t" + u, None),                  # a 19-digit field
+    (lambda s, u: b"+" + s + b"\t" + u, None),                           # a + sign
+    (lambda s, u: s + b" \t " + u, None),                                # spaces around the TAB
+    (lambda s, u: s + b"\t0", r"inconsistent edge list: edge \(\d+, 0\) violates birth ordering"),
+    (lambda s, u: b"1234567890123456789\t" + u,
+     r"inconsistent edge list: edge \(1234567890123456789, \d+\) violates birth ordering"),
+    (lambda s, u: b"9" * 19 + b"\t" + u, r"could not convert string '9{19}' to int64"),
+    (lambda s, u: s + b" " + u, r"requires 2 columns but 1 were found"),
+    (lambda s, u: s + b"\t" + u + b"\t" + u, r"requires 2 columns but 3 were found"),
+    (lambda s, u: s + b"\t" + u + b"\r", r"blank line or carriage return"),
+], ids=["leading zeros", "19 digits", "plus sign", "spaces", "lone 0 target", "19-digit source",
+        "int64 overflow", "space for TAB", "third field", "carriage return"])
+def test_edge_lines_the_writer_never_writes_read_as_numpy_reads_them(grown, edit, error):
+    # loadtxt's reading of each line, whichever path parses its block: the same
+    # graph as the writer's line, or the same error at the line's own offset
+    data = graph_io.serialize_graph(grown)
+    _, _, lines = _edge_lines(data)
+    i = len(lines) // 2
+    damaged, offset = _with_edge_line(data, i, edit(*lines[i].split(b"\t")))
+    if error is None:
+        assert _outcome(damaged) == _outcome(data)
+    else:
+        with pytest.raises(ParseError, match=error) as info:
+            graph_io.parse_graph(damaged)
+        assert info.value.byte_offset == offset
+
+
+@pytest.mark.parametrize("text,form", [
+    (b"2\t1\n3\t1\n3\t2\n", True),
+    (b"0002\t01\n", True),
+    (b"1\t0\n", True),
+    (b"123456789012345678\t1\n", True),
+    (b"1234567890123456789\t1\n", False),   # 19 digits: may overflow int64
+    (b"2\t1234567890123456789\n", False),
+    (b"2\t\n", False), (b"\t1\n", False), (b"2\t\t1\n", False),
+    (b"2\t1\t1\n", False), (b"2\n1\n", False), (b"2\t1\n\n", False),
+    (b"2 1\n", False), (b"+2\t1\n", False), (b"-2\t1\n", False), (b"2\t1\r\n", False),
+    (b"2\t1.0\n", False), (b"\xd9\xa5\t1\n", False),
+])
+def test_only_the_writers_own_edge_lines_take_the_fast_path(text, form):
+    data = b"head\n" + text
+    assert graph_io._writer_lines(data, 5, len(data)) == (text.count(b"\n") if form else 0)
+    if form:   # and then np.fromstring reads what np.loadtxt reads
+        rows = graph_io._load_rows(data, "edges", 5, len(data), graph_io._EDGE_ROW)["edge"]
+        numbers = np.fromstring(data[5:], dtype=np.int64, sep="\t")
+        assert numbers.tolist() == rows.reshape(-1).tolist()
+
+
+_EDGE_BYTES = st.sampled_from([b"0", b"1", b"2", b"7", b"9", b"\t", b" ", b"+", b"-", b"\r",
+                               b"x", b"9" * 19, b"0" * 18])
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=small_graphs, edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.lists(
+    _EDGE_BYTES, max_size=6).map(b"".join)), max_size=3),
+       block=st.sampled_from([1, 7, 64, 1 << 16]))
+def test_the_fast_path_changes_no_outcome(graph, edits, block):
+    # any edge lines, in blocks of any size: the same graph or error as when
+    # every block is read by np.loadtxt
+    data = graph_io.serialize_graph(graph)
+    _, _, lines = _edge_lines(data)
+    assume(lines)
+    for pick, line in edits:
+        data, _ = _with_edge_line(data, pick % len(lines), line)
+    with mock.patch.object(graph_io, "_BLOCK", block):
+        fast = _outcome(data)
+        with mock.patch.object(graph_io, "_writer_lines", return_value=0):
+            assert _outcome(data) == fast
+
+
+def test_reading_a_graph_holds_the_file_the_kept_arrays_and_one_block(tmp_path):
+    # the sections are read block by block into the arrays the graph keeps:
+    # no (E, 2) array of parsed rows and no copy of a column of it
+    path = tmp_path / "g.tsv"
+    graph_io.write_graph(generate(make(3000, seed=0)), str(path))
+    tracemalloc.start()
+    try:
+        graph = graph_io.read_graph(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = graph.out_ptr.nbytes + graph.out_targets.nbytes + graph.positions.nbytes
+    # one block: the bytes np.fromstring reads and its numbers, at most two
+    # int64 for a line of at least four bytes
+    block = 5 * graph_io._BLOCK
+    assert peak <= path.stat().st_size + kept + block

@@ -262,8 +262,8 @@ def test_brute_force_clustering_equals_a_count_over_sets(case, mode):
 
 
 def test_brute_force_clustering_holds_less_than_half_a_dense_matrix():
-    # a dense bool adjacency matrix alone takes (n + 1)^2 bytes, 25 MB here
-    n = verify.VERIFY_GUARD
+    # a dense bool adjacency matrix alone takes (n + 1)^2 bytes, 4 MB here
+    n = 2000
     graph = generate(ModelParams(n=n, seed=0, **PARAMS))
     t_hat = split_times(graph, SplitPolicy("half"))   # builds the in-lists the oracle reads
     tracemalloc.start()
