@@ -284,15 +284,6 @@ def _fill(n: int, edges: np.ndarray) -> EdgeFill:
     return fill
 
 
-def first_bad_edge(n: int, edges: np.ndarray) -> tuple[int, str] | None:
-    """(index, message) of the first of `edges` that breaks birth or generation order.
-
-    None when every edge passes. The rule is `EdgeFill`'s, applied in
-    blocks of `_FILL` as `from_edges` applies it.
-    """
-    return _fill(n, edges).bad
-
-
 def generate(params: ModelParams, index_factory=None) -> GrownGraph:
     """Run the growth process to n vertices.
 

@@ -14,17 +14,18 @@ identical graphs produce identical bytes):
 The writer has this one layout and the parser accepts only it: the
 header, then `%edges`, then `%positions`, and a newline at the end of
 the data. So a file cut anywhere is a parse error, and so are a missing,
-repeated or out-of-order section marker, any other `%` line, a header key
-that is not a model parameter, a blank line or carriage return inside a
-section, a position row out of the writer's order (vertices 1..n) and a
-coordinate outside [0, 1). The header is read line by line. Each section
-is read a block of whole lines at a time, in place, into the arrays the
-graph keeps, and each block is checked as whole arrays: a block of edge
-lines in the writer's own form is parsed by one `np.fromstring` call,
-any other block by `np.loadtxt`. An error names the byte offset of the
-first bad line. A line numpy cannot parse is found by bisecting its block
-on the file's own bytes and is quoted with numpy's message for that line
-alone. Serialize -> parse -> serialize is byte-identical.
+repeated or out-of-order section marker, any other `%` line, a header
+line other than the writer's `key=value` in its key order, a blank line
+or carriage return inside a section, an edge line other than `digits TAB
+digits LF` with 1 to 18 ASCII digits a field, a position row out of the
+writer's order (vertices 1..n) and a coordinate outside [0, 1). Each
+section is read a block of whole lines at a time, in place, into the
+arrays the graph keeps, and each block is checked as whole arrays; a
+block of edge lines is parsed by one `np.fromstring` call. An error names
+the byte offset of the first bad line. A line that does not parse is
+found by bisecting its block on the file's own bytes and is quoted with
+the message for that line alone. Serialize -> parse -> serialize is
+byte-identical.
 
 One row writer serves graph files and CSV reports. A block is a tuple of
 equal-length columns, and its text is made a batch of rows at a time,
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import gzip
 import io
 import json
@@ -78,8 +80,8 @@ SCATTER_COLUMNS = ("variant", "degree", "c")
 SWEEP_COLUMNS = ("variant", "p", "d", "count", "mean_c")
 
 _BATCH = 1 << 13   # lines formatted per batch when writing a graph or a CSV
-_EDGE_ROW = np.dtype([("edge", np.int64, (2,))])
 _BLOCK = 1 << 16   # bytes of a section parsed per block, cut back to a line end
+_EDGE_FORM = "expected digits TAB digits, 1 to 18 ASCII digits a field"
 
 
 @contextlib.contextmanager
@@ -140,11 +142,14 @@ def _write_rows(handle, block, sep: str) -> None:
         handle.write("".join(cells).encode())
 
 
+def _header_lines(params: ModelParams) -> list[str]:
+    """The header's key=value lines as the writer writes them, in `_PARAM_TYPES` order."""
+    return [f"{key}={_format_value(getattr(params, key))}" for key in _PARAM_TYPES]
+
+
 def _write_graph(handle, graph: GrownGraph) -> None:
     """Write the graph file's bytes to `handle`."""
-    header = [HEADER] + [f"{key}={_format_value(getattr(graph.params, key))}"
-                         for key in _PARAM_TYPES]
-    handle.write("\n".join(header + ["%edges\n"]).encode())
+    handle.write("\n".join([HEADER, *_header_lines(graph.params), "%edges\n"]).encode())
     _write_rows(handle, (graph.edge_sources(), graph.out_targets), "\t")
     handle.write(b"%positions\n")
     vertices = np.arange(1, graph.n + 1, dtype=np.int64)
@@ -168,17 +173,21 @@ def write_graph(graph: GrownGraph, path: str) -> None:
 
 
 def _parse_params(data: bytes, start: int, end: int) -> ModelParams:
-    """ModelParams from the header block data[start:end], one key=value line each.
+    """ModelParams from the header block data[start:end], the writer's key=value lines.
 
     One pass in file order: the first line without `=`, with a repeated
     key or with a key that is not a model parameter raises at its own
     offset. A missing key or a bad value raises at the block's offset.
+    Then each line must be the one the writer writes for those parameters,
+    in its key order, so `n=3_00`, `p=0.70` or a reordered key is an error
+    at the first line that differs.
     """
+    lines, offset = [], start   # (byte offset, text) of each line
+    for raw in data[start:end].split(b"\n")[:-1]:
+        lines.append((offset, raw.decode("utf-8", "replace")))
+        offset += len(raw) + 1
     values: dict[str, str] = {}
-    offset = start
-    for raw in data[start:end].split(b"\n"):
-        line_offset, offset = offset, offset + len(raw) + 1
-        line = raw.decode("utf-8", "replace")
+    for line_offset, line in lines:
         if not line:
             continue
         key, sep, value = line.partition("=")
@@ -193,9 +202,14 @@ def _parse_params(data: bytes, start: int, end: int) -> ModelParams:
     if missing:
         raise ParseError(f"missing parameter keys {missing}", start)
     try:
-        return ModelParams(**{key: _PARAM_TYPES[key](value) for key, value in values.items()})
+        params = ModelParams(**{key: _PARAM_TYPES[key](value) for key, value in values.items()})
     except ValueError as exc:
         raise ParseError(f"bad parameter block: {exc}", start) from None
+    for (line_offset, line), written in zip(lines, [*_header_lines(params), "%edges"]):
+        if line != written:
+            raise ParseError(f"bad header line {line!r}: the writer writes {written!r} here",
+                             line_offset)
+    return params
 
 
 def parse_graph(data: bytes) -> GrownGraph:
@@ -205,13 +219,13 @@ def parse_graph(data: bytes) -> GrownGraph:
     read one at a time. The `%edges` and `%positions` sections are each
     read a block of whole lines at a time (see `_blocks`), straight into
     the arrays the graph keeps, which are sized by counting the lines
-    first. Edge lines in the writer's form are parsed by one C call per
-    block, any other block by `_load_rows`. An error names the byte offset
-    of the first offending line; a line that does not parse is also
-    quoted, with numpy's message for that line alone, such as "the dtype
-    passed requires 2 columns but 3 were found". A line that does not
-    parse outranks a position error, and a position error outranks an
-    edge out of order, wherever in their sections they stand.
+    first. A block of edge lines is checked for the writer's form (see
+    `_writer_lines`), then parsed by one C call. An error names the byte
+    offset of the first offending line; a line that does not parse is also
+    quoted, with `_EDGE_FORM` for an edge line or numpy's message for a
+    position row alone. A line that does not parse outranks a position
+    error, and a position error outranks an edge out of order, wherever in
+    their sections they stand.
     """
     newline = data.find(b"\n")
     first = data if newline < 0 else data[:newline]
@@ -276,18 +290,16 @@ def _rows(data: bytes, start: int, end: int, dtype: np.dtype) -> np.ndarray:
                       max_rows=data.count(b"\n", start, end))
 
 
-def _load_rows(data: bytes, section: str, start: int, end: int, dtype: np.dtype) -> np.ndarray:
-    """Parse data[start:end] in one call; if that fails, raise at the first bad line.
+def _load_rows(data: bytes, section: str, start: int, end: int, parse):
+    """`parse(data, start, end)`; if it raises ValueError, a ParseError at the first bad line.
 
     Each line parses or fails on its own, so bisection over the line
-    boundaries of `data` finds the first one the bulk parse rejects,
-    parsing in place as the bulk call does. The error names that line's
-    byte offset and what `_rows` says of the line alone.
+    boundaries of `data` finds the first one `parse` rejects, parsing in
+    place as the bulk call does. The error names that line's byte offset
+    and what `parse` says of the line alone.
     """
-    if start == end:
-        return np.empty(0, dtype)
     try:
-        return _rows(data, start, end, dtype)
+        return parse(data, start, end)
     except ValueError:
         pass
     lo, hi = start, end   # data[lo:hi] fails, and no line before lo does
@@ -295,7 +307,7 @@ def _load_rows(data: bytes, section: str, start: int, end: int, dtype: np.dtype)
         half = (lo + hi) // 2   # split at a line start near it; hi when one line is left
         mid = data.rfind(b"\n", lo, half) + 1 or data.find(b"\n", half, hi - 1) + 1 or hi
         try:
-            _rows(data, lo, mid, dtype)
+            parse(data, lo, mid)
         except ValueError as exc:
             if mid == hi:
                 line = data[lo : hi - 1].decode("utf-8", "replace")
@@ -307,21 +319,14 @@ def _load_rows(data: bytes, section: str, start: int, end: int, dtype: np.dtype)
 
 
 def _line_offset(data: bytes, start: int, row: int) -> int:
-    """Byte offset of line `row` (0-based) of the section starting at `start`.
+    """Byte offset of line `row` (0-based) of the lines from `start`.
 
-    Line `row` starts just after the row-th newline from `start`, so
-    bisection on the newline count of data[start:mid] finds it, counting
-    in place as `_load_rows` parses in place.
+    A walk over their newlines: callers pass a block's start and one of
+    its rows, so it reads no further than that block.
     """
-    lo, hi, below = start, len(data), 0   # data[start:lo] holds `below` < row newlines
-    while row and hi - lo > 1:              # and data[start:hi] holds at least row
-        mid = (lo + hi) // 2
-        seen = below + data.count(b"\n", lo, mid)
-        if seen < row:
-            lo, below = mid, seen
-        else:
-            hi = mid
-    return hi if row else start
+    for _ in range(row):
+        start = data.index(b"\n", start) + 1
+    return start
 
 
 def _blocks(data: bytes, start: int, end: int):
@@ -341,51 +346,45 @@ def _blocks(data: bytes, start: int, end: int):
 
 
 def _writer_lines(data: bytes, lo: int, hi: int) -> int:
-    """How many edge lines data[lo:hi] holds, if all are in the writer's form; else 0.
+    """How many edge lines data[lo:hi] holds; ValueError unless all are in the writer's form.
 
     That form is `digits TAB digits LF`, each field 1 to 18 ASCII digits,
-    and nothing else. `np.fromstring` reads such a field as the same int64
-    `np.loadtxt` does, and none can overflow; any other line is left to
-    `_load_rows` and its messages.
+    and nothing else. `np.fromstring` reads such a field as its int64,
+    which cannot overflow, and it raises a bare ValueError on text it
+    cannot read to the end, so every block passes here before it is read.
     """
     text = np.frombuffer(data, np.uint8, hi - lo, lo)
     ends = np.flatnonzero(text < ord("0"))   # each field's end: TAB or LF, or a byte that fails
-    if (ends.size % 2 or text.max() > ord("9") or not 1 <= ends[0] <= 18
-            or (text[ends[0::2]] != ord("\t")).any() or (text[ends[1::2]] != ord("\n")).any()):
-        return 0
     widths = np.diff(ends)   # each later field's digits, plus its end byte
-    return ends.size // 2 if widths.min() >= 2 and widths.max() <= 19 else 0
+    if (ends.size % 2 or text.max() > ord("9") or not 1 <= ends[0] <= 18
+            or (text[ends[0::2]] != ord("\t")).any() or (text[ends[1::2]] != ord("\n")).any()
+            or widths.min() < 2 or widths.max() > 19):
+        raise ValueError(_EDGE_FORM)
+    return ends.size // 2
 
 
-def _edge_blocks(data: bytes, start: int, end: int) -> tuple[list[tuple[int, int, bool]], int]:
-    """The `%edges` section's blocks, as (lo, hi, whether in the writer's form), and its lines.
+def _edge_blocks(data: bytes, start: int, end: int) -> tuple[list[tuple[int, int]], int]:
+    """The `%edges` section's blocks, as (lo, hi), and its line count.
 
-    A block not in that form is parsed here by `_load_rows`, so a line that
-    does not parse is named before any position row is read: its error
-    outranks theirs. Nothing edge-sized is kept.
+    Every line is checked here for the writer's form, so a line out of it
+    is named before any position row is read: its error outranks theirs.
+    Nothing edge-sized is kept.
     """
-    blocks, size = [], 0
-    for lo, hi in _blocks(data, start, end):
-        lines = _writer_lines(data, lo, hi)
-        blocks.append((lo, hi, lines > 0))
-        size += lines or _load_rows(data, "edges", lo, hi, _EDGE_ROW).size
-    return blocks, size
+    blocks = list(_blocks(data, start, end))
+    return blocks, sum(_load_rows(data, "edges", lo, hi, _writer_lines) for lo, hi in blocks)
 
 
 def _edges(data: bytes, blocks, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """`out_ptr` and `out_targets` of the `size` edges in `blocks`, parsed into an `EdgeFill`.
 
-    Every line parses (see `_edge_blocks`), so the first edge out of birth
-    or generation order is the error, at its own line.
+    Every line is in the writer's form (see `_edge_blocks`), so the first
+    edge out of birth or generation order is the error, at its own line.
     """
     fill = EdgeFill(n, size)
-    for lo, hi, form in blocks:
-        if form:
-            # one flat list, source then target: LF is whitespace the TAB
-            # separator may carry; numpy >= 2.4 takes bytes here, not a memoryview
-            numbers = np.fromstring(data[lo:hi], dtype=np.int64, sep="\t")
-        else:
-            numbers = _load_rows(data, "edges", lo, hi, _EDGE_ROW)["edge"].reshape(-1)
+    for lo, hi in blocks:
+        # one flat list, source then target: LF is whitespace the TAB
+        # separator may carry; numpy >= 2.4 takes bytes here, not a memoryview
+        numbers = np.fromstring(data[lo:hi], dtype=np.int64, sep="\t")
         if not fill.add(numbers[0::2], numbers[1::2]):
             row, message = fill.bad
             raise ParseError(f"inconsistent edge list: {message}",
@@ -404,11 +403,12 @@ def _positions(data: bytes, section: tuple[int, int], params: ModelParams) -> np
     start, end = section
     n = params.n
     dtype = np.dtype([("vertex", np.int64), ("coords", np.float64, (params.dimension,))])
+    parse = functools.partial(_rows, dtype=dtype)
     positions = np.full((n + 1, params.dimension), np.nan)
     misplaced = outside = None   # the first row out of place, and the first outside [0, 1)
     row = 0   # rows read so far
     for lo, hi in _blocks(data, start, end):
-        rows = _load_rows(data, "positions", lo, hi, dtype)
+        rows = _load_rows(data, "positions", lo, hi, parse)
         vertex, coords = rows["vertex"], rows["coords"]
         if misplaced is None:
             expected = np.arange(row + 1, row + vertex.size + 1)

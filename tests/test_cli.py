@@ -601,6 +601,22 @@ def test_damaged_graph_file_exits_2(tmp_path, capsys, damage):
         assert f"position of vertex 17 outside [0, 1) (byte offset {start})" in err
 
 
+@pytest.mark.parametrize("line", [b"+2\t1", b"2 \t 1", b"2\t" + b"1".zfill(19), b"2\t1\r"],
+                         ids=["plus sign", "spaces", "19 digits", "carriage return"])
+def test_edge_line_out_of_the_writers_form_exits_2(tmp_path, capsys, line):
+    out = str(tmp_path)
+    run(["generate", *ARGS, "--seed", "3", "--out", out])
+    path = os.path.join(out, "spa_n400_p0.7_seed3.tsv")
+    data = Path(path).read_bytes()
+    start = data.index(b"%edges\n") + len(b"%edges\n")   # the first edge line, 2\t1
+    Path(path).write_bytes(data[:start] + line + data[data.index(b"\n", start):])
+    reports = tmp_path / "reports"
+    assert run(["stats", path, "--out", str(reports)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad edges line {line.decode()!r}: expected digits TAB digits" in err
+    assert f"(byte offset {start})" in err and not reports.exists()
+
+
 def test_stats_on_a_cut_graph_file_exits_2(tmp_path, capsys):
     out = str(tmp_path)
     run(["generate", *ARGS, "--seed", "3", "--out", out])

@@ -19,7 +19,6 @@ from spagraph.generator import (
     _StaticGrid,
     _draw_positions,
     _gather,
-    first_bad_edge,
     generate,
     generate_many,
     generate_naive,
@@ -237,7 +236,7 @@ def test_from_edges_takes_no_edge_or_vertex_sized_temporary():
 
 
 def scanned_bad_edge(n, edges):
-    """first_bad_edge's answer from one pass over the edges as Python pairs."""
+    """`_fill(n, edges).bad` from one pass over the edges as Python pairs."""
     previous = None
     for i, (s, u) in enumerate(edges):
         if not 1 <= u < s <= n:
@@ -260,7 +259,7 @@ def test_first_bad_edge_equals_a_scan_at_every_block_size(case, data):
     for fill in (1, 2, 3, generator._FILL):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(generator, "_FILL", fill)
-            assert first_bad_edge(n, array) == want
+            assert generator._fill(n, array).bad == want
 
 
 def test_mean_out_degree_desk_scale():

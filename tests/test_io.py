@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_graph
-from spagraph import graph_io, stats
+from spagraph import generator, graph_io, stats
 from spagraph.errors import ParseError, UsageError
 from spagraph.generator import GrownGraph, ModelParams, generate, generate_naive
 from spagraph.geometry import Norm
@@ -384,6 +384,27 @@ def test_parse_rejects_duplicate_header_key(grown):
     assert info.value.byte_offset == damaged.index(b"p=0.5")
 
 
+@pytest.mark.parametrize("old,new", [
+    (b"n=300\n", b"n=3_00\n"),
+    (b"n=300\n", b"n= 300 \n"),
+    (b"norm=linf\n", b"norm= LINF\n"),
+    (b"p=0.7\n", b"p=0.70\n"),
+    (b"seed=5\n", b"seed=+5\n"),
+    (b"n=300\nseed=5\n", b"seed=5\nn=300\n"),
+    (b"a1=1.0\n", b"\na1=1.0\n"),
+    (b"p=0.7\n", b"p=0.7\r\n"),
+], ids=["underscore", "spaces", "norm case", "trailing zero", "plus sign", "reordered keys",
+        "blank line", "carriage return"])
+def test_a_header_line_the_writer_never_writes_is_a_parse_error(grown, old, new):
+    # the same parameters in other text: an error at the first line that differs
+    damaged = graph_io.serialize_graph(grown).replace(old, new, 1)
+    got, want = (repr(x.split(b"\n")[0].decode()) for x in (new, old))
+    with pytest.raises(ParseError, match=re.escape(f"bad header line {got}: the writer writes "
+                                                   f"{want} here")) as info:
+        graph_io.parse_graph(damaged)
+    assert info.value.byte_offset == damaged.index(new)
+
+
 small_graphs = st.builds(
     lambda n, dimension, norm, seed: generate(make(n, seed, dimension=dimension, norm=norm)),
     n=st.integers(1, 120),
@@ -391,6 +412,8 @@ small_graphs = st.builds(
     norm=st.sampled_from(list(Norm)),
     seed=st.integers(0, 2 ** 64 - 1),
 )
+# bytes a section is read in: one line a block, a few lines, and the default
+blocks = st.sampled_from([1, 7, 64, 1 << 16])
 
 
 @settings(max_examples=30, deadline=None)
@@ -415,7 +438,7 @@ def _edge_lines(data: bytes) -> tuple[int, int, list[bytes]]:
     """Start and end of the edge section, and its lines without their newlines."""
     start = data.index(b"%edges\n") + len(b"%edges\n")
     end = data.index(b"%positions\n")
-    return start, end, data[start:end].splitlines()
+    return start, end, data[start:end].split(b"\n")[:-1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,8 +448,9 @@ def _edge_lines(data: bytes) -> tuple[int, int, list[bytes]]:
         ["space", "third field", "non-integer", "out of order", "repeated", "target >= source"]
     ),
     pick=st.integers(0, 10 ** 6),
+    block=blocks,
 )
-def test_damaged_edge_line_raises_at_its_offset(graph, damage, pick):
+def test_damaged_edge_line_raises_at_its_offset(graph, damage, pick, block):
     data = graph_io.serialize_graph(graph)
     start, end, lines = _edge_lines(data)
     assume(len(lines) >= 2)
@@ -447,7 +471,7 @@ def test_damaged_edge_line_raises_at_its_offset(graph, damage, pick):
         lines[i], lines[i + 1] = lines[i + 1], lines[i]
         i += 1   # the first edge smaller than the one before it
     damaged = data[:start] + b"".join(line + b"\n" for line in lines) + data[end:]
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(ParseError) as info, mock.patch.object(graph_io, "_BLOCK", block):
         graph_io.parse_graph(damaged)
     assert info.value.byte_offset == start + sum(len(line) + 1 for line in lines[:i])
 
@@ -460,9 +484,10 @@ def test_damaged_edge_line_raises_at_its_offset(graph, damage, pick):
         ["bad field", "extra field", "missing field", "blank line", "carriage return"]
     ),
     pick=st.integers(0, 10 ** 6),
+    block=blocks,
 )
-def test_one_damaged_line_is_named_at_its_own_offset(graph, section, damage, pick):
-    # the line's own offset and text, with numpy's message for that line alone
+def test_one_damaged_line_is_named_at_its_own_offset(graph, section, damage, pick, block):
+    # the line's own offset and text, with the message for that line alone, in blocks of any size
     data = graph_io.serialize_graph(graph)
     start = data.index(f"%{section}\n".encode()) + len(section) + 2
     end = data.index(b"%positions\n") if section == "edges" else len(data)
@@ -484,7 +509,7 @@ def test_one_damaged_line_is_named_at_its_own_offset(graph, section, damage, pic
     damaged = data[:start] + b"".join(line + b"\n" for line in lines) + data[end:]
     quoted = re.escape(repr(lines[i].decode()))
     with pytest.raises(ParseError, match=f"^bad {section} line {quoted}: [^(]+ \\(byte offset"
-                       ) as info:
+                       ) as info, mock.patch.object(graph_io, "_BLOCK", block):
         graph_io.parse_graph(damaged)
     assert info.value.byte_offset == start + sum(len(line) + 1 for line in lines[:i])
 
@@ -570,7 +595,7 @@ def test_line_offset_equals_a_scan_of_the_lines(lines, head, data):
 @pytest.mark.parametrize("damage,message", [
     ("blank line", "bad edges line ''"),
     ("trailing blank line", "bad positions line ''"),
-    ("carriage return", "carriage return"),
+    ("carriage return", "expected digits TAB digits"),
     ("repeated marker", "repeated section marker '%edges'"),
 ])
 def test_parse_rejects_blank_lines_and_repeated_markers(grown, damage, message):
@@ -590,16 +615,6 @@ def test_parse_rejects_blank_lines_and_repeated_markers(grown, damage, message):
     assert info.value.byte_offset == at
 
 
-def _outcome(data: bytes):
-    """The parsed graph's arrays, or the ParseError's text and byte offset."""
-    try:
-        graph = graph_io.parse_graph(data)
-    except ParseError as exc:
-        return str(exc), exc.byte_offset
-    return (graph.params, graph.out_ptr.tolist(), graph.out_targets.tolist(),
-            graph.positions[1:].tolist())
-
-
 def _with_edge_line(data: bytes, i: int, line: bytes) -> tuple[bytes, int]:
     """`data` with edge line i replaced by `line`, and that line's byte offset."""
     start, end, lines = _edge_lines(data)
@@ -608,33 +623,68 @@ def _with_edge_line(data: bytes, i: int, line: bytes) -> tuple[bytes, int]:
     return data[:start] + b"".join(x + b"\n" for x in lines) + data[end:], offset
 
 
+_FORM = f"{re.escape(graph_io._EDGE_FORM)} \\(byte offset"
+_WRITER_LINE = re.compile(rb"[0-9]{1,18}\t[0-9]{1,18}")   # the writer's edge line, LF cut off
+
+
 @pytest.mark.parametrize("edit,error", [
     (lambda s, u: b"00" + s + b"\t000" + u, None),                       # leading zeros
-    (lambda s, u: s.rjust(19, b"0") + b"\t" + u, None),                  # a 19-digit field
-    (lambda s, u: b"+" + s + b"\t" + u, None),                           # a + sign
-    (lambda s, u: s + b" \t " + u, None),                                # spaces around the TAB
+    (lambda s, u: s.rjust(19, b"0") + b"\t" + u, _FORM),                 # a 19-digit field
+    (lambda s, u: b"+" + s + b"\t" + u, _FORM),                          # a + sign
+    (lambda s, u: s + b" \t " + u, _FORM),                               # spaces around the TAB
     (lambda s, u: s + b"\t0", r"inconsistent edge list: edge \(\d+, 0\) violates birth ordering"),
-    (lambda s, u: b"1234567890123456789\t" + u,
-     r"inconsistent edge list: edge \(1234567890123456789, \d+\) violates birth ordering"),
-    (lambda s, u: b"9" * 19 + b"\t" + u, r"could not convert string '9{19}' to int64"),
-    (lambda s, u: s + b" " + u, r"requires 2 columns but 1 were found"),
-    (lambda s, u: s + b"\t" + u + b"\t" + u, r"requires 2 columns but 3 were found"),
-    (lambda s, u: s + b"\t" + u + b"\r", r"blank line or carriage return"),
+    (lambda s, u: b"1234567890123456789\t" + u, _FORM),
+    (lambda s, u: b"9" * 19 + b"\t" + u, _FORM),
+    (lambda s, u: s + b" " + u, _FORM),
+    (lambda s, u: s + b"\t" + u + b"\t" + u, _FORM),
+    (lambda s, u: s + b"\t" + u + b"\r", _FORM),
 ], ids=["leading zeros", "19 digits", "plus sign", "spaces", "lone 0 target", "19-digit source",
         "int64 overflow", "space for TAB", "third field", "carriage return"])
 def test_edge_lines_the_writer_never_writes_read_as_numpy_reads_them(grown, edit, error):
-    # loadtxt's reading of each line, whichever path parses its block: the same
-    # graph as the writer's line, or the same error at the line's own offset
+    # an edge line in the writer's form is read as the numbers its digits
+    # spell; any other is an error, quoted at its own offset
     data = graph_io.serialize_graph(grown)
     _, _, lines = _edge_lines(data)
     i = len(lines) // 2
-    damaged, offset = _with_edge_line(data, i, edit(*lines[i].split(b"\t")))
+    line = edit(*lines[i].split(b"\t"))
+    damaged, offset = _with_edge_line(data, i, line)
     if error is None:
-        assert _outcome(damaged) == _outcome(data)
+        assert_same_graph(graph_io.parse_graph(damaged), grown)
     else:
+        if error == _FORM:
+            error = f"^bad edges line {re.escape(repr(line.decode()))}: {_FORM}"
         with pytest.raises(ParseError, match=error) as info:
             graph_io.parse_graph(damaged)
         assert info.value.byte_offset == offset
+
+
+def _check_edge_lines(data: bytes, params: ModelParams, positions: np.ndarray) -> None:
+    """`data`'s edges read as a scan of its edge lines reads them.
+
+    The first line out of the writer's form is an error at its offset;
+    else the edges `int` reads from the lines give the graph, or the first
+    of them out of order is the error, at its line.
+    """
+    start, _, lines = _edge_lines(data)
+    offsets = np.cumsum([start] + [len(line) + 1 for line in lines]).tolist()
+    try:
+        graph, error = graph_io.parse_graph(data), None
+    except ParseError as exc:   # any other exception fails the test
+        graph, error = None, exc
+    bad = next((i for i, line in enumerate(lines) if not _WRITER_LINE.fullmatch(line)), None)
+    if bad is not None:
+        assert error is not None and error.byte_offset == offsets[bad]
+        assert re.match(f"bad edges line {re.escape(repr(lines[bad].decode()))}: {_FORM}",
+                        str(error))
+        return
+    edges = np.array([[int(x) for x in line.split(b"\t")] for line in lines], dtype=np.int64)
+    unordered = generator._fill(params.n, edges.reshape(-1, 2)).bad
+    if unordered is not None:
+        assert error is not None and error.byte_offset == offsets[unordered[0]]
+        assert str(error).startswith(f"inconsistent edge list: {unordered[1]} (")
+    else:
+        assert error is None
+        assert_same_graph(graph, GrownGraph.from_edges(params, edges, positions))
 
 
 @pytest.mark.parametrize("text,form", [
@@ -650,12 +700,12 @@ def test_edge_lines_the_writer_never_writes_read_as_numpy_reads_them(grown, edit
     (b"2\t1.0\n", False), (b"\xd9\xa5\t1\n", False),
 ])
 def test_only_the_writers_own_edge_lines_take_the_fast_path(text, form):
-    data = b"head\n" + text
-    assert graph_io._writer_lines(data, 5, len(data)) == (text.count(b"\n") if form else 0)
-    if form:   # and then np.fromstring reads what np.loadtxt reads
-        rows = graph_io._load_rows(data, "edges", 5, len(data), graph_io._EDGE_ROW)["edge"]
-        numbers = np.fromstring(data[5:], dtype=np.int64, sep="\t")
-        assert numbers.tolist() == rows.reshape(-1).tolist()
+    graph = generate(make(3))
+    data = graph_io.serialize_graph(graph)
+    start, end, _ = _edge_lines(data)
+    data = data[:start] + text + data[end:]
+    assert all(_WRITER_LINE.fullmatch(line) for line in text.split(b"\n")[:-1]) == form
+    _check_edge_lines(data, graph.params, graph.positions)
 
 
 _EDGE_BYTES = st.sampled_from([b"0", b"1", b"2", b"7", b"9", b"\t", b" ", b"+", b"-", b"\r",
@@ -664,20 +714,17 @@ _EDGE_BYTES = st.sampled_from([b"0", b"1", b"2", b"7", b"9", b"\t", b" ", b"+", 
 
 @settings(max_examples=80, deadline=None)
 @given(graph=small_graphs, edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.lists(
-    _EDGE_BYTES, max_size=6).map(b"".join)), max_size=3),
-       block=st.sampled_from([1, 7, 64, 1 << 16]))
-def test_the_fast_path_changes_no_outcome(graph, edits, block):
-    # any edge lines, in blocks of any size: the same graph or error as when
-    # every block is read by np.loadtxt
+    _EDGE_BYTES, max_size=6).map(b"".join)), max_size=3), block=blocks)
+def test_any_edge_lines_parse_to_a_graph_or_a_parse_error(graph, edits, block):
+    # any edge lines, in blocks of any size: a graph or a ParseError, as a
+    # scan of the lines finds, and never another exception
     data = graph_io.serialize_graph(graph)
     _, _, lines = _edge_lines(data)
     assume(lines)
     for pick, line in edits:
         data, _ = _with_edge_line(data, pick % len(lines), line)
     with mock.patch.object(graph_io, "_BLOCK", block):
-        fast = _outcome(data)
-        with mock.patch.object(graph_io, "_writer_lines", return_value=0):
-            assert _outcome(data) == fast
+        _check_edge_lines(data, graph.params, graph.positions)
 
 
 def test_reading_a_graph_holds_the_file_the_kept_arrays_and_one_block(tmp_path):
